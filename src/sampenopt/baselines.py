@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import SampEnParams, cp_sigma, fuzzen, sampen
+from .entropy import SampEnParams, counting_se, cp_sigma, fuzzen, sampen
 from .errors import NoFeasibleRadius, NoKnee, TooShort, UndefinedEntropy
 from .signal import SignalSet
 
@@ -130,8 +130,7 @@ def _per_signal_outputs(s: SignalSet, m: int, r: float) -> tuple[tuple, tuple]:
         res = sampen(x, p)
         entropies.append(res.value if res.finite else None)
         try:
-            cp, sigma = cp_sigma(x, p)
-            ses.append(sigma / cp)
+            ses.append(counting_se(x, p))
         except UndefinedEntropy:
             ses.append(None)
     return tuple(entropies), tuple(ses)
@@ -156,8 +155,7 @@ def sampeneff_select(s: SignalSet, m: int, grid: RadiusGrid = RadiusGrid()) -> B
 
 
 def _counting_variance(x, m: int, r: float) -> float:
-    cp, sigma = cp_sigma(x, SampEnParams(m=m, r=r))
-    return (sigma / cp) ** 2
+    return counting_se(x, SampEnParams(m=m, r=r)) ** 2
 
 
 def convergence_select(s: SignalSet, m: int, grid: RadiusGrid = RadiusGrid()) -> BaselineResult:
@@ -261,9 +259,7 @@ def gaussian_mse_approx(s: SignalSet, m: int, r: float, d: int, lam: float, rng:
         res = sampen(x, p)
         if not res.finite:
             raise UndefinedEntropy(f"signal {x.id!r}: entropy not finite at (m={m}, r={r})")
-        cp, sigma = cp_sigma(x, p)
-        s_i = sigma / cp
-        draws = s_i * rng.standard_normal(d)
+        draws = counting_se(x, p) * rng.standard_normal(d)
         eps.append(float(np.mean(draws**2)))
     return float(np.mean(eps)) + lam * math.sqrt(r)
 

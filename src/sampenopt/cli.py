@@ -9,12 +9,15 @@ config error, 3 data error, 4 computation infeasible.
 All stochastic commands take --seed (default 0) and are deterministic
 given (input bytes, flags, seed); only the envelope timestamps and the
 "timings" block vary between runs. A --config file (JSON object or
-key=value lines) supplies defaults that explicit flags override.
+key=value lines) supplies defaults that explicit flags override; its keys
+are option destinations (b, t_tilde, lam, no_preprocess, ...), and a key
+that no subcommand reads is a config error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -44,7 +47,7 @@ _COMPUTE_EXIT = 4
 
 
 def _load_config_file(path: str | None) -> dict:
-    if not path:
+    if path is None:
         return {}
     text = Path(path).read_text()
     stripped = text.lstrip()
@@ -99,7 +102,6 @@ def _optimizer_config(args) -> OptimizerConfig:
         t_init=args.t_init,
         domain=_domain_from(args),
         seed=args.seed,
-        threads=args.threads,
     )
 
 
@@ -107,20 +109,33 @@ def _psi_dict(psi) -> dict:
     return {"m": psi.m, "r": psi.r, "q": psi.q}
 
 
-def _per_signal_at(s: SignalSet, psi, b: int, seed: int) -> list[dict]:
-    params = SampEnParams(m=psi.m, r=psi.r)
+def _bootstrap_records(s, params: SampEnParams, q: float, b: int, seed: int, tag: int) -> list[dict]:
+    """Per-signal entropy with bootstrap SE/MSE; signal i draws from the stream (seed, tag, i)."""
     out = []
     for i, x in enumerate(s):
-        est = bootstrap_sampen(x, params, BootstrapConfig(q=psi.q, b=b, seed=child_seed(seed, 3, i)))
-        rec = {"id": x.id, "label": x.label, "entropy": _entropy_state(est.original.value)}
-        if est.feasible:
-            rec["bootstrap_se"] = bootstrap_se(est)
-            rec["bootstrap_mse"] = bootstrap_mse(est)
-        else:
-            rec["bootstrap_se"] = None
-            rec["bootstrap_mse"] = None
-        out.append(rec)
+        est = bootstrap_sampen(x, params, BootstrapConfig(q=q, b=b, seed=child_seed(seed, tag, i)))
+        out.append({
+            "id": x.id,
+            "label": x.label,
+            "entropy": _entropy_state(est.original.value),
+            "bootstrap_se": bootstrap_se(est) if est.feasible else None,
+            "bootstrap_mse": bootstrap_mse(est) if est.feasible else None,
+        })
     return out
+
+
+def _preprocess_records(report) -> list[dict]:
+    return [
+        {"id": r.signal_id, "p_value": r.p_value, "adjusted_p": r.adjusted_p, "retained": r.retained, "reason": r.reason}
+        for r in report.records
+    ]
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _cmd_synth(args) -> tuple[dict, dict]:
@@ -160,20 +175,14 @@ def _cmd_estimate(args) -> tuple[dict, dict]:
         payload = {"measure": "fuzzen", "m": args.m, "r": args.r, "eta": args.eta, "signals": records}
         return payload, {}
     params = SampEnParams(m=args.m, r=args.r)
-    for i, x in enumerate(s):
-        rec = {"id": x.id, "label": x.label}
-        if args.q is not None:
-            est = bootstrap_sampen(x, params, BootstrapConfig(q=args.q, b=args.b, seed=child_seed(args.seed, 0, i)))
-            rec["entropy"] = _entropy_state(est.original.value)
-            rec["bootstrap_se"] = bootstrap_se(est) if est.feasible else None
-            rec["bootstrap_mse"] = bootstrap_mse(est) if est.feasible else None
-        else:
+    if args.q is not None:
+        records = _bootstrap_records(s, params, args.q, args.b, args.seed, 0)
+    else:
+        for x in s:
             res = sampen(x, params)
-            rec["entropy"] = _entropy_state(res.value)
-            rec["bm"] = res.bm
-            rec["am"] = res.am
-            rec["cp"] = res.cp
-        records.append(rec)
+            records.append(
+                {"id": x.id, "label": x.label, "entropy": _entropy_state(res.value), "bm": res.bm, "am": res.am, "cp": res.cp}
+            )
     payload = {"measure": "sampen", "m": args.m, "r": args.r, "q": args.q, "signals": records}
     return payload, {}
 
@@ -183,30 +192,22 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
     preprocess_records = None
     if args.preprocess:
         report = stationarity_pipeline(s, args.alpha)
-        preprocess_records = [
-            {
-                "id": r.signal_id,
-                "p_value": r.p_value,
-                "adjusted_p": r.adjusted_p,
-                "retained": r.retained,
-                "reason": r.reason,
-            }
-            for r in report.records
-        ]
+        preprocess_records = _preprocess_records(report)
         s = report.retained_or_raise()
     else:
         s = _normalized(s)
     result = optimize_set(s, _optimizer_config(args))
+    best = result.best_psi
     history = [
         {"psi": _psi_dict(rec.psi), "y": (rec.y if math.isfinite(rec.y) else None), "feasible": rec.feasible}
         for rec in result.records
     ]
     payload = {
-        "best_psi": _psi_dict(result.best_psi),
+        "best_psi": _psi_dict(best),
         "best_y": result.best_y,
         "n_trials": len(result.records),
         "history": history,
-        "signals": _per_signal_at(s, result.best_psi, args.b, args.seed),
+        "signals": _bootstrap_records(s, SampEnParams(m=best.m, r=best.r), best.q, args.b, args.seed, 3),
     }
     if preprocess_records is not None:
         payload["preprocess"] = preprocess_records
@@ -228,16 +229,11 @@ def _cmd_compare(args) -> tuple[dict, dict]:
     params = SampEnParams(m=m, r=r)
 
     def class_values(group, tag):
-        vals, ses = [], []
-        for i, x in enumerate(group):
-            res = sampen(x, params)
-            if res.finite:
-                vals.append(res.value)
-            if q is not None:
-                est = bootstrap_sampen(x, params, BootstrapConfig(q=q, b=args.b, seed=child_seed(args.seed, tag, i)))
-                if est.feasible:
-                    ses.append(bootstrap_se(est))
-        return vals, ses
+        if q is None:
+            return [res.value for res in (sampen(x, params) for x in group) if res.finite], []
+        recs = _bootstrap_records(group, params, q, args.b, args.seed, tag)
+        vals = [rec["entropy"]["value"] for rec in recs if rec["entropy"]["state"] == "finite"]
+        return vals, [rec["bootstrap_se"] for rec in recs if rec["bootstrap_se"] is not None]
 
     vals_a, ses_a = class_values(group_a, 0)
     vals_b, ses_b = class_values(group_b, 1)
@@ -280,16 +276,7 @@ def _cmd_preprocess(args) -> tuple[dict, dict]:
         "n_retained": retained.n,
         "csv_path": str(args.out),
         "format": fmt,
-        "signals": [
-            {
-                "id": r.signal_id,
-                "p_value": r.p_value,
-                "adjusted_p": r.adjusted_p,
-                "retained": r.retained,
-                "reason": r.reason,
-            }
-            for r in report.records
-        ],
+        "signals": _preprocess_records(report),
     }
     return payload, {}
 
@@ -353,21 +340,12 @@ def _cmd_varbench(args) -> tuple[dict, dict]:
         "reduction_interval": list(res.reduction_interval),
     }
     if args.csv:
-        import csv as _csv
-
-        with open(args.csv, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["signal_type", "N", "r", "mean_reduction", "interval_lo", "interval_hi"])
-            w.writerow(
-                [
-                    cfg.signal_type,
-                    cfg.n,
-                    cfg.r,
-                    repr(res.mean_reduction),
-                    repr(res.reduction_interval[0]),
-                    repr(res.reduction_interval[1]),
-                ]
-            )
+        _write_csv(
+            args.csv,
+            ["signal_type", "N", "r", "mean_reduction", "interval_lo", "interval_hi"],
+            [[cfg.signal_type, cfg.n, cfg.r, repr(res.mean_reduction), repr(res.reduction_interval[0]),
+              repr(res.reduction_interval[1])]],
+        )
         payload["csv_path"] = str(args.csv)
     return payload, {}
 
@@ -408,26 +386,16 @@ def _cmd_compare_methods(args) -> tuple[dict, dict]:
     }
     timings = {r.method: r.seconds for r in rows}
     if args.csv:
-        import csv as _csv
-
-        with open(args.csv, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(
-                ["signal_type", "method", "objective", "m_star", "r_star", "entropy_mean", "entropy_std", "seconds"]
-            )
-            for r in rows:
-                w.writerow(
-                    [
-                        cfg.signal_type,
-                        r.method,
-                        repr(r.objective),
-                        r.m_star,
-                        repr(r.r_star),
-                        "" if r.entropy_mean is None else repr(r.entropy_mean),
-                        "" if r.entropy_std is None else repr(r.entropy_std),
-                        repr(r.seconds),
-                    ]
-                )
+        _write_csv(
+            args.csv,
+            ["signal_type", "method", "objective", "m_star", "r_star", "entropy_mean", "entropy_std", "seconds"],
+            (
+                [cfg.signal_type, r.method, repr(r.objective), r.m_star, repr(r.r_star),
+                 "" if r.entropy_mean is None else repr(r.entropy_mean),
+                 "" if r.entropy_std is None else repr(r.entropy_std), repr(r.seconds)]
+                for r in rows
+            ),
+        )
         payload["csv_path"] = str(args.csv)
     return payload, timings
 
@@ -443,11 +411,14 @@ def _add_optimizer_flags(p: argparse.ArgumentParser, d) -> None:
     p.add_argument("--q-lo", type=float, default=d("q_lo", 0.01))
     p.add_argument("--q-hi", type=float, default=d("q_hi", 0.99))
     p.add_argument("--fixed-q", type=float, default=d("fixed_q", None), help="pin the bootstrap success probability instead of optimizing it")
-    p.add_argument("--threads", type=int, default=d("threads", 1), help="thread pool for per-signal work; results are independent of thread count")
 
 
 def build_parser(config: dict) -> argparse.ArgumentParser:
+    """The full parser, with config values as defaults; ValueError names keys no option reads."""
+    read = set()
+
     def d(key, fallback):
+        read.add(key)
         return config.get(key, fallback)
 
     parser = argparse.ArgumentParser(prog="sampenopt", description=__doc__)
@@ -550,6 +521,10 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--csv", default=d("csv", None))
     p.set_defaults(fn=_cmd_compare_methods)
 
+    unknown = sorted(set(config) - read)
+    if unknown:
+        keys = ", ".join(map(repr, unknown))
+        raise ValueError(f"unknown config key(s) {keys}; keys are option destinations such as b, t_tilde, lam")
     return parser
 
 
@@ -560,15 +535,15 @@ def _config_echo(args) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # config file must be known before defaults are bound
-    config = {}
-    if "--config" in argv:
-        try:
-            config = _load_config_file(argv[argv.index("--config") + 1])
-        except (IndexError, OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"sampenopt: config error: {exc}", file=sys.stderr)
-            return _USAGE_EXIT
-    parser = build_parser(config)
+    # the config file must be read before defaults are bound; the pre-parser
+    # accepts both --config FILE and --config=FILE
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        parser = build_parser(_load_config_file(pre.parse_known_args(argv)[0].config))
+    except (argparse.ArgumentError, OSError, ValueError) as exc:
+        print(f"sampenopt: config error: {exc}", file=sys.stderr)
+        return _USAGE_EXIT
     args = parser.parse_args(argv)
     started = datetime.now(timezone.utc).isoformat()
     try:

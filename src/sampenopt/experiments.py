@@ -25,7 +25,7 @@ from .baselines import (
     standard_params_eval,
 )
 from .bootstrap import BootstrapConfig, bootstrap_sampen, variance
-from .entropy import SampEnParams, cp_sigma, sampen
+from .entropy import SampEnParams, counting_se, sampen
 from .errors import InsufficientDefined, UndefinedEntropy
 from .optimizer import OptimizerConfig, optimize_set
 from .rng import child_seed, generator
@@ -98,11 +98,6 @@ def true_variance(s_pop: SignalSet, m: int, r: float) -> float:
     return float(np.var(vals, ddof=1))
 
 
-def _counting_variance_estimate(x, p: SampEnParams) -> float:
-    cp, sigma = cp_sigma(x, p)
-    return (sigma / cp) ** 2
-
-
 def _bootstrap_variance_estimate(x, p: SampEnParams, q: float, b: int, seed: int) -> float:
     est = bootstrap_sampen(x, p, BootstrapConfig(q=q, b=b, seed=seed))
     return variance(est)
@@ -123,7 +118,7 @@ def estimator_error(cfg: VarBenchConfig, counting=None, bootstrap=None) -> VarBe
     p = SampEnParams(m=cfg.m, r=cfg.r)
     pop = gen_signal_set(cfg.signal_type, cfg.n_population, cfg.n, seed=child_seed(cfg.seed, 0))
     sigma2 = true_variance(pop, cfg.m, cfg.r)
-    counting = counting or (lambda x, seed: _counting_variance_estimate(x, p))
+    counting = counting or (lambda x, seed: counting_se(x, p) ** 2)
     bootstrap = bootstrap or (
         lambda x, seed: _bootstrap_variance_estimate(x, p, cfg.q_value, cfg.b, seed)
     )
@@ -199,9 +194,9 @@ class MethodRow:
     seconds: float
 
 
-def _entropy_stats(s: SignalSet, m: int, r: float) -> tuple[float | None, float | None]:
-    p = SampEnParams(m=m, r=r)
-    vals = [res.value for res in (sampen(x, p) for x in s) if res.finite]
+def _entropy_stats(entropies) -> tuple[float | None, float | None]:
+    """Mean and (n-1)-divisor std of the defined per-signal entropies."""
+    vals = [e for e in entropies if e is not None]
     if not vals:
         return None, None
     return float(np.mean(vals)), float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
@@ -231,7 +226,8 @@ def method_comparison(cfg: MethodComparisonConfig) -> list[MethodRow]:
             seed=child_seed(cfg.seed, 1),
         ),
     )
-    mean_e, std_e = _entropy_stats(s, opt.best_psi.m, opt.best_psi.r)
+    p = SampEnParams(m=opt.best_psi.m, r=opt.best_psi.r)
+    mean_e, std_e = _entropy_stats(res.value for res in (sampen(x, p) for x in s) if res.finite)
     rows.append(
         MethodRow(
             method="ours",
@@ -257,7 +253,7 @@ def method_comparison(cfg: MethodComparisonConfig) -> list[MethodRow]:
         t0 = time.perf_counter()
         res = select()
         seconds = time.perf_counter() - t0
-        mean_e, std_e = _entropy_stats(s, res.m_star, res.r_star)
+        mean_e, std_e = _entropy_stats(res.entropies)
         rows.append(
             MethodRow(
                 method=name,

@@ -9,15 +9,13 @@ until the trial budget is exhausted.
 
 RNG streams: trial t, signal i, replicate b draws from the child stream
 (seed, 0, t, i, b); the TPE proposal (and random-init draw) for trial t
-uses (seed, 1, t). Results are therefore identical under any parallel
-schedule of per-signal or per-replicate work; with threads > 1 the
-per-signal evaluations run on a thread pool and are collected by index.
+uses (seed, 1, t). Signals are evaluated in order, and a trial stops at
+its first infeasible signal.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +49,6 @@ class OptimizerConfig:
     domain: ParamDomain = field(default_factory=ParamDomain)
     n_candidates: int = 24
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.lam < 0:
@@ -60,8 +57,6 @@ class OptimizerConfig:
             raise ValueError("need 1 <= T_init <= T_tilde")
         if self.b < 1:
             raise ValueError("replicate count B must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     def tpe(self) -> TpeConfig:
         return TpeConfig(domain=self.domain, n_candidates=self.n_candidates)
@@ -119,24 +114,15 @@ def _objective(
     b: int,
     seed: int,
     trial_index: int,
-    threads: int = 1,
 ) -> TrialRecord:
-    """Mean bootstrap MSE + lambda*sqrt(r); +inf if any signal is infeasible."""
+    """Mean bootstrap MSE + lambda*sqrt(r); +inf at the first infeasible signal."""
     params = SampEnParams(m=psi.m, r=psi.r)
-    seeds = [child_seed(seed, 0, trial_index, i) for i in range(len(signals))]
-    if threads > 1 and len(signals) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(_evaluate_signal, signals, [params] * len(signals), [psi.q] * len(signals), [b] * len(signals), seeds))
-    else:
-        outs = []
-        for x, s_i in zip(signals, seeds):
-            out = _evaluate_signal(x, params, psi.q, b, s_i)
-            if out is None:
-                outs = [None]
-                break
-            outs.append(out)
-    if any(o is None for o in outs):
-        return TrialRecord(psi=psi, y=math.inf, feasible=False, entropy=None, variance=None, bias=None)
+    outs = []
+    for i, x in enumerate(signals):
+        out = _evaluate_signal(x, params, psi.q, b, child_seed(seed, 0, trial_index, i))
+        if out is None:
+            return TrialRecord(psi=psi, y=math.inf, feasible=False, entropy=None, variance=None, bias=None)
+        outs.append(out)
     mses, thetas, variances, biases = map(list, zip(*outs))
     y = float(np.mean(mses)) + lam * math.sqrt(psi.r)
     return TrialRecord(
@@ -185,7 +171,7 @@ def _optimize(signals: tuple[Signal, ...], cfg: OptimizerConfig) -> OptResult:
             psi = _random_psi(cfg.domain, rng)
         else:
             psi = propose(history, tpe_cfg, rng)
-        rec = _objective(signals, psi, cfg.lam, cfg.b, cfg.seed, t, threads=cfg.threads)
+        rec = _objective(signals, psi, cfg.lam, cfg.b, cfg.seed, t)
         records.append(rec)
         history.append(Trial(psi=psi, y=rec.y))
     best_idx = None

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.signal import lfilter
-
 from .errors import NonStationaryConfig, TooShort, ZeroVariance
 from .rng import child_seed, generator
 
@@ -119,6 +117,8 @@ def gen_white_noise(n: int, sigma: float, seed: int, id: str = "wn", label: str 
 
 def gen_ar1(cfg: Ar1Config, id: str = "ar1", label: str | None = None) -> Signal:
     """Simulate burn_in + n AR(1) steps from x_0 = 0 and discard the burn-in."""
+    from scipy.signal import lfilter  # imported here: scipy.signal dominates the package import time
+
     rng = generator(cfg.seed)
     total = cfg.burn_in + cfg.n
     eps = cfg.sigma * rng.standard_normal(total)

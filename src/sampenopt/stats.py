@@ -244,10 +244,11 @@ def stationarity_pipeline(s: SignalSet, alpha: float) -> StationarityReport:
     """Difference, normalize and ADF-screen a signal set.
 
     Each signal is first-differenced and normalized; signals that become
-    constant under differencing are dropped with a recorded reason rather
-    than failing the set. ADF p-values are Holm-Sidak adjusted across the
-    tested signals and anything with adjusted p > alpha is dropped. The
-    surviving signals come back differenced and normalized.
+    constant under differencing, or too short or rank deficient for the ADF
+    regression, are dropped with a recorded reason rather than failing the
+    set. ADF p-values are Holm-Sidak adjusted across the tested signals and
+    anything with adjusted p > alpha is dropped. The surviving signals come
+    back differenced and normalized.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
@@ -261,7 +262,7 @@ def stationarity_pipeline(s: SignalSet, alpha: float) -> StationarityReport:
             continue
         try:
             res = adf_test(y)
-        except TooShort as exc:
+        except (TooShort, SingularDesign) as exc:
             records[i] = StationarityRecord(x.id, None, None, False, type(exc).__name__)
             continue
         prepared.append((i, y, res.p_value))

@@ -166,20 +166,22 @@ def scott_bandwidth(t_group: int, d: int, lo: float, hi: float, t_total: int) ->
     return max(b, b_min)
 
 
+def _one_kernel(kind: str, v: float, center: float, b: float, lo: float, hi: float) -> float:
+    mix = _DimMixture(kind=kind, lo=lo, hi=hi, centers=np.array([center], dtype=np.float64),
+                      bandwidths=np.array([b], dtype=np.float64))
+    return math.exp(mix.log_components(float(v))[0])
+
+
 def kernel_continuous(v: float, center: float, b: float, lo: float, hi: float) -> float:
     """Gaussian density at v, renormalized by the Gaussian mass on [lo, hi]."""
-    z = (v - center) / b
-    mass = ndtr((hi - center) / b) - ndtr((lo - center) / b)
-    return math.exp(-0.5 * z * z) / (b * math.sqrt(2.0 * math.pi)) / max(mass, _TINY)
+    return _one_kernel("continuous", v, center, b, lo, hi)
 
 
 def kernel_discrete(m: int, center: float, b: float, u: int) -> float:
     """Gaussian mass on [m - 1/2, m + 1/2] normalized by the mass on [1/2, u + 1/2]."""
     if not (1 <= m <= u):
         raise ValueError("m outside {1..U}")
-    cell = ndtr((m + 0.5 - center) / b) - ndtr((m - 0.5 - center) / b)
-    total = ndtr((u + 0.5 - center) / b) - ndtr((0.5 - center) / b)
-    return float(cell / max(total, _TINY))
+    return _one_kernel("discrete", m, center, b, 1.0, float(u))
 
 
 def decay_weights(t_l: int, t_g: int) -> tuple[np.ndarray, np.ndarray]:

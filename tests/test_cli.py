@@ -4,7 +4,7 @@ import pytest
 
 from sampenopt.cli import main
 from sampenopt.ingest import read_signals, write_signals
-from sampenopt.signal import SignalSet
+from sampenopt.signal import Signal, SignalSet
 
 from conftest import make_ar_set, make_noise_set
 
@@ -150,6 +150,20 @@ class TestPreprocess:
         assert fmt == "wide"
 
 
+    @pytest.mark.parametrize("command", ["preprocess", "optimize"])
+    def test_rank_deficient_signal_does_not_abort_the_screen(self, command, tmp_path):
+        src = tmp_path / "mixed.csv"
+        square = Signal("square", [float(t * t) for t in range(100)])
+        write_signals(src, SignalSet((*make_noise_set(3, 100, seed=5), square)), fmt="long")
+        extra = (["--out", str(tmp_path / "kept.csv")] if command == "preprocess"
+                 else ["--T", "4", "--T-init", "2", "--B", "10", "--alpha", "1.0"])
+        code, env = run([command, "--input", str(src), *extra], tmp_path)
+        assert code == 0
+        key = "signals" if command == "preprocess" else "preprocess"
+        rec = {r["id"]: r for r in env["payload"][key]}
+        assert rec["square"]["retained"] is False and rec["square"]["reason"] == "SingularDesign"
+
+
 class TestBaseline:
     def test_convergence_below_sampeneff(self, tmp_path):
         src = tmp_path / "n.csv"
@@ -252,6 +266,35 @@ class TestConfigFile:
         code, env = run(["estimate", "--input", noise_csv, "--config", str(cfg)], tmp_path)
         assert code == 0
         assert env["payload"]["m"] == 3 and env["payload"]["r"] == 0.5
+
+    def test_equals_spelling_is_read(self, noise_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m=1\n")
+        code, env = run(["estimate", "--input", noise_csv, f"--config={cfg}"], tmp_path)
+        assert code == 0
+        assert env["payload"]["m"] == 1
+
+    @pytest.mark.parametrize(
+        "text, key", [("lamda=0.5\n", "lamda"), ("B=7\n", "B"), ("threads=2\n", "threads"), ('{"T": 3}', "T")]
+    )
+    def test_unknown_key_exits_2_and_names_it(self, noise_csv, tmp_path, capsys, text, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, env = run(["optimize", "--input", noise_csv, "--config", str(cfg)], tmp_path)
+        assert code == 2 and env is None
+        assert repr(key) in capsys.readouterr().err
+
+    def test_key_read_by_another_command_is_accepted(self, noise_csv, tmp_path):
+        # one file can serve several commands: t_tilde is an optimize key, unused by estimate
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m=1\nt_tilde=5\n")
+        code, env = run(["estimate", "--input", noise_csv, "--config", str(cfg)], tmp_path)
+        assert code == 0 and env["payload"]["m"] == 1
+
+    @pytest.mark.parametrize("path", ["absent.cfg", ""])
+    def test_missing_config_file_exits_2(self, noise_csv, tmp_path, path):
+        code, _ = run(["estimate", "--input", noise_csv, f"--config={tmp_path / path if path else ''}"], tmp_path)
+        assert code == 2
 
 
 @pytest.fixture(scope="module")

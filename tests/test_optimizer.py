@@ -133,13 +133,6 @@ class TestOptimize:
         res = optimize_set(SignalSet((white100, twin)), cfg)
         assert cfg.domain.contains(res.best_psi)
 
-    def test_thread_count_does_not_change_results(self):
-        s = make_ar_set(6, 80, seed=30)
-        seq = optimize_set(s, small_cfg(seed=31, threads=1, domain=ParamDomain(u=3)))
-        par = optimize_set(s, small_cfg(seed=31, threads=4, domain=ParamDomain(u=3)))
-        assert [t.psi for t in seq.history] == [t.psi for t in par.history]
-        assert [t.y for t in seq.history] == [t.y for t in par.history]
-
 
 class TestSearchQuality:
     def test_ar_set_finds_reasonable_params(self):

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import sampenopt
 
 from sampenopt.errors import NonStationaryConfig, TooShort, ZeroVariance
 from sampenopt.signal import (
@@ -142,3 +149,11 @@ class TestAdfStationarityInvariant:
         adjusted = holm_sidak(pvals)
         rejected = sum(1 for p in adjusted if p <= 0.05)
         assert rejected >= 95
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal dominates import time and only gen_ar1 needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(sampenopt.__file__).resolve().parent.parent))
+    code = "import sys, sampenopt; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -211,6 +211,16 @@ class TestPipeline:
             assert abs(sig.values.mean()) <= 1e-12
             assert abs(np.std(sig.values, ddof=1) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("bad", [np.arange(100.0) ** 2, np.arange(100.0) % 2], ids=["square", "alternating"])
+    def test_rank_deficient_signal_dropped_with_reason(self, bad):
+        noise = [gen_white_noise(100, 1.0, seed=i, id=f"wn{i}") for i in range(3)]
+        report = stationarity_pipeline(SignalSet((*noise, Signal("bad", bad))), alpha=0.05)
+        rec = {r.signal_id: r for r in report.records}
+        assert rec["bad"].retained is False
+        assert rec["bad"].reason == "SingularDesign"
+        assert rec["bad"].p_value is None and rec["bad"].adjusted_p is None
+        assert [x.id for x in report.retained] == ["wn0", "wn1", "wn2"]
+
     def test_records_cover_all_inputs(self):
         s = make_ar_set(8, 120, seed=900)
         report = stationarity_pipeline(s, alpha=0.05)
