@@ -566,7 +566,11 @@ def main(argv: list[str] | None = None) -> int:
         "timings": timings,
         "payload": payload,
     }
-    text = json.dumps(envelope, indent=2, allow_nan=False, sort_keys=True)
+    try:
+        text = json.dumps(envelope, indent=2, allow_nan=False, sort_keys=True)
+    except ValueError as exc:
+        print(f"sampenopt: computation error: {exc}", file=sys.stderr)
+        return _COMPUTE_EXIT
     if args.output == "-":
         print(text)
     else:

@@ -172,34 +172,43 @@ def fuzzen(x: Signal, m: int, r: float, eta: float = 2.0) -> float:
     return _fuzzy_log_phi(x.values, m, nt, r, eta) - _fuzzy_log_phi(x.values, m + 1, nt, r, eta)
 
 
-def _overlap_counts(starts: np.ndarray, ext_match: np.ndarray, m: int) -> tuple[int, int]:
+def _overlap_counts(match_b: np.ndarray, match_a: np.ndarray, m: int) -> tuple[int, int]:
     """Ordered counts of overlapping distinct pairs-of-pairs (K_B, K_A).
 
-    starts: (K, 2) start indices (i < j) of the K unordered matching
-    m-template pairs. ext_match: boolean (K,) marking pairs that also match
-    at length m+1. Two pairs overlap when any of their four (m+1)-point
-    template windows [s, s+m] intersect, i.e. when
-    min(|i-k|, |i-l|, |j-k|, |j-l|) <= m.
+    match_b: boolean (nt, nt) strictly upper-triangular incidence of the
+    unordered matching m-template pairs (i < j); match_a: its subset that
+    also matches at length m+1. Two pairs p = (i, j) and q = (k, l)
+    overlap when any of their four (m+1)-point template windows [s, s+m]
+    intersect, i.e. when k or l lies in U = W(i) | W(j) with
+    W(c) = [c-m, c+m] clipped to [0, nt-1]. For each p, inclusion-exclusion
+    gives the overlapping q != p as rows(U) + cols(U) - M(U x U) - 1, with
+    U split into the disjoint intervals [a1, b1) = W(i) and
+    [a2, b2) = W(j) minus W(i). Row and column sums come from 1-D prefix
+    sums and M(U x U) from rectangle sums over one 2-D prefix sum, so each
+    count costs O(nt^2 + K) integer operations and equals the all-pairs
+    O(K^2) comparison exactly.
     """
-    i = starts[:, 0].astype(np.int32)
-    j = starts[:, 1].astype(np.int32)
-    kb = 0
-    ka = 0
-    chunk = max(1, int(2_000_000 // max(len(i), 1)))
-    for lo in range(0, len(i), chunk):
-        hi = lo + chunk
-        ic, jc = i[lo:hi, None], j[lo:hi, None]
-        gap = np.abs(ic - i[None, :])
-        np.minimum(gap, np.abs(ic - j[None, :]), out=gap)
-        np.minimum(gap, np.abs(jc - i[None, :]), out=gap)
-        np.minimum(gap, np.abs(jc - j[None, :]), out=gap)
-        ov = gap <= m
-        # drop the self-pairs on the global diagonal
-        rows = np.arange(lo, min(hi, len(i)))
-        ov[rows - lo, rows] = False
-        kb += int(np.count_nonzero(ov))
-        ka += int(np.count_nonzero(ov[ext_match[lo:hi]][:, ext_match]))
-    return kb, ka
+    nt = match_b.shape[0]
+    counts = []
+    for match in (match_b, match_a):
+        ps = np.zeros((nt + 1, nt + 1), dtype=np.int64)
+        np.cumsum(np.cumsum(match, axis=0, dtype=np.int64), axis=1, out=ps[1:, 1:])
+        i, j = np.nonzero(match)
+        a1 = np.maximum(i - m, 0)
+        b1 = np.minimum(i + m + 1, nt)
+        b2 = np.minimum(j + m + 1, nt)
+        a2 = np.minimum(np.maximum(j - m, b1), b2)
+        # matches with a row in U, plus those with a column in U (row and
+        # column prefix sums are the last column and row of ps)
+        touching = sum(pre[b1] - pre[a1] + pre[b2] - pre[a2] for pre in (ps[:, nt], ps[nt, :]))
+        # M(U x U): M is strictly upper-triangular and every row of [a2, b2)
+        # lies past every column of [a1, b1), so that fourth block is 0
+        inside = sum(
+            ps[r1, c1] - ps[r0, c1] - ps[r1, c0] + ps[r0, c0]
+            for r0, r1, c0, c1 in ((a1, b1, a1, b1), (a1, b1, a2, b2), (a2, b2, a2, b2))
+        )
+        counts.append(int((touching - inside - 1).sum()))
+    return counts[0], counts[1]
 
 
 def cp_sigma(x: Signal, p: SampEnParams) -> tuple[float, float]:
@@ -214,27 +223,27 @@ def cp_sigma(x: Signal, p: SampEnParams) -> tuple[float, float]:
     where K_B counts ordered distinct overlapping pairs of matching
     m-pairs and K_A the same among pairs that also match at length m+1
     (E[X_p X_q] for overlapping pairs is estimated by K_A/K_B). Negative
-    corrected variance is clamped to zero.
+    corrected variance is clamped to zero. K_B and K_A are exact integer
+    counts from the window-union identity in _overlap_counts, at
+    O(N^2 + K) cost for K matching pairs, so no pair of pairs is
+    enumerated.
 
     Raises UndefinedEntropy when CP is undefined (B = 0) or zero (A = 0).
     """
     n = x.n
     if n < p.m + 2:
         raise SignalTooShort(f"signal {x.id!r}: need N >= m + 2 = {p.m + 2}, got N = {n}")
-    nt = n - p.m
     d_m, d_m1 = _template_distance_matrices(x.values, p.m)
-    iu = np.triu_indices(nt, k=1)
-    match_m = d_m[iu] <= p.r
-    if not match_m.any():
+    match_b = np.triu(d_m <= p.r, 1)
+    b_un = int(np.count_nonzero(match_b))
+    if b_un == 0:
         raise UndefinedEntropy(f"signal {x.id!r}: no template matches at (m={p.m}, r={p.r})")
-    starts = np.column_stack((iu[0][match_m], iu[1][match_m]))
-    ext = d_m1[starts[:, 0], starts[:, 1]] <= p.r
-    b_un = int(len(starts))
-    a_un = int(np.count_nonzero(ext))
+    match_a = match_b & (d_m1 <= p.r)
+    a_un = int(np.count_nonzero(match_a))
     cp = a_un / b_un
     if a_un == 0:
         raise UndefinedEntropy(f"signal {x.id!r}: CP = 0 at (m={p.m}, r={p.r}); entropy infinite")
-    kb, ka = _overlap_counts(starts, ext, p.m)
+    kb, ka = _overlap_counts(match_b, match_a, p.m)
     var_cp = cp * (1.0 - cp) / b_un + (ka - kb * cp * cp) / (b_un * b_un)
     return cp, math.sqrt(max(var_cp, 0.0))
 

@@ -56,15 +56,18 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def _naive_counts(x, m, r):
+    x = x.tolist()
     nt = len(x) - m
     b = a = 0
     for i in range(nt):
         for j in range(nt):
             if i == j:
                 continue
-            if max(abs(x[i + k] - x[j + k]) for k in range(m)) <= r:
+            # the (m+1)-distance extends the m-distance by one coordinate
+            d = max(abs(x[i + k] - x[j + k]) for k in range(m))
+            if d <= r:
                 b += 1
-            if max(abs(x[i + k] - x[j + k]) for k in range(m + 1)) <= r:
+            if max(d, abs(x[i + m] - x[j + m])) <= r:
                 a += 1
     return b, a
 
@@ -74,14 +77,14 @@ def _naive_fuzzen(x, m, r, eta):
     # underflows where memberships are tiny
     def log_phi(k):
         nt = len(x) - m
+        # each baseline-removed template once, as a plain list
+        templates = [(x[i : i + k] - x[i : i + k].mean()).tolist() for i in range(nt)]
         exponents = []
-        for i in range(nt):
-            ti = x[i : i + k] - x[i : i + k].mean()
-            for j in range(nt):
+        for i, ti in enumerate(templates):
+            for j, tj in enumerate(templates):
                 if i == j:
                     continue
-                tj = x[j : j + k] - x[j : j + k].mean()
-                d = np.max(np.abs(ti - tj))
+                d = max(abs(u - v) for u, v in zip(ti, tj))
                 exponents.append(-((d / r) ** eta))
         top = max(exponents)
         return top + math.log(math.fsum(math.exp(u - top) for u in exponents)) - math.log(len(exponents))

@@ -250,6 +250,15 @@ class TestErrorsAndExitCodes:
         code, _ = run(["estimate", "--input", noise_csv, "--r", "-0.5"], tmp_path)
         assert code == 2
 
+    def test_nan_in_payload_exits_4_without_traceback(self, noise_csv, tmp_path, capsys, monkeypatch):
+        # the envelope is written with allow_nan=False; a stray NaN is a computation error
+        monkeypatch.setattr("sampenopt.cli._cmd_estimate", lambda args: ({"x": float("nan")}, {}))
+        code, env = run(["estimate", "--input", noise_csv], tmp_path)
+        assert code == 4 and env is None
+        err = capsys.readouterr().err
+        assert err.startswith("sampenopt: computation error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestConfigFile:
     def test_key_value_config_with_flag_override(self, noise_csv, tmp_path):

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sampenopt.entropy import (
     MatchCounts,
     SampEnParams,
+    _overlap_counts,
+    _template_distance_matrices,
     count_matches,
     counting_se,
     cp_sigma,
@@ -91,6 +95,47 @@ def naive_cp_sigma(x, m, r):
                 ka += 1
     var = cp * (1 - cp) / b + (ka - kb * cp * cp) / (b * b)
     return cp, math.sqrt(max(var, 0.0))
+
+
+def _overlap_counts_oracle(starts: np.ndarray, ext_match: np.ndarray, m: int) -> tuple[int, int]:
+    """Ordered counts of overlapping distinct pairs-of-pairs (K_B, K_A).
+
+    starts: (K, 2) start indices (i < j) of the K unordered matching
+    m-template pairs. ext_match: boolean (K,) marking pairs that also match
+    at length m+1. Two pairs overlap when any of their four (m+1)-point
+    template windows [s, s+m] intersect, i.e. when
+    min(|i-k|, |i-l|, |j-k|, |j-l|) <= m.
+    """
+    i = starts[:, 0].astype(np.int32)
+    j = starts[:, 1].astype(np.int32)
+    kb = 0
+    ka = 0
+    chunk = max(1, int(2_000_000 // max(len(i), 1)))
+    for lo in range(0, len(i), chunk):
+        hi = lo + chunk
+        ic, jc = i[lo:hi, None], j[lo:hi, None]
+        gap = np.abs(ic - i[None, :])
+        np.minimum(gap, np.abs(ic - j[None, :]), out=gap)
+        np.minimum(gap, np.abs(jc - i[None, :]), out=gap)
+        np.minimum(gap, np.abs(jc - j[None, :]), out=gap)
+        ov = gap <= m
+        # drop the self-pairs on the global diagonal
+        rows = np.arange(lo, min(hi, len(i)))
+        ov[rows - lo, rows] = False
+        kb += int(np.count_nonzero(ov))
+        ka += int(np.count_nonzero(ov[ext_match[lo:hi]][:, ext_match]))
+    return kb, ka
+
+
+def overlap_counts_both(x, m, r):
+    """(K_B, K_A) from the prefix-sum counter and from the O(K^2) oracle on the same matches."""
+    d_m, d_m1 = _template_distance_matrices(np.asarray(x, dtype=np.float64), m)
+    match_b = np.triu(d_m <= r, 1)
+    match_a = match_b & (d_m1 <= r)
+    i, j = np.nonzero(match_b)
+    got = _overlap_counts(match_b, match_a, m)
+    want = _overlap_counts_oracle(np.column_stack((i, j)), match_a[i, j], m)
+    return got, want, j
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +290,49 @@ class TestCountingSe:
             assert abs(got_sigma - want_sigma) <= 1e-12
             checked += 1
         assert checked >= 10
+
+    def test_overlap_counts_equal_oracle(self):
+        rng = np.random.default_rng(2024)
+        near_end = 0
+        for case in range(60):
+            m = int(rng.integers(1, 5))
+            n = int(rng.integers(m + 3, 201))
+            r = float(rng.uniform(0.05, 1.5))
+            x = rng.standard_normal(n)
+            if case % 3 == 0:
+                x = np.round(x, 1)  # tied values
+            got, want, j = overlap_counts_both(x, m, r)
+            assert got == want, f"case {case}: n={n} m={m} r={r}"
+            near_end += bool(j.size) and int(j.max()) >= n - 2 * m
+        # windows W(j) clipped at the last start index n-m-1 were exercised
+        assert near_end >= 40
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_overlap_counts_near_boundary(self, m):
+        # the signal's tail repeats its head, so pairs (i, j) with j at the
+        # last start index N-m-1 match and W(j) is clipped on the right
+        head = np.random.default_rng(m).standard_normal(12)
+        x = np.concatenate((head, np.random.default_rng(10 + m).standard_normal(30), head))
+        got, want, j = overlap_counts_both(x, m, 0.05)
+        assert int(j.max()) == x.size - m - 1
+        assert got == want
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_overlap_counts_constant_signal(self, m):
+        # every pair matches at both lengths, so K_B == K_A
+        got, want, j = overlap_counts_both(np.zeros(80), m, 0.1)
+        assert j.size == (80 - m) * (79 - m) // 2
+        assert got == want and got[0] == got[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x=st.lists(st.one_of(st.integers(-2, 2).map(float), st.floats(-2.0, 2.0)), min_size=6, max_size=60),
+        m=st.integers(1, 4),
+        r=st.floats(0.05, 1.5),
+    )
+    def test_overlap_counts_equal_oracle_property(self, x, m, r):
+        got, want, _ = overlap_counts_both(x, m, r)
+        assert got == want
 
     def test_se_decreases_with_length(self):
         p = SampEnParams(1, 0.2)
