@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import SampEnParams, SampEnResult, sampen
+from .entropy import SampEnParams, SampEnResult, _ordered_counts, _point_matches, _sampen_from_counts, sampen
 from .errors import Infeasible
 from .rng import generator
 from .signal import Signal
@@ -73,16 +73,28 @@ def _draw_block_lengths(q: float, size: int, rng: np.random.Generator) -> np.nda
 def _block_indices(starts: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
     """Source indices for concatenated blocks, wrapped mod n, truncated to n.
 
-    starts are 0-based. lengths must sum to at least n; the final block is
-    shortened so exactly n indices come back.
+    starts and lengths are (k,) for one replicate or (B, k) for B of them;
+    starts are 0-based, lengths are >= 1 and each row sums to at least n.
+    Each row's final block is shortened so exactly n indices come back,
+    in an array of shape (n,) or (B, n).
     """
-    cum = np.cumsum(lengths)
-    nb = int(np.searchsorted(cum, n)) + 1
-    starts = starts[:nb]
-    lengths = lengths[:nb].copy()
-    lengths[-1] -= int(cum[nb - 1]) - n
-    offsets = np.arange(n) - np.repeat(np.concatenate(([0], np.cumsum(lengths[:-1]))), lengths)
-    return (np.repeat(starts, lengths) + offsets) % n
+    shape = np.shape(starts)
+    starts = np.reshape(starts, (-1, shape[-1]))
+    lengths = np.reshape(lengths, starts.shape)
+    begin = np.cumsum(lengths, axis=1) - lengths
+    # mark the output position where each block begins (blocks beginning
+    # past the end all land in the dropped column n); the running count of
+    # marks is then the block each output position belongs to
+    marks = np.zeros((starts.shape[0], n + 1), dtype=np.intp)
+    marks[np.arange(starts.shape[0])[:, None], np.minimum(begin, n)] = 1
+    block = np.cumsum(marks[:, :n], axis=1) - 1
+    idx = (np.take_along_axis(starts - begin, block, axis=1) + np.arange(n)) % n
+    return idx.reshape(shape[:-1] + (n,))
+
+
+def _draw_blocks(n: int, q: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n uniform start indices, then n Geom(q) lengths (n blocks always suffice)."""
+    return rng.integers(0, n, size=n), _draw_block_lengths(q, n, rng)
 
 
 def stationary_bootstrap(x: Signal, q: float, rng: np.random.Generator) -> Signal:
@@ -95,23 +107,29 @@ def stationary_bootstrap(x: Signal, q: float, rng: np.random.Generator) -> Signa
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0, 1)")
     n = x.n
-    starts = rng.integers(0, n, size=n)
-    lengths = _draw_block_lengths(q, n, rng)
-    return x.with_values(x.values[_block_indices(starts, lengths, n)])
+    return x.with_values(x.values[_block_indices(*_draw_blocks(n, q, rng), n)])
 
 
 def bootstrap_sampen(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> BootstrapEstimates:
     """Score B stationary-bootstrap replicates of x with sampen.
 
-    Replicate b draws from the child stream (cfg.seed, b), so results are
-    identical under any parallel execution order.
+    Replicate b draws from the child stream (cfg.seed, b), exactly as
+    stationary_bootstrap(x, cfg.q, generator(cfg.seed, b)) would, so
+    results are identical under any execution order. The block indices of
+    all B replicates are built in one step. A replicate's point gaps are
+    gaps of x, so each replicate is counted on its rows and columns of x's
+    point-match matrix, which is thresholded once.
     """
     original = sampen(x, p)
-    reps = []
-    for b in range(cfg.b):
-        xb = stationary_bootstrap(x, cfg.q, generator(cfg.seed, b))
-        reps.append(sampen(xb, p))
-    return BootstrapEstimates(original=original, replicates=tuple(reps))
+    n = x.n
+    z = (n - p.m) * (n - p.m - 1)
+    draws = [_draw_blocks(n, cfg.q, generator(cfg.seed, b)) for b in range(cfg.b)]
+    starts, lengths = (np.stack(d) for d in zip(*draws))
+    g = _point_matches(x.values, p.r)
+    reps = tuple(
+        _sampen_from_counts(*_ordered_counts(g[i][:, i], p.m), z) for i in _block_indices(starts, lengths, n)
+    )
+    return BootstrapEstimates(original=original, replicates=reps)
 
 
 def _require_feasible(est: BootstrapEstimates) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Template matching follows the Richman & Moorman (2000) construction with
 delay fixed at 1. Matches at template lengths m and m+1 are counted over
-the common start-index range {0, ..., N-m-2} (0-based), so both counts
+the common start-index range {0, ..., N-m-1} (0-based), so both counts
 share the normalizer Z = (N-m)(N-m-1) over ordered pairs, the conditional
 probability CP = A/B is a like-to-like ratio, and an (m+1)-match always
 implies an m-match. Distances are Chebyshev (L-inf); a match is d <= r
@@ -36,7 +36,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SampEnParams:
-    """Embedding dimension m >= 1 and similarity radius r > 0 (delay is 1)."""
+    """Embedding dimension m >= 1 and finite similarity radius r > 0 (delay is 1)."""
 
     m: int
     r: float
@@ -44,8 +44,8 @@ class SampEnParams:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("embedding dimension m must be >= 1")
-        if not (self.r > 0):
-            raise ValueError("similarity radius r must be positive")
+        if not (0 < self.r < math.inf):
+            raise ValueError("similarity radius r must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -87,24 +87,34 @@ class SampEnResult:
         return self.value is not None and math.isfinite(self.value)
 
 
-def _template_distance_matrices(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chebyshev distance matrices for m- and (m+1)-templates.
+def _point_matches(x: np.ndarray, r: float) -> np.ndarray:
+    """Boolean (N, N) matrix of point gaps within the radius, |x_i - x_j| <= r."""
+    return np.abs(x[:, None] - x[None, :]) <= r
 
-    Both matrices are restricted to the common start range 0..N-m-2 and
-    have shape (N-m, N-m). Built by a running maximum over diagonal-shifted
-    absolute difference matrices, which reproduces the naive double loop's
-    float operations exactly (abs and max are exact).
+
+def _match_matrices(g: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean match incidence of m- and (m+1)-templates from point matches g.
+
+    g is _point_matches of an N-point signal. Both matrices are restricted
+    to the common start range 0..N-m-1 and have shape (N-m, N-m); entry
+    (i, j) is true when the templates at i and j lie within r in Chebyshev
+    distance (the diagonal is always true). ANDing the diagonal shifts of
+    g equals thresholding the running maximum of the point gaps, because
+    max(gaps) <= r holds iff every gap <= r. At m = 1 the m-match matrix
+    is a view of g.
     """
-    n = x.size
-    nt = n - m
-    a = np.abs(x[:, None] - x[None, :])
-    d = a
+    nt = g.shape[0] - m
+    match_m = g[:nt, :nt]
     for k in range(1, m):
-        d = np.maximum(d[:-1, :-1], a[k:, k:])
-    # d now holds length-m template distances for starts 0..n-m
-    d_m = d[:nt, :nt]
-    d_m1 = np.maximum(d[:-1, :-1], a[m:, m:])
-    return d_m, d_m1
+        match_m = match_m & g[k:k + nt, k:k + nt]
+    return match_m, match_m & g[m:, m:]
+
+
+def _ordered_counts(g: np.ndarray, m: int) -> tuple[int, int]:
+    """Ordered template-pair matches (B, A) at lengths m and m+1, self-matches excluded."""
+    nt = g.shape[0] - m
+    match_m, match_m1 = _match_matrices(g, m)
+    return int(np.count_nonzero(match_m)) - nt, int(np.count_nonzero(match_m1)) - nt
 
 
 def count_matches(x: Signal, p: SampEnParams) -> MatchCounts:
@@ -116,24 +126,26 @@ def count_matches(x: Signal, p: SampEnParams) -> MatchCounts:
     if n < p.m + 2:
         raise SignalTooShort(f"signal {x.id!r}: need N >= m + 2 = {p.m + 2}, got N = {n}")
     nt = n - p.m
-    d_m, d_m1 = _template_distance_matrices(x.values, p.m)
-    # subtract the diagonal: self-distances are 0 and always within r
-    b_count = int(np.count_nonzero(d_m <= p.r)) - nt
-    a_count = int(np.count_nonzero(d_m1 <= p.r)) - nt
+    b_count, a_count = _ordered_counts(_point_matches(x.values, p.r), p.m)
     return MatchCounts(b_count=b_count, a_count=a_count, z=nt * (nt - 1))
+
+
+def _sampen_from_counts(b_count: int, a_count: int, z: int) -> SampEnResult:
+    """SampEn result from ordered match counts and the shared normalizer z."""
+    bm = b_count / z
+    am = a_count / z
+    if b_count == 0:
+        return SampEnResult(bm=bm, am=am, cp=None, value=None)
+    cp = a_count / b_count
+    if a_count == 0:
+        return SampEnResult(bm=bm, am=am, cp=cp, value=math.inf)
+    return SampEnResult(bm=bm, am=am, cp=cp, value=-math.log(cp))
 
 
 def sampen(x: Signal, p: SampEnParams) -> SampEnResult:
     """Sample entropy estimate -log(A/B) with explicit undefined/infinite states."""
     c = count_matches(x, p)
-    bm = c.b_count / c.z
-    am = c.a_count / c.z
-    if c.b_count == 0:
-        return SampEnResult(bm=bm, am=am, cp=None, value=None)
-    cp = c.a_count / c.b_count
-    if c.a_count == 0:
-        return SampEnResult(bm=bm, am=am, cp=cp, value=math.inf)
-    return SampEnResult(bm=bm, am=am, cp=cp, value=-math.log(cp))
+    return _sampen_from_counts(c.b_count, c.a_count, c.z)
 
 
 def _fuzzy_log_phi(x: np.ndarray, k: int, nt: int, r: float, eta: float) -> float:
@@ -233,12 +245,12 @@ def cp_sigma(x: Signal, p: SampEnParams) -> tuple[float, float]:
     n = x.n
     if n < p.m + 2:
         raise SignalTooShort(f"signal {x.id!r}: need N >= m + 2 = {p.m + 2}, got N = {n}")
-    d_m, d_m1 = _template_distance_matrices(x.values, p.m)
-    match_b = np.triu(d_m <= p.r, 1)
+    match_m, match_m1 = _match_matrices(_point_matches(x.values, p.r), p.m)
+    match_b = np.triu(match_m, 1)
     b_un = int(np.count_nonzero(match_b))
     if b_un == 0:
         raise UndefinedEntropy(f"signal {x.id!r}: no template matches at (m={p.m}, r={p.r})")
-    match_a = match_b & (d_m1 <= p.r)
+    match_a = match_b & match_m1
     a_un = int(np.count_nonzero(match_a))
     cp = a_un / b_un
     if a_un == 0:

@@ -7,10 +7,11 @@ or too many non-finite bootstrap replicates) score +inf and are never
 selected. The driver runs T_init uniform random trials, then TPE proposals
 until the trial budget is exhausted.
 
-RNG streams: trial t, signal i, replicate b draws from the child stream
-(seed, 0, t, i, b); the TPE proposal (and random-init draw) for trial t
-uses (seed, 1, t). Signals are evaluated in order, and a trial stops at
-its first infeasible signal.
+RNG streams: signal i of trial t bootstraps with the seed
+child_seed(seed, 0, t, i), so its replicate b draws from
+SeedSequence((child_seed(seed, 0, t, i), b)); the TPE proposal (and
+random-init draw) for trial t uses (seed, 1, t). Signals are evaluated in
+order, and a trial stops at its first infeasible signal.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not (0 <= self.lam < math.inf):
+            raise ValueError("lambda must be finite and nonnegative")
         if self.t_init < 1 or self.t_tilde < self.t_init:
             raise ValueError("need 1 <= T_init <= T_tilde")
         if self.b < 1:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sampenopt.bootstrap import (
     BootstrapConfig,
@@ -14,8 +16,8 @@ from sampenopt.bootstrap import (
     stationary_bootstrap,
     variance,
 )
-from sampenopt.entropy import SampEnParams, SampEnResult
-from sampenopt.errors import Infeasible
+from sampenopt.entropy import SampEnParams, SampEnResult, sampen
+from sampenopt.errors import Infeasible, SignalTooShort
 from sampenopt.rng import generator
 from sampenopt.signal import Signal, gen_white_noise
 
@@ -30,6 +32,42 @@ def _result(value) -> SampEnResult:
 
 def _estimates(original, replicates) -> BootstrapEstimates:
     return BootstrapEstimates(original=_result(original), replicates=tuple(_result(v) for v in replicates))
+
+
+def _block_indices_reference(starts, lengths, n):
+    """One replicate's block indices, assembled block by block (the per-row reference)."""
+    cum = np.cumsum(lengths)
+    nb = int(np.searchsorted(cum, n)) + 1
+    starts = starts[:nb]
+    lengths = lengths[:nb].copy()
+    lengths[-1] -= int(cum[nb - 1]) - n
+    offsets = np.arange(n) - np.repeat(np.concatenate(([0], np.cumsum(lengths[:-1]))), lengths)
+    return (np.repeat(starts, lengths) + offsets) % n
+
+
+def _replicate_oracle(x, q, rng):
+    """One replicate as the per-replicate loop drew it: n starts, then n Geom(q) lengths."""
+    starts = rng.integers(0, x.n, size=x.n)
+    lengths = rng.geometric(q, size=x.n)
+    return x.with_values(x.values[_block_indices_reference(starts, lengths, x.n)])
+
+
+def _fields(res: SampEnResult):
+    return res.bm, res.am, res.cp, res.value
+
+
+@st.composite
+def _block_draws(draw):
+    """(B, k) starts and lengths >= 1 whose rows sum to at least n."""
+    n = draw(st.integers(1, 25))
+    b = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n + 3))
+    rows = st.lists(st.integers(1, 2 * n + 2), min_size=k, max_size=k)
+    lengths = np.array(draw(st.lists(rows, min_size=b, max_size=b)), dtype=np.int64)
+    lengths[:, -1] += np.maximum(n - lengths.sum(axis=1), 0)
+    rows = st.lists(st.integers(0, n - 1), min_size=k, max_size=k)
+    starts = np.array(draw(st.lists(rows, min_size=b, max_size=b)), dtype=np.int64)
+    return starts, lengths, n
 
 
 class TestBlockAssembly:
@@ -47,6 +85,20 @@ class TestBlockAssembly:
         idx = _block_indices(np.array([3]), np.array([12]), 6)
         assert idx.size == 6
         assert np.array_equal(idx, (3 + np.arange(6)) % 6)
+
+
+class TestBatchedBlockIndices:
+    @settings(max_examples=150, deadline=None)
+    @given(draws=_block_draws())
+    @example(draws=(np.array([[0]]), np.array([[1]]), 1))
+    @example(draws=(np.array([[0, 0], [0, 0]]), np.array([[1, 1], [3, 1]]), 1))
+    @example(draws=(np.array([[3, 1], [5, 0]]), np.array([[12, 2], [2, 9]]), 6))
+    def test_rows_equal_per_row_reference(self, draws):
+        starts, lengths, n = draws
+        got = _block_indices(starts, lengths, n)
+        assert got.shape == (starts.shape[0], n)
+        for row, s_row, l_row in zip(got, starts, lengths):
+            assert np.array_equal(row, _block_indices_reference(s_row, l_row, n))
 
 
 class TestStationaryBootstrap:
@@ -107,6 +159,38 @@ class TestBootstrapSampen:
         small = bootstrap_sampen(x, p, BootstrapConfig(q=0.5, b=5, seed=4))
         large = bootstrap_sampen(x, p, BootstrapConfig(q=0.5, b=10, seed=4))
         assert [r.value for r in small.replicates] == [r.value for r in large.replicates[:5]]
+
+
+class TestBootstrapOracle:
+    def test_bit_identical_to_per_replicate_loop(self):
+        rng = np.random.default_rng(77)
+        undefined = infinite = too_short = 0
+        for case in range(60):
+            m = int(rng.integers(1, 5))
+            n = int(rng.integers(3, 70))
+            x = rng.standard_normal(n)
+            if case % 3 == 0:
+                x = np.round(x, 1)  # tied values
+            x = Signal("t", x)
+            p = SampEnParams(m, float(rng.choice([0.02, 0.1, 0.2, 0.5])))
+            cfg = BootstrapConfig(q=float(rng.uniform(0.05, 0.95)), b=int(rng.integers(1, 30)), seed=case)
+            if n < m + 2:
+                with pytest.raises(SignalTooShort):
+                    bootstrap_sampen(x, p, cfg)
+                with pytest.raises(SignalTooShort):
+                    sampen(x, p)
+                too_short += 1
+                continue
+            est = bootstrap_sampen(x, p, cfg)
+            oracle = [_replicate_oracle(x, cfg.q, generator(cfg.seed, b)) for b in range(cfg.b)]
+            for b, xb in enumerate(oracle):
+                assert np.array_equal(stationary_bootstrap(x, cfg.q, generator(cfg.seed, b)).values, xb.values)
+            want = [sampen(xb, p) for xb in oracle]
+            assert _fields(est.original) == _fields(sampen(x, p))
+            assert [_fields(r) for r in est.replicates] == [_fields(r) for r in want], f"case {case}"
+            undefined += sum(r.value is None for r in want)
+            infinite += sum(r.value == math.inf for r in want)
+        assert undefined and infinite and too_short
 
 
 class TestMoments:

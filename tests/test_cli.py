@@ -250,6 +250,26 @@ class TestErrorsAndExitCodes:
         code, _ = run(["estimate", "--input", noise_csv, "--r", "-0.5"], tmp_path)
         assert code == 2
 
+    def test_infinite_radius_exits_2(self, noise_csv, tmp_path, capsys):
+        code, env = run(["estimate", "--input", noise_csv, "--r", "inf"], tmp_path)
+        assert code == 2 and env is None
+        assert capsys.readouterr().err.startswith("sampenopt: config error: ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            lambda csv: ["optimize", "--input", csv, "--no-preprocess", "--T", "3", "--T-init", "2", "--B", "5"],
+            lambda csv: ["compare-methods", "--n", "3", "--len", "60", "--T", "3", "--T-init", "2", "--B", "5",
+                         "--gaussian-draws", "100"],
+        ],
+        ids=["optimize", "compare-methods"],
+    )
+    def test_non_finite_lambda_exits_2(self, noise_csv, tmp_path, capsys, command, value):
+        code, env = run(command(noise_csv) + ["--lambda", value, "--seed", "1"], tmp_path)
+        assert code == 2 and env is None
+        assert capsys.readouterr().err.startswith("sampenopt: config error: ")
+
     def test_nan_in_payload_exits_4_without_traceback(self, noise_csv, tmp_path, capsys, monkeypatch):
         # the envelope is written with allow_nan=False; a stray NaN is a computation error
         monkeypatch.setattr("sampenopt.cli._cmd_estimate", lambda args: ({"x": float("nan")}, {}))

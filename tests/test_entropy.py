@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from sampenopt.entropy import (
     MatchCounts,
     SampEnParams,
+    _match_matrices,
     _overlap_counts,
-    _template_distance_matrices,
+    _point_matches,
     count_matches,
     counting_se,
     cp_sigma,
@@ -129,9 +130,9 @@ def _overlap_counts_oracle(starts: np.ndarray, ext_match: np.ndarray, m: int) ->
 
 def overlap_counts_both(x, m, r):
     """(K_B, K_A) from the prefix-sum counter and from the O(K^2) oracle on the same matches."""
-    d_m, d_m1 = _template_distance_matrices(np.asarray(x, dtype=np.float64), m)
-    match_b = np.triu(d_m <= r, 1)
-    match_a = match_b & (d_m1 <= r)
+    match_m, match_m1 = _match_matrices(_point_matches(np.asarray(x, dtype=np.float64), r), m)
+    match_b = np.triu(match_m, 1)
+    match_a = match_b & match_m1
     i, j = np.nonzero(match_b)
     got = _overlap_counts(match_b, match_a, m)
     want = _overlap_counts_oracle(np.column_stack((i, j)), match_a[i, j], m)
@@ -196,9 +197,26 @@ class TestCountMatches:
             bs = [count_matches(x, SampEnParams(m, r)).b_count for m in (1, 2, 3)]
             assert bs[0] >= bs[1] >= bs[2]
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        x=st.lists(st.one_of(st.integers(-3, 3).map(lambda v: v / 2), st.floats(-2.0, 2.0)), min_size=6, max_size=40),
+        m=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_counts_equal_oracle_property(self, x, m, data):
+        # tied values, and r equal to an exact gap: the closed ball must count it
+        r = data.draw(st.sampled_from(sorted({abs(u - v) for u in x for v in x} - {0.0}) or [0.5]))
+        c = count_matches(Signal("t", x), SampEnParams(m, r))
+        assert (c.b_count, c.a_count) == naive_counts(x, m, r)
+
     def test_invalid_matchcounts(self):
         with pytest.raises(ValueError):
             MatchCounts(b_count=2, a_count=4, z=12)
+
+    @pytest.mark.parametrize("r", [0.0, -0.1, math.inf, math.nan])
+    def test_radius_must_be_positive_and_finite(self, r):
+        with pytest.raises(ValueError):
+            SampEnParams(1, r)
 
 
 class TestSampen:

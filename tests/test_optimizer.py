@@ -63,6 +63,13 @@ class TestObjective:
         assert objective_set(SignalSet((good, bad)), psi, lam=0.0, b=10, seed=10) == math.inf
 
 
+class TestConfig:
+    @pytest.mark.parametrize("lam", [-0.1, math.inf, math.nan])
+    def test_lambda_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(ValueError):
+            small_cfg(lam=lam)
+
+
 class TestOptimize:
     def test_deterministic(self, white100):
         cfg = small_cfg(seed=11)
