@@ -32,25 +32,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class RadiusGrid:
     """Coarse radius grid {0.10, 0.15, ..., 1.00} refined to 0.01 steps.
 
     The criterion is evaluated on the coarse points and linearly
-    interpolated onto the fine grid before taking the argmin.
+    interpolated onto the fine grid before the selection.
     """
 
     coarse: tuple[float, ...] = tuple(np.round(np.arange(0.10, 1.0001, 0.05), 10))
-    fine_step: float = 0.01
-
-    def __post_init__(self):
-        pts = np.asarray(self.coarse)
-        if pts.size < 2 or np.any(np.diff(pts) <= 0):
-            raise ValueError("coarse grid must be strictly increasing with >= 2 points")
-        span = np.diff(pts)
-        steps = span / self.fine_step
-        if not np.allclose(steps, np.round(steps)):
-            raise ValueError("fine step must divide every coarse span")
+    fine_step = 0.01
 
     def fine(self, lo: float, hi: float) -> np.ndarray:
         n = int(round((hi - lo) / self.fine_step))
@@ -100,14 +90,14 @@ def _interp_fine(grid: RadiusGrid, radii: np.ndarray, values: np.ndarray) -> tup
     return fine_r, np.interp(fine_r, radii, values)
 
 
-def _median_curve(s: SignalSet, m: int, grid: RadiusGrid, per_signal) -> tuple[np.ndarray, np.ndarray]:
+def _median_curve(s: SignalSet, m: int, per_signal) -> tuple[np.ndarray, np.ndarray]:
     """Median of per_signal(x, r) across the set at each usable coarse radius.
 
     A coarse point is dropped when the quantity is undefined for any signal
     there; fewer than 3 usable points is NoFeasibleRadius.
     """
     radii, meds = [], []
-    for r in grid.coarse:
+    for r in RadiusGrid.coarse:
         vals = []
         for x in s:
             try:
@@ -136,15 +126,15 @@ def _per_signal_outputs(s: SignalSet, m: int, r: float) -> tuple[tuple, tuple]:
     return tuple(entropies), tuple(ses)
 
 
-def sampeneff_select(s: SignalSet, m: int, grid: RadiusGrid = RadiusGrid()) -> BaselineResult:
-    """Radius minimizing the median efficiency criterion on the fine grid."""
-    radii, meds = _median_curve(s, m, grid, sampeneff)
-    fine_r, fine_v = _interp_fine(grid, radii, meds)
-    idx = int(np.argmin(fine_v))
+def _grid_select(method: str, s: SignalSet, m: int, per_signal, pick) -> BaselineResult:
+    """Radius picked by pick(fine radii, fine values) on the interpolated median curve."""
+    radii, meds = _median_curve(s, m, per_signal)
+    fine_r, fine_v = _interp_fine(RadiusGrid(), radii, meds)
+    idx = int(pick(fine_r, fine_v))
     r_star = float(fine_r[idx])
     entropies, ses = _per_signal_outputs(s, m, r_star)
     return BaselineResult(
-        method="sampeneff",
+        method=method,
         m_star=m,
         r_star=r_star,
         criterion=float(fine_v[idx]),
@@ -152,38 +142,30 @@ def sampeneff_select(s: SignalSet, m: int, grid: RadiusGrid = RadiusGrid()) -> B
         ses=ses,
         curve=tuple(zip(fine_r.tolist(), fine_v.tolist())),
     )
+
+
+def sampeneff_select(s: SignalSet, m: int) -> BaselineResult:
+    """Radius minimizing the median efficiency criterion on the fine grid."""
+    return _grid_select("sampeneff", s, m, sampeneff, lambda radii, values: np.argmin(values))
 
 
 def _counting_variance(x, m: int, r: float) -> float:
     return counting_se(x, SampEnParams(m=m, r=r)) ** 2
 
 
-def convergence_select(s: SignalSet, m: int, grid: RadiusGrid = RadiusGrid()) -> BaselineResult:
+def convergence_select(s: SignalSet, m: int) -> BaselineResult:
     """Radius at the knee of the median counting-variance-versus-radius curve."""
-    radii, meds = _median_curve(s, m, grid, _counting_variance)
-    fine_r, fine_v = _interp_fine(grid, radii, meds)
-    idx = knee_point(fine_r, fine_v)
-    r_star = float(fine_r[idx])
-    entropies, ses = _per_signal_outputs(s, m, r_star)
-    return BaselineResult(
-        method="convergence",
-        m_star=m,
-        r_star=r_star,
-        criterion=float(fine_v[idx]),
-        entropies=entropies,
-        ses=ses,
-        curve=tuple(zip(fine_r.tolist(), fine_v.tolist())),
-    )
+    return _grid_select("convergence", s, m, _counting_variance, knee_point)
 
 
-def knee_point(xs, ys, sensitivity: float = 1.0) -> int:
+def knee_point(xs, ys) -> int:
     """Kneedle knee index for a decreasing-convex curve.
 
     Min-max normalizes both axes, maps the curve to concave-increasing
     shape via y -> max(y) - y, forms the difference d = y_t - x_n, and
     returns the first local maximum of d that the curve subsequently drops
-    below its sensitivity threshold d_max_local - sensitivity * mean(dx).
-    Raises NoKnee for flat/linear difference curves or when no local
+    below its threshold d_max_local - S * mean(dx), with Kneedle's
+    sensitivity S = 1. Raises NoKnee for flat/linear difference curves or when no local
     maximum clears its threshold.
     """
     xs = np.asarray(xs, dtype=np.float64)
@@ -203,7 +185,7 @@ def knee_point(xs, ys, sensitivity: float = 1.0) -> int:
         raise NoKnee("difference curve has no local maximum")
     mean_dx = float(np.mean(np.diff(xn)))
     for k, i in enumerate(lm):
-        threshold = d[i] - sensitivity * mean_dx
+        threshold = d[i] - mean_dx
         stop = lm[k + 1] if k + 1 < len(lm) else d.size
         if np.any(d[i + 1 : stop] < threshold):
             return i

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -85,6 +86,11 @@ def _normalized(s: SignalSet) -> SignalSet:
     return SignalSet(tuple(normalize(x) for x in s))
 
 
+def _read_input(args) -> SignalSet:
+    s, _ = read_signals(args.input)
+    return _normalized(s) if args.normalize else s
+
+
 def _domain_from(args) -> ParamDomain:
     return ParamDomain(
         u=args.u,
@@ -109,10 +115,19 @@ def _psi_dict(psi) -> dict:
     return {"m": psi.m, "r": psi.r, "q": psi.q}
 
 
-def _bootstrap_records(s, params: SampEnParams, q: float, b: int, seed: int, tag: int) -> list[dict]:
-    """Per-signal entropy with bootstrap SE/MSE; signal i draws from the stream (seed, tag, i)."""
+def _sampen_records(s, params: SampEnParams, q: float | None, b: int, seed: int, tag: int) -> list[dict]:
+    """Per-signal entropy with bootstrap SE/MSE; signal i draws from the stream (seed, tag, i).
+
+    With q None there is no bootstrap, and each record carries the match
+    counts bm, am and cp instead.
+    """
     out = []
     for i, x in enumerate(s):
+        if q is None:
+            res = sampen(x, params)
+            out.append({"id": x.id, "label": x.label, "entropy": _entropy_state(res.value),
+                        "bm": res.bm, "am": res.am, "cp": res.cp})
+            continue
         est = bootstrap_sampen(x, params, BootstrapConfig(q=q, b=b, seed=child_seed(seed, tag, i)))
         out.append({
             "id": x.id,
@@ -163,26 +178,14 @@ def _cmd_synth(args) -> tuple[dict, dict]:
 
 
 def _cmd_estimate(args) -> tuple[dict, dict]:
-    s, _ = read_signals(args.input)
-    if args.normalize:
-        s = _normalized(s)
-    records = []
+    s = _read_input(args)
     if args.fuzzen:
-        for x in s:
-            records.append(
-                {"id": x.id, "label": x.label, "entropy": _entropy_state(fuzzen(x, args.m, args.r, args.eta))}
-            )
+        records = [
+            {"id": x.id, "label": x.label, "entropy": _entropy_state(fuzzen(x, args.m, args.r, args.eta))} for x in s
+        ]
         payload = {"measure": "fuzzen", "m": args.m, "r": args.r, "eta": args.eta, "signals": records}
         return payload, {}
-    params = SampEnParams(m=args.m, r=args.r)
-    if args.q is not None:
-        records = _bootstrap_records(s, params, args.q, args.b, args.seed, 0)
-    else:
-        for x in s:
-            res = sampen(x, params)
-            records.append(
-                {"id": x.id, "label": x.label, "entropy": _entropy_state(res.value), "bm": res.bm, "am": res.am, "cp": res.cp}
-            )
+    records = _sampen_records(s, SampEnParams(m=args.m, r=args.r), args.q, args.b, args.seed, 0)
     payload = {"measure": "sampen", "m": args.m, "r": args.r, "q": args.q, "signals": records}
     return payload, {}
 
@@ -200,14 +203,14 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
     best = result.best_psi
     history = [
         {"psi": _psi_dict(rec.psi), "y": (rec.y if math.isfinite(rec.y) else None), "feasible": rec.feasible}
-        for rec in result.records
+        for rec in result.history
     ]
     payload = {
         "best_psi": _psi_dict(best),
         "best_y": result.best_y,
-        "n_trials": len(result.records),
+        "n_trials": len(result.history),
         "history": history,
-        "signals": _bootstrap_records(s, SampEnParams(m=best.m, r=best.r), best.q, args.b, args.seed, 3),
+        "signals": _sampen_records(s, SampEnParams(m=best.m, r=best.r), best.q, args.b, args.seed, 3),
     }
     if preprocess_records is not None:
         payload["preprocess"] = preprocess_records
@@ -215,9 +218,7 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
 
 
 def _cmd_compare(args) -> tuple[dict, dict]:
-    s, _ = read_signals(args.input)
-    if args.normalize:
-        s = _normalized(s)
+    s = _read_input(args)
     label_a, label_b, group_a, group_b = two_class_split(s)
     optimized = None
     if args.optimize:
@@ -229,11 +230,9 @@ def _cmd_compare(args) -> tuple[dict, dict]:
     params = SampEnParams(m=m, r=r)
 
     def class_values(group, tag):
-        if q is None:
-            return [res.value for res in (sampen(x, params) for x in group) if res.finite], []
-        recs = _bootstrap_records(group, params, q, args.b, args.seed, tag)
+        recs = _sampen_records(group, params, q, args.b, args.seed, tag)
         vals = [rec["entropy"]["value"] for rec in recs if rec["entropy"]["state"] == "finite"]
-        return vals, [rec["bootstrap_se"] for rec in recs if rec["bootstrap_se"] is not None]
+        return vals, [rec["bootstrap_se"] for rec in recs if rec.get("bootstrap_se") is not None]
 
     vals_a, ses_a = class_values(group_a, 0)
     vals_b, ses_b = class_values(group_b, 1)
@@ -282,9 +281,7 @@ def _cmd_preprocess(args) -> tuple[dict, dict]:
 
 
 def _cmd_baseline(args) -> tuple[dict, dict]:
-    s, _ = read_signals(args.input)
-    if args.normalize:
-        s = _normalized(s)
+    s = _read_input(args)
     if args.method in ("standard", "fuzzen"):
         res = standard_params_eval(s, fuzzy=args.method == "fuzzen", eta=args.eta)
     else:
@@ -365,24 +362,12 @@ def _cmd_compare_methods(args) -> tuple[dict, dict]:
         seed=args.seed,
     )
     rows = method_comparison(cfg)
-    payload_rows = [
-        {
-            "method": r.method,
-            "m_star": r.m_star,
-            "r_star": r.r_star,
-            "q_star": r.q_star,
-            "objective": r.objective,
-            "entropy_mean": r.entropy_mean,
-            "entropy_std": r.entropy_std,
-        }
-        for r in rows
-    ]
     payload = {
         "signal_type": cfg.signal_type,
         "n_signals": cfg.n_signals,
         "length": cfg.n,
         "lambda": cfg.lam_value,
-        "rows": payload_rows,
+        "rows": [{k: v for k, v in dataclasses.asdict(r).items() if k != "seconds"} for r in rows],
     }
     timings = {r.method: r.seconds for r in rows}
     if args.csv:
@@ -414,12 +399,34 @@ def _add_optimizer_flags(p: argparse.ArgumentParser, d) -> None:
 
 
 def build_parser(config: dict) -> argparse.ArgumentParser:
-    """The full parser, with config values as defaults; ValueError names keys no option reads."""
+    """The full parser, with config values as defaults; ValueError names keys no option reads.
+
+    A config value reaches argparse as a string, so the option's type
+    converts or rejects it like a flag; an option with no type takes only
+    text. Null is kept only where the option's default is None, and a switch
+    takes only true or false. Any other value becomes a ValueError default,
+    which main raises only if the command reads that option.
+    """
     read = set()
 
-    def d(key, fallback):
+    def d(key, fallback, text=False):
         read.add(key)
-        return config.get(key, fallback)
+        if key not in config:
+            return fallback
+        value = config[key]
+        if value is None:
+            return None if fallback is None else ValueError(f"config key {key!r} cannot be null")
+        if isinstance(value, str):
+            return value
+        return ValueError(f"config key {key!r} takes text, not {value!r}") if text else str(value)
+
+    def switch(key, stores=True):
+        """Default of a flag that stores `stores`; config true means the flag is given."""
+        read.add(key)
+        value = config.get(key, False)
+        if not isinstance(value, bool):
+            return ValueError(f"config key {key!r} is a switch and takes true or false, not {value!r}")
+        return value if stores else not value
 
     parser = argparse.ArgumentParser(prog="sampenopt", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sampenopt {__version__}")
@@ -438,8 +445,8 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=d("sigma", 1.0))
     p.add_argument("--phi", type=float, default=d("phi", 0.9))
     p.add_argument("--burn-in", type=int, default=d("burn_in", 500))
-    p.add_argument("--label", default=d("label", None))
-    p.add_argument("--normalize", action="store_true", default=bool(d("normalize", False)))
+    p.add_argument("--label", default=d("label", None, text=True))
+    p.add_argument("--normalize", action="store_true", default=switch("normalize"))
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(fn=_cmd_synth)
 
@@ -450,15 +457,15 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=d("r", 0.2))
     p.add_argument("--q", type=float, default=d("q", None), help="enable bootstrap SE/MSE with this success probability")
     p.add_argument("--B", dest="b", type=int, default=d("b", 100))
-    p.add_argument("--fuzzen", action="store_true", default=bool(d("fuzzen", False)))
+    p.add_argument("--fuzzen", action="store_true", default=switch("fuzzen"))
     p.add_argument("--eta", type=float, default=d("eta", 2.0))
-    p.add_argument("--no-normalize", dest="normalize", action="store_false", default=not bool(d("no_normalize", False)))
+    p.add_argument("--no-normalize", dest="normalize", action="store_false", default=switch("no_normalize", stores=False))
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("optimize", help="jointly select (m, r, q) for a signal set")
     common(p)
     p.add_argument("--input", required=True)
-    p.add_argument("--no-preprocess", dest="preprocess", action="store_false", default=not bool(d("no_preprocess", False)), help="skip the stationarity pipeline (signals are still normalized)")
+    p.add_argument("--no-preprocess", dest="preprocess", action="store_false", default=switch("no_preprocess", stores=False), help="skip the stationarity pipeline (signals are still normalized)")
     p.add_argument("--alpha", type=float, default=d("alpha", 0.05))
     _add_optimizer_flags(p, d)
     p.set_defaults(fn=_cmd_optimize)
@@ -469,9 +476,9 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=d("m", 2))
     p.add_argument("--r", type=float, default=d("r", 0.2))
     p.add_argument("--q", type=float, default=d("q", None))
-    p.add_argument("--optimize", action="store_true", default=bool(d("optimize", False)), help="select (m, r, q) on the pooled set first")
-    p.add_argument("--alternative", choices=["two-sided", "less", "greater"], default=d("alternative", "two-sided"))
-    p.add_argument("--no-normalize", dest="normalize", action="store_false", default=not bool(d("no_normalize", False)))
+    p.add_argument("--optimize", action="store_true", default=switch("optimize"), help="select (m, r, q) on the pooled set first")
+    p.add_argument("--alternative", choices=["two-sided", "less", "greater"], default=d("alternative", "two-sided", text=True))
+    p.add_argument("--no-normalize", dest="normalize", action="store_false", default=switch("no_normalize", stores=False))
     _add_optimizer_flags(p, d)
     p.set_defaults(fn=_cmd_compare)
 
@@ -489,12 +496,12 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=d("m", None), help="fixed embedding dimension (default: AR-order heuristic)")
     p.add_argument("--p-max", type=int, default=d("p_max", 5), help="max AR order for the heuristic")
     p.add_argument("--eta", type=float, default=d("eta", 2.0))
-    p.add_argument("--no-normalize", dest="normalize", action="store_false", default=not bool(d("no_normalize", False)))
+    p.add_argument("--no-normalize", dest="normalize", action="store_false", default=switch("no_normalize", stores=False))
     p.set_defaults(fn=_cmd_baseline)
 
     p = sub.add_parser("varbench", help="variance-estimator error benchmark")
     common(p)
-    p.add_argument("--signal-type", choices=["white-noise", "ar1"], default=d("signal_type", "white-noise"))
+    p.add_argument("--signal-type", choices=["white-noise", "ar1"], default=d("signal_type", "white-noise", text=True))
     p.add_argument("--len", dest="length", type=int, default=d("length", 100))
     p.add_argument("--r", type=float, default=d("r", 0.20))
     p.add_argument("--m", type=int, default=d("m", 1))
@@ -503,12 +510,12 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--n-population", type=int, default=d("n_population", 2000), help="full scale: 10000")
     p.add_argument("--n-subsample", type=int, default=d("n_subsample", 100))
     p.add_argument("--repeats", type=int, default=d("repeats", 5), help="full scale: 20")
-    p.add_argument("--csv", default=d("csv", None), help="also write a summary CSV table")
+    p.add_argument("--csv", default=d("csv", None, text=True), help="also write a summary CSV table")
     p.set_defaults(fn=_cmd_varbench)
 
     p = sub.add_parser("compare-methods", help="four-way method comparison on synthetic sets")
     common(p)
-    p.add_argument("--signal-type", choices=["white-noise", "ar1"], default=d("signal_type", "white-noise"))
+    p.add_argument("--signal-type", choices=["white-noise", "ar1"], default=d("signal_type", "white-noise", text=True))
     p.add_argument("--n", dest="n_signals", type=int, default=d("n_signals", 100))
     p.add_argument("--len", dest="length", type=int, default=d("length", 100))
     p.add_argument("--lambda", dest="lam", type=float, default=d("lam", None), help="default: 1/3 white noise, 1/10 AR(1)")
@@ -518,7 +525,7 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--U", dest="u", type=int, default=d("u", 3))
     p.add_argument("--baseline-m", type=int, default=d("baseline_m", 1))
     p.add_argument("--gaussian-draws", type=int, default=d("gaussian_draws", 10000))
-    p.add_argument("--csv", default=d("csv", None))
+    p.add_argument("--csv", default=d("csv", None, text=True))
     p.set_defaults(fn=_cmd_compare_methods)
 
     unknown = sorted(set(config) - read)
@@ -526,6 +533,15 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
         keys = ", ".join(map(repr, unknown))
         raise ValueError(f"unknown config key(s) {keys}; keys are option destinations such as b, t_tilde, lam")
     return parser
+
+
+def _check_parsed(args) -> None:
+    """Raise a bad config value the command reads, or ValueError for a non-finite float option."""
+    for key, value in sorted(vars(args).items()):
+        if isinstance(value, ValueError):
+            raise value
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"option {key!r} must be finite, got {value}")
 
 
 def _config_echo(args) -> dict:
@@ -547,6 +563,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = datetime.now(timezone.utc).isoformat()
     try:
+        _check_parsed(args)
         payload, timings = args.fn(args)
     except DataError as exc:
         print(f"sampenopt: data error: {exc}", file=sys.stderr)

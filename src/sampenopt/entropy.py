@@ -175,8 +175,8 @@ def fuzzen(x: Signal, m: int, r: float, eta: float = 2.0) -> float:
     """
     if m < 1:
         raise ValueError("embedding dimension m must be >= 1")
-    if not (r > 0) or not (eta > 0):
-        raise ValueError("r and eta must be positive")
+    if not (0 < r < math.inf) or not (0 < eta < math.inf):
+        raise ValueError("r and eta must be positive and finite")
     n = x.n
     if n < m + 2:
         raise SignalTooShort(f"signal {x.id!r}: need N >= m + 2 = {m + 2}, got N = {n}")

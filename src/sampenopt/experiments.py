@@ -13,17 +13,11 @@ both are configurable up to the full scale (10,000 / 20).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import (
-    RadiusGrid,
-    convergence_select,
-    gaussian_mse_approx,
-    sampeneff_select,
-    standard_params_eval,
-)
+from .baselines import convergence_select, gaussian_mse_approx, sampeneff_select, standard_params_eval
 from .bootstrap import BootstrapConfig, bootstrap_sampen, variance
 from .entropy import SampEnParams, counting_se, sampen
 from .errors import InsufficientDefined, UndefinedEntropy
@@ -65,8 +59,8 @@ class VarBenchConfig:
     def __post_init__(self):
         if self.signal_type not in ("white_noise", "ar1"):
             raise ValueError(f"unknown signal type {self.signal_type!r}")
-        if self.n_subsample > self.n_population:
-            raise ValueError("subsample size cannot exceed population size")
+        if not (1 <= self.n_subsample <= self.n_population and self.n_population >= 2):
+            raise ValueError("need 1 <= subsample size <= population size and population size >= 2")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
 
@@ -98,11 +92,6 @@ def true_variance(s_pop: SignalSet, m: int, r: float) -> float:
     return float(np.var(vals, ddof=1))
 
 
-def _bootstrap_variance_estimate(x, p: SampEnParams, q: float, b: int, seed: int) -> float:
-    est = bootstrap_sampen(x, p, BootstrapConfig(q=q, b=b, seed=seed))
-    return variance(est)
-
-
 def estimator_error(cfg: VarBenchConfig, counting=None, bootstrap=None) -> VarBenchResult:
     """Score both SampEn variance estimators against the population truth.
 
@@ -120,7 +109,7 @@ def estimator_error(cfg: VarBenchConfig, counting=None, bootstrap=None) -> VarBe
     sigma2 = true_variance(pop, cfg.m, cfg.r)
     counting = counting or (lambda x, seed: counting_se(x, p) ** 2)
     bootstrap = bootstrap or (
-        lambda x, seed: _bootstrap_variance_estimate(x, p, cfg.q_value, cfg.b, seed)
+        lambda x, seed: variance(bootstrap_sampen(x, p, BootstrapConfig(q=cfg.q_value, b=cfg.b, seed=seed)))
     )
     eps_c, eps_b, reductions = [], [], []
     for rep in range(cfg.repeats):
@@ -169,7 +158,6 @@ class MethodComparisonConfig:
     baseline_m: int = 1
     gaussian_draws: int = 10_000
     seed: int = 0
-    grid: RadiusGrid = field(default_factory=RadiusGrid)
 
     def __post_init__(self):
         if self.signal_type not in ("white_noise", "ar1"):
@@ -245,8 +233,8 @@ def method_comparison(cfg: MethodComparisonConfig) -> list[MethodRow]:
         return gaussian_mse_approx(s, m, r, cfg.gaussian_draws, lam, generator(cfg.seed, 2, tag))
 
     selectors = [
-        ("sampeneff", lambda: sampeneff_select(s, cfg.baseline_m, cfg.grid), 0),
-        ("convergence", lambda: convergence_select(s, cfg.baseline_m, cfg.grid), 1),
+        ("sampeneff", lambda: sampeneff_select(s, cfg.baseline_m), 0),
+        ("convergence", lambda: convergence_select(s, cfg.baseline_m), 1),
         ("standard", lambda: standard_params_eval(s), 2),
     ]
     for name, select, tag in selectors:

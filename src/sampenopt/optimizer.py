@@ -26,7 +26,7 @@ from .entropy import SampEnParams
 from .errors import AllTrialsInfeasible, SignalTooShort
 from .rng import child_seed, generator
 from .signal import Signal, SignalSet
-from .tpe import ParamDomain, ParamVector, TpeConfig, Trial, TrialHistory, propose
+from .tpe import ParamDomain, ParamVector, TpeConfig, Trial, TrialHistory, _clamp_open, propose
 
 __all__ = [
     "OptimizerConfig",
@@ -48,7 +48,6 @@ class OptimizerConfig:
     t_tilde: int = 100
     t_init: int = 10
     domain: ParamDomain = field(default_factory=ParamDomain)
-    n_candidates: int = 24
     seed: int = 0
 
     def __post_init__(self):
@@ -60,23 +59,24 @@ class OptimizerConfig:
             raise ValueError("replicate count B must be >= 1")
 
     def tpe(self) -> TpeConfig:
-        return TpeConfig(domain=self.domain, n_candidates=self.n_candidates)
+        return TpeConfig(domain=self.domain)
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """Diagnostics for one trial: objective plus mean entropy/variance/bias.
+class TrialRecord(Trial):
+    """A scored trial plus its mean entropy/variance/bias diagnostics.
 
     The mean diagnostics cover signals with feasible bootstrap sets; they
     are None for infeasible trials (y = +inf).
     """
 
-    psi: ParamVector
-    y: float
-    feasible: bool
-    entropy: float | None
-    variance: float | None
-    bias: float | None
+    entropy: float | None = None
+    variance: float | None = None
+    bias: float | None = None
+
+    @property
+    def feasible(self) -> bool:
+        return self.finite
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,10 @@ class OptResult:
     best_psi: ParamVector
     best_y: float
     history: TrialHistory
-    records: tuple[TrialRecord, ...]
+
+    @property
+    def records(self) -> tuple[TrialRecord, ...]:
+        return tuple(self.history)
 
     def best_so_far(self) -> list[float]:
         out = []
@@ -122,14 +125,13 @@ def _objective(
     for i, x in enumerate(signals):
         out = _evaluate_signal(x, params, psi.q, b, child_seed(seed, 0, trial_index, i))
         if out is None:
-            return TrialRecord(psi=psi, y=math.inf, feasible=False, entropy=None, variance=None, bias=None)
+            return TrialRecord(psi=psi, y=math.inf)
         outs.append(out)
     mses, thetas, variances, biases = map(list, zip(*outs))
     y = float(np.mean(mses)) + lam * math.sqrt(psi.r)
     return TrialRecord(
         psi=psi,
         y=y,
-        feasible=True,
         entropy=float(np.mean(thetas)),
         variance=float(np.mean(variances)),
         bias=float(np.mean(biases)),
@@ -151,30 +153,22 @@ def objective_set(
 
 
 def _random_psi(domain: ParamDomain, rng: np.random.Generator) -> ParamVector:
-    eps_r = 1e-9 * (domain.r_bounds[1] - domain.r_bounds[0])
     m = int(rng.integers(1, domain.u + 1))
-    r = float(np.clip(rng.uniform(*domain.r_bounds), domain.r_bounds[0] + eps_r, domain.r_bounds[1] - eps_r))
-    if domain.fixed_q is not None:
-        q = domain.fixed_q
-    else:
-        eps_q = 1e-9 * (domain.q_bounds[1] - domain.q_bounds[0])
-        q = float(np.clip(rng.uniform(*domain.q_bounds), domain.q_bounds[0] + eps_q, domain.q_bounds[1] - eps_q))
+    r = _clamp_open(rng.uniform(*domain.r_bounds), *domain.r_bounds)
+    q = domain.fixed_q if domain.fixed_q is not None else _clamp_open(rng.uniform(*domain.q_bounds), *domain.q_bounds)
     return ParamVector(m=m, r=r, q=q)
 
 
 def _optimize(signals: tuple[Signal, ...], cfg: OptimizerConfig) -> OptResult:
     tpe_cfg = cfg.tpe()
     history = TrialHistory()
-    records: list[TrialRecord] = []
     for t in range(1, cfg.t_tilde + 1):
         rng = generator(cfg.seed, 1, t)
         if t <= cfg.t_init:
             psi = _random_psi(cfg.domain, rng)
         else:
             psi = propose(history, tpe_cfg, rng)
-        rec = _objective(signals, psi, cfg.lam, cfg.b, cfg.seed, t)
-        records.append(rec)
-        history.append(Trial(psi=psi, y=rec.y))
+        history.append(_objective(signals, psi, cfg.lam, cfg.b, cfg.seed, t))
     best_idx = None
     best_y = math.inf
     for i, tr in enumerate(history):
@@ -182,12 +176,7 @@ def _optimize(signals: tuple[Signal, ...], cfg: OptimizerConfig) -> OptResult:
             best_idx, best_y = i, tr.y
     if best_idx is None:
         raise AllTrialsInfeasible("every trial scored +inf; widen the domain or shrink m/r demands")
-    return OptResult(
-        best_psi=history.trials[best_idx].psi,
-        best_y=best_y,
-        history=history,
-        records=tuple(records),
-    )
+    return OptResult(best_psi=history.trials[best_idx].psi, best_y=best_y, history=history)
 
 
 def optimize_single(x: Signal, cfg: OptimizerConfig) -> OptResult:

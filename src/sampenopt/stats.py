@@ -64,7 +64,6 @@ class ComparisonResult:
     p_value: float
     alternative: str
     medians: tuple[float, float]
-    median_ses: tuple[float, float] | None = None
 
 
 def _mackinnon_p(stat: float) -> float:
@@ -257,12 +256,8 @@ def stationarity_pipeline(s: SignalSet, alpha: float) -> StationarityReport:
     for i, x in enumerate(s):
         try:
             y = normalize(difference(x))
-        except (ZeroVariance, TooShort) as exc:
-            records[i] = StationarityRecord(x.id, None, None, False, type(exc).__name__)
-            continue
-        try:
             res = adf_test(y)
-        except (TooShort, SingularDesign) as exc:
+        except (ZeroVariance, TooShort, SingularDesign) as exc:
             records[i] = StationarityRecord(x.id, None, None, False, type(exc).__name__)
             continue
         prepared.append((i, y, res.p_value))

@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+_GAMMA = 0.10  # better-set quantile
+_BETTER_MAX = 25  # cap on the better-set size T_l
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,6 @@ class ParamDomain:
                 raise ValueError(f"{name} bounds must satisfy 0 < lo < hi <= 1")
         if self.fixed_q is not None and not (0.0 < self.fixed_q < 1.0):
             raise ValueError("fixed q must lie in (0, 1)")
-
-    @property
-    def n_dims(self) -> int:
-        return 2 if self.fixed_q is not None else 3
 
     def contains(self, psi: "ParamVector") -> bool:
         ok = 1 <= psi.m <= self.u and self.r_bounds[0] <= psi.r <= self.r_bounds[1]
@@ -99,7 +97,7 @@ class Trial:
 
 
 class TrialHistory:
-    """Insertion-ordered trials plus a stable sorted-by-y view."""
+    """Insertion-ordered trials."""
 
     def __init__(self, trials: list[Trial] | None = None):
         self.trials: list[Trial] = list(trials) if trials else []
@@ -113,33 +111,25 @@ class TrialHistory:
     def __iter__(self):
         return iter(self.trials)
 
-    def sorted_by_y(self) -> list[Trial]:
-        # stable sort: ties and +inf keep insertion order, +inf sorts last
-        return sorted(self.trials, key=lambda t: t.y)
-
 
 @dataclass(frozen=True)
 class TpeConfig:
-    """Surrogate/acquisition constants and the search domain."""
+    """The search domain and the candidate count S of the acquisition."""
 
     domain: ParamDomain = field(default_factory=ParamDomain)
-    gamma: float = 0.10
-    better_cap: int = 25
     n_candidates: int = 24
 
     def __post_init__(self):
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError("gamma must lie in (0, 1]")
         if self.n_candidates < 1:
             raise ValueError("candidate count S must be >= 1")
 
 
-def _split_indices(history: TrialHistory, cfg: TpeConfig) -> tuple[list[int], list[int]]:
+def _split_indices(history: TrialHistory) -> tuple[list[int], list[int]]:
     t = len(history)
     if t < 1:
         raise EmptyHistory("need at least one trial to split")
     order = sorted(range(t), key=lambda i: history.trials[i].y)  # stable: ties keep insertion order
-    t_l = min(math.ceil(cfg.gamma * t), cfg.better_cap)
+    t_l = min(math.ceil(_GAMMA * t), _BETTER_MAX)
     n_finite = sum(1 for tr in history.trials if tr.finite)
     t_l = min(t_l, n_finite)
     return order[:t_l], order[t_l:]
@@ -152,7 +142,7 @@ def split_history(history: TrialHistory, cfg: TpeConfig) -> tuple[list[Trial], l
     infeasible trials always land in the worse set, so the better set may
     be smaller than T_l (possibly empty when every trial is infeasible).
     """
-    better_idx, worse_idx = _split_indices(history, cfg)
+    better_idx, worse_idx = _split_indices(history)
     trials = history.trials
     return [trials[i] for i in better_idx], [trials[i] for i in worse_idx]
 
@@ -182,6 +172,12 @@ def kernel_discrete(m: int, center: float, b: float, u: int) -> float:
     if not (1 <= m <= u):
         raise ValueError("m outside {1..U}")
     return _one_kernel("discrete", m, center, b, 1.0, float(u))
+
+
+def _clamp_open(v: float, lo: float, hi: float) -> float:
+    """v clamped to 1e-9 of the span inside (lo, hi), so draws stay in the open domain."""
+    eps = 1e-9 * (hi - lo)
+    return float(min(max(v, lo + eps), hi - eps))
 
 
 def decay_weights(t_l: int, t_g: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,9 +237,7 @@ class _DimMixture:
         # inverse-CDF truncated normal draw, clamped inside the open domain
         a = ndtr((self.lo - c) / b)
         z = ndtr((self.hi - c) / b)
-        v = c + b * ndtri(a + (z - a) * rng.random())
-        eps = 1e-9 * (self.hi - self.lo)
-        return float(min(max(v, self.lo + eps), self.hi - eps))
+        return _clamp_open(c + b * ndtri(a + (z - a) * rng.random()), self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -332,7 +326,7 @@ def propose(history: TrialHistory, cfg: TpeConfig, rng: np.random.Generator) -> 
     Candidates are drawn from the better-group density; scoring is done in
     the log domain. Deterministic given the rng state.
     """
-    better_idx, worse_idx = _split_indices(history, cfg)
+    better_idx, worse_idx = _split_indices(history)
     t_total = len(history)
     trials = history.trials
     p_l = build_density([trials[i] for i in better_idx], "better", cfg, t_total)

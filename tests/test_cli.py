@@ -326,6 +326,143 @@ class TestConfigFile:
         assert code == 2
 
 
+class TestConfigValueTypes:
+    """Config values are converted and checked by each option's type, like flags."""
+
+    @staticmethod
+    def config(tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        return ["--config", str(path)]
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (["estimate", "--q", "0.8"], '{"b": 7.9}'),
+            (["estimate", "--q", "0.8"], '{"b": true}'),
+            (["estimate", "--q", "0.8"], "b=7.9\n"),
+            (["optimize", "--no-preprocess"], '{"t_tilde": 5.5}'),
+            (["estimate"], '{"m": [1, 2]}'),
+        ],
+    )
+    def test_wrong_type_exits_2(self, noise_csv, tmp_path, command, text):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--input", noise_csv, "--output", str(tmp_path / "o.json")] + self.config(tmp_path, text))
+        assert exc.value.code == 2
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("text", ['{"m": null}', '{"r": null}', "seed=null\n"])
+    def test_null_where_a_value_is_required_exits_2(self, noise_csv, tmp_path, capsys, text):
+        code, env = run(["estimate", "--input", noise_csv] + self.config(tmp_path, text), tmp_path)
+        assert code == 2 and env is None
+        err = capsys.readouterr().err
+        assert err.startswith("sampenopt: config error: ") and "null" in err
+
+    def test_null_where_the_default_is_none_is_accepted(self, noise_csv, tmp_path):
+        # baseline's m defaults to None (AR-order heuristic); estimate's q too
+        cfg = self.config(tmp_path, '{"m": null, "q": null}')
+        code, env = run(["baseline", "--input", noise_csv, "--method", "sampeneff"] + cfg, tmp_path, "b.json")
+        assert code == 0 and env["payload"]["auto_m"] is True
+        code, env = run(["estimate", "--input", noise_csv, "--m", "1"] + cfg, tmp_path, "e.json")
+        assert code == 0 and env["config"]["q"] is None
+
+    def test_flag_overrides_a_null_config_value(self, noise_csv, tmp_path):
+        code, env = run(["estimate", "--input", noise_csv, "--m", "1"] + self.config(tmp_path, '{"m": null}'), tmp_path)
+        assert code == 0 and env["payload"]["m"] == 1
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            (["estimate"], '{"fuzzen": "false"}', "fuzzen"),
+            (["estimate"], '{"no_normalize": "false"}', "no_normalize"),
+            (["estimate"], "fuzzen=1\n", "fuzzen"),
+            (["optimize"], '{"no_preprocess": null}', "no_preprocess"),
+        ],
+    )
+    def test_switch_takes_only_true_or_false(self, noise_csv, tmp_path, capsys, command, text, key):
+        code, env = run(command + ["--input", noise_csv] + self.config(tmp_path, text), tmp_path)
+        assert code == 2 and env is None
+        err = capsys.readouterr().err
+        assert err.startswith("sampenopt: config error: ") and repr(key) in err
+
+    def test_bad_switch_for_another_command_is_not_read(self, noise_csv, tmp_path):
+        # estimate has no --optimize, so one file can still serve several commands
+        code, env = run(["estimate", "--input", noise_csv] + self.config(tmp_path, '{"optimize": "yes"}'), tmp_path)
+        assert code == 0 and "optimize" not in env["config"]
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            (["synth", "white-noise", "--n", "2", "--len", "20"], '{"label": 3}', "label"),
+            (["varbench", "--len", "50", "--repeats", "1", "--B", "5"], '{"csv": true}', "csv"),
+            (["compare", "--input", "IN"], '{"alternative": 1}', "alternative"),
+        ],
+    )
+    def test_option_without_a_type_takes_only_text(self, noise_csv, tmp_path, capsys, command, text, key):
+        out = tmp_path / "set.csv"
+        command = [noise_csv if a == "IN" else a for a in command]
+        if command[0] == "synth":
+            command += ["--out", str(out)]
+        code, env = run(command + self.config(tmp_path, text), tmp_path)
+        assert code == 2 and env is None and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("sampenopt: config error: ") and repr(key) in err
+
+    def test_integer_for_a_float_option_echoes_as_the_flag(self, noise_csv, tmp_path):
+        code, env = run(["estimate", "--input", noise_csv] + self.config(tmp_path, '{"r": 1}'), tmp_path)
+        code_f, env_f = run(["estimate", "--input", noise_csv, "--r", "1"], tmp_path, "f.json")
+        assert code == code_f == 0
+        assert env["config"] == env_f["config"] and env["config"]["r"] == 1.0
+        assert isinstance(env["config"]["r"], float)
+
+    @pytest.mark.parametrize("text", ['{"fuzzen": true}', "fuzzen=true\n"])
+    def test_switch_true_is_read(self, noise_csv, tmp_path, text):
+        code, env = run(["estimate", "--input", noise_csv] + self.config(tmp_path, text), tmp_path)
+        assert code == 0 and env["payload"]["measure"] == "fuzzen" and env["config"]["fuzzen"] is True
+
+    def test_numbers_echo_as_from_flags(self, noise_csv, tmp_path):
+        code, env = run(["estimate", "--input", noise_csv] + self.config(tmp_path, '{"m": 1, "r": 0.25}'), tmp_path)
+        code_f, env_f = run(["estimate", "--input", noise_csv, "--m", "1", "--r", "0.25"], tmp_path, "f.json")
+        assert code == code_f == 0
+        assert env["config"] == env_f["config"] and env["payload"] == env_f["payload"]
+
+
+class TestNonFiniteOptions:
+    """A non-finite float option exits 2 before the command runs."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["estimate", "--fuzzen", "--eta", "inf"],
+            ["estimate", "--fuzzen", "--r", "inf"],
+            ["estimate", "--eta", "nan"],
+            ["optimize", "--no-preprocess", "--alpha", "nan", "--T", "3", "--T-init", "2", "--B", "5"],
+            ["baseline", "--method", "standard", "--eta", "nan"],
+        ],
+    )
+    def test_flag_exits_2(self, noise_csv, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.setattr("sampenopt.cli.optimize_set", lambda *a, **k: pytest.fail("command ran"))
+        code, env = run(args + ["--input", noise_csv], tmp_path)
+        assert code == 2 and env is None
+        assert capsys.readouterr().err.startswith("sampenopt: config error: ")
+
+    @pytest.mark.parametrize("text", ['{"eta": Infinity}', "eta=NaN\n", "eta=nan\n"])
+    def test_config_value_exits_2(self, noise_csv, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, env = run(["estimate", "--input", noise_csv, "--config", str(cfg)], tmp_path)
+        assert code == 2 and env is None
+        assert capsys.readouterr().err.startswith("sampenopt: config error: ")
+
+
+class TestVarbenchSizes:
+    @pytest.mark.parametrize("sizes", [["--n-subsample", "0"], ["--n-population", "1", "--n-subsample", "1"]])
+    def test_impossible_sizes_exit_2(self, tmp_path, capsys, sizes):
+        code, env = run(["varbench", "--len", "50", "--repeats", "1", "--B", "5"] + sizes, tmp_path)
+        assert code == 2 and env is None
+        assert capsys.readouterr().err.startswith("sampenopt: config error: ")
+
+
 @pytest.fixture(scope="module")
 def validators():
     jsonschema = pytest.importorskip("jsonschema")

@@ -287,6 +287,11 @@ class TestFuzzen:
         x = Signal("g", [0.0, 10.0, 20.0, 30.0, 40.0])
         assert math.isfinite(fuzzen(x, 1, 0.1, 2.0))
 
+    @pytest.mark.parametrize("r, eta", [(math.inf, 2.0), (0.2, math.inf)])
+    def test_radius_and_eta_must_be_finite(self, white100, r, eta):
+        with pytest.raises(ValueError):
+            fuzzen(white100, 2, r, eta)
+
 
 class TestCountingSe:
     def test_constant_zero_se(self, constant):

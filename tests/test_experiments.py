@@ -141,3 +141,14 @@ class TestMethodComparison:
     def test_standard_row_is_2_02(self, comparison_rows):
         std = comparison_rows[-1]
         assert std.m_star == 2 and std.r_star == pytest.approx(0.20)
+
+
+class TestVarBenchConfig:
+    @pytest.mark.parametrize("n_population, n_subsample", [(40, 0), (40, -1), (1, 1), (0, 0)])
+    def test_impossible_sizes_rejected(self, n_population, n_subsample):
+        with pytest.raises(ValueError):
+            VarBenchConfig(n_population=n_population, n_subsample=n_subsample)
+
+    def test_smallest_sizes_accepted(self):
+        cfg = VarBenchConfig(n_population=2, n_subsample=1)
+        assert (cfg.n_population, cfg.n_subsample) == (2, 1)

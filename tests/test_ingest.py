@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sampenopt.errors import IngestionError
 from sampenopt.ingest import read_signals, write_signals
@@ -86,3 +91,32 @@ def test_values_round_trip_exactly(tmp_path):
     write_signals(path, s, fmt="long")
     loaded, _ = read_signals(path)
     assert np.array_equal(s[0].values, loaded[0].values)
+
+
+# whitespace-free printable ASCII: read_signals strips cells, and ids must be unique
+_tokens = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=8)
+_values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308, -0.0]
+)
+
+
+@st.composite
+def _signal_sets(draw):
+    ids = draw(st.lists(_tokens, min_size=1, max_size=5, unique=True))
+    return SignalSet(tuple(
+        Signal(sid, draw(st.lists(_values, min_size=1, max_size=20)), label=draw(st.none() | _tokens)) for sid in ids
+    ))
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=_signal_sets(), fmt=st.sampled_from(["long", "wide"]))
+def test_round_trip_property(s, fmt):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "s.csv"
+        write_signals(path, s, fmt=fmt)
+        back, detected = read_signals(path)
+    assert detected == fmt
+    assert [x.id for x in back] == [x.id for x in s]
+    for orig, got in zip(s, back):
+        assert got.values.tobytes() == orig.values.tobytes()
+        assert got.label == (orig.label if fmt == "long" else None)
