@@ -91,22 +91,15 @@ def _read_input(args) -> SignalSet:
     return _normalized(s) if args.normalize else s
 
 
-def _domain_from(args) -> ParamDomain:
-    return ParamDomain(
-        u=args.u,
-        r_bounds=(args.r_lo, args.r_hi),
-        q_bounds=(args.q_lo, args.q_hi),
-        fixed_q=args.fixed_q,
-    )
-
-
 def _optimizer_config(args) -> OptimizerConfig:
     return OptimizerConfig(
         lam=args.lam,
         b=args.b,
         t_tilde=args.t_tilde,
         t_init=args.t_init,
-        domain=_domain_from(args),
+        domain=ParamDomain(
+            u=args.u, r_bounds=(args.r_lo, args.r_hi), q_bounds=(args.q_lo, args.q_hi), fixed_q=args.fixed_q
+        ),
         seed=args.seed,
     )
 
@@ -115,27 +108,18 @@ def _psi_dict(psi) -> dict:
     return {"m": psi.m, "r": psi.r, "q": psi.q}
 
 
-def _sampen_records(s, params: SampEnParams, q: float | None, b: int, seed: int, tag: int) -> list[dict]:
-    """Per-signal entropy with bootstrap SE/MSE; signal i draws from the stream (seed, tag, i).
+def _record(x, value: float | None, **fields) -> dict:
+    return {"id": x.id, "label": x.label, "entropy": _entropy_state(value), **fields}
 
-    With q None there is no bootstrap, and each record carries the match
-    counts bm, am and cp instead.
-    """
+
+def _bootstrap_records(s, params: SampEnParams, q: float, b: int, seed: int, tag: int) -> list[dict]:
+    """Per-signal entropy with bootstrap SE/MSE; signal i draws from the stream (seed, tag, i)."""
     out = []
     for i, x in enumerate(s):
-        if q is None:
-            res = sampen(x, params)
-            out.append({"id": x.id, "label": x.label, "entropy": _entropy_state(res.value),
-                        "bm": res.bm, "am": res.am, "cp": res.cp})
-            continue
         est = bootstrap_sampen(x, params, BootstrapConfig(q=q, b=b, seed=child_seed(seed, tag, i)))
-        out.append({
-            "id": x.id,
-            "label": x.label,
-            "entropy": _entropy_state(est.original.value),
-            "bootstrap_se": bootstrap_se(est) if est.feasible else None,
-            "bootstrap_mse": bootstrap_mse(est) if est.feasible else None,
-        })
+        ok = est.feasible
+        out.append(_record(x, est.original.value, bootstrap_se=bootstrap_se(est) if ok else None,
+                           bootstrap_mse=bootstrap_mse(est) if ok else None))
     return out
 
 
@@ -180,18 +164,22 @@ def _cmd_synth(args) -> tuple[dict, dict]:
 def _cmd_estimate(args) -> tuple[dict, dict]:
     s = _read_input(args)
     if args.fuzzen:
-        records = [
-            {"id": x.id, "label": x.label, "entropy": _entropy_state(fuzzen(x, args.m, args.r, args.eta))} for x in s
-        ]
+        records = [_record(x, fuzzen(x, args.m, args.r, args.eta)) for x in s]
         payload = {"measure": "fuzzen", "m": args.m, "r": args.r, "eta": args.eta, "signals": records}
         return payload, {}
-    records = _sampen_records(s, SampEnParams(m=args.m, r=args.r), args.q, args.b, args.seed, 0)
+    params = SampEnParams(m=args.m, r=args.r)
+    if args.q is None:
+        results = [(x, sampen(x, params)) for x in s]
+        records = [_record(x, res.value, bm=res.bm, am=res.am, cp=res.cp) for x, res in results]
+    else:
+        records = _bootstrap_records(s, params, args.q, args.b, args.seed, 0)
     payload = {"measure": "sampen", "m": args.m, "r": args.r, "q": args.q, "signals": records}
     return payload, {}
 
 
 def _cmd_optimize(args) -> tuple[dict, dict]:
     s, _ = read_signals(args.input)
+    cfg = _optimizer_config(args)
     preprocess_records = None
     if args.preprocess:
         report = stationarity_pipeline(s, args.alpha)
@@ -199,7 +187,7 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
         s = report.retained_or_raise()
     else:
         s = _normalized(s)
-    result = optimize_set(s, _optimizer_config(args))
+    result = optimize_set(s, cfg)
     best = result.best_psi
     history = [
         {"psi": _psi_dict(rec.psi), "y": (rec.y if math.isfinite(rec.y) else None), "feasible": rec.feasible}
@@ -210,7 +198,7 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
         "best_y": result.best_y,
         "n_trials": len(result.history),
         "history": history,
-        "signals": _sampen_records(s, SampEnParams(m=best.m, r=best.r), best.q, args.b, args.seed, 3),
+        "signals": _bootstrap_records(s, SampEnParams(m=best.m, r=best.r), best.q, args.b, args.seed, 3),
     }
     if preprocess_records is not None:
         payload["preprocess"] = preprocess_records
@@ -230,7 +218,10 @@ def _cmd_compare(args) -> tuple[dict, dict]:
     params = SampEnParams(m=m, r=r)
 
     def class_values(group, tag):
-        recs = _sampen_records(group, params, q, args.b, args.seed, tag)
+        if q is None:
+            recs = [_record(x, sampen(x, params).value) for x in group]
+        else:
+            recs = _bootstrap_records(group, params, q, args.b, args.seed, tag)
         vals = [rec["entropy"]["value"] for rec in recs if rec["entropy"]["state"] == "finite"]
         return vals, [rec["bootstrap_se"] for rec in recs if rec.get("bootstrap_se") is not None]
 
@@ -297,10 +288,7 @@ def _cmd_baseline(args) -> tuple[dict, dict]:
         "criterion": res.criterion,
         "auto_m": args.method in ("sampeneff", "convergence") and args.m is None,
         "curve": [[r, v] for r, v in res.curve],
-        "signals": [
-            {"id": x.id, "label": x.label, "entropy": _entropy_state(e), "counting_se": se}
-            for x, e, se in zip(s, res.entropies, res.ses)
-        ],
+        "signals": [_record(x, e, counting_se=se) for x, e, se in zip(s, res.entropies, res.ses)],
     }
     return payload, {}
 
@@ -385,17 +373,81 @@ def _cmd_compare_methods(args) -> tuple[dict, dict]:
     return payload, timings
 
 
-def _add_optimizer_flags(p: argparse.ArgumentParser, d) -> None:
-    p.add_argument("--lambda", dest="lam", type=float, default=d("lam", 1 / 3), help="regularization weight on sqrt(r); raise it if the search sticks to the upper radius bound, relax it if the search sticks to the lower bound")
-    p.add_argument("--B", dest="b", type=int, default=d("b", 100), help="bootstrap replicates per trial")
-    p.add_argument("--T", dest="t_tilde", type=int, default=d("t_tilde", 100), help="total optimization trials (use 200 for real-data workflows)")
-    p.add_argument("--T-init", dest="t_init", type=int, default=d("t_init", 10), help="random trials before TPE proposals")
-    p.add_argument("--U", dest="u", type=int, default=d("u", 3), help="upper bound on embedding dimension m")
-    p.add_argument("--r-lo", type=float, default=d("r_lo", 0.01))
-    p.add_argument("--r-hi", type=float, default=d("r_hi", 1.0))
-    p.add_argument("--q-lo", type=float, default=d("q_lo", 0.01))
-    p.add_argument("--q-hi", type=float, default=d("q_hi", 0.99))
-    p.add_argument("--fixed-q", type=float, default=d("fixed_q", None), help="pin the bootstrap success probability instead of optimizing it")
+# Every option, declared once: config key -> (flag, add_argument keywords). The
+# key is the option's destination and its config key; a --no-... switch keeps
+# its own key and stores into the option it negates. An option that is not
+# required reads its default from the config file.
+_OPTIONS = {
+    "seed": ("--seed", dict(type=int, default=0, help="master seed")),
+    "kind": ("kind", dict(choices=["white-noise", "ar1"])),
+    "input": ("--input", dict(required=True, help="signal CSV, long or wide format")),
+    "out": ("--out", dict(required=True, help="CSV output path (preprocess mirrors the input format)")),
+    "method": ("--method", dict(choices=["sampeneff", "convergence", "standard", "fuzzen"], required=True)),
+    "signal_type": ("--signal-type", dict(choices=["white-noise", "ar1"], default="white-noise")),
+    "n_signals": ("--n", dict(type=int, default=100, help="number of signals")),
+    "length": ("--len", dict(type=int, default=100, help="samples per signal")),
+    "sigma": ("--sigma", dict(type=float, default=1.0)),
+    "phi": ("--phi", dict(type=float, default=0.9)),
+    "burn_in": ("--burn-in", dict(type=int, default=500)),
+    "label": ("--label", dict(default=None)),
+    "normalize": ("--normalize", dict(action="store_true", help="z-normalize each generated signal")),
+    "no_normalize": ("--no-normalize", dict(dest="normalize", action="store_false", help="keep the input scale")),
+    "m": ("--m", dict(type=int, default=2, help="embedding dimension (baseline default: AR-order heuristic)")),
+    "p_max": ("--p-max", dict(type=int, default=5, help="max AR order for the heuristic")),
+    "r": ("--r", dict(type=float, default=0.2, help="similarity radius")),
+    "q": ("--q", dict(type=float, default=None, help="bootstrap success probability; enables bootstrap SE/MSE "
+                      "(varbench default: 0.9 white noise, 0.5 AR(1))")),
+    "b": ("--B", dict(type=int, default=100, help="bootstrap replicates (per trial when optimizing)")),
+    "fuzzen": ("--fuzzen", dict(action="store_true", help="fuzzy entropy instead of SampEn")),
+    "eta": ("--eta", dict(type=float, default=2.0, help="fuzzy membership exponent")),
+    "no_preprocess": ("--no-preprocess", dict(dest="preprocess", action="store_false",
+                                              help="skip the stationarity pipeline (signals are still normalized)")),
+    "alpha": ("--alpha", dict(type=float, default=0.05, help="ADF screen level (Holm-Sidak)")),
+    "optimize": ("--optimize", dict(action="store_true", help="select (m, r, q) on the pooled set first")),
+    "alternative": ("--alternative", dict(choices=["two-sided", "less", "greater"], default="two-sided")),
+    "lam": ("--lambda", dict(type=float, default=1 / 3, help="regularization weight on sqrt(r) (compare-methods "
+                             "default: 1/3 white noise, 1/10 AR(1)); raise it if the search sticks to the upper "
+                             "radius bound, relax it if the search sticks to the lower bound")),
+    "t_tilde": ("--T", dict(type=int, default=100, help="total optimization trials (200 for real-data workflows)")),
+    "t_init": ("--T-init", dict(type=int, default=10, help="random trials before TPE proposals")),
+    "u": ("--U", dict(type=int, default=3, help="upper bound on embedding dimension m")),
+    "r_lo": ("--r-lo", dict(type=float, default=0.01)),
+    "r_hi": ("--r-hi", dict(type=float, default=1.0)),
+    "q_lo": ("--q-lo", dict(type=float, default=0.01)),
+    "q_hi": ("--q-hi", dict(type=float, default=0.99)),
+    "fixed_q": ("--fixed-q", dict(type=float, default=None, help="pin the bootstrap success probability "
+                                  "instead of optimizing it")),
+    "n_population": ("--n-population", dict(type=int, default=2000, help="full scale: 10000")),
+    "n_subsample": ("--n-subsample", dict(type=int, default=100)),
+    "repeats": ("--repeats", dict(type=int, default=5, help="full scale: 20")),
+    "baseline_m": ("--baseline-m", dict(type=int, default=1)),
+    "gaussian_draws": ("--gaussian-draws", dict(type=int, default=10000)),
+    "csv": ("--csv", dict(default=None, help="also write a summary CSV table")),
+}
+
+_OPTIMIZER_KEYS = ["lam", "b", "t_tilde", "t_init", "u", "r_lo", "r_hi", "q_lo", "q_hi", "fixed_q"]
+
+# subcommand -> (help, option keys after seed, keywords that differ from the table)
+_COMMANDS = {
+    "synth": ("generate a synthetic signal set as long CSV",
+              ["kind", "n_signals", "length", "sigma", "phi", "burn_in", "label", "normalize", "out"],
+              {"n_signals": {"required": True}, "length": {"required": True}}),
+    "estimate": ("per-signal entropy at fixed (m, r), optional bootstrap SE",
+                 ["input", "m", "r", "q", "b", "fuzzen", "eta", "no_normalize"], {}),
+    "optimize": ("jointly select (m, r, q) for a signal set",
+                 ["input", "no_preprocess", "alpha", *_OPTIMIZER_KEYS], {}),
+    "compare": ("compare entropy distributions of a two-class set",
+                ["input", "m", "r", "q", "optimize", "alternative", "no_normalize", *_OPTIMIZER_KEYS], {}),
+    "preprocess": ("difference, normalize and ADF-screen a signal set", ["input", "alpha", "out"], {}),
+    "baseline": ("run a baseline hyperparameter selection method",
+                 ["input", "method", "m", "p_max", "eta", "no_normalize"], {"m": {"default": None}}),
+    "varbench": ("variance-estimator error benchmark",
+                 ["signal_type", "length", "r", "m", "q", "b", "n_population", "n_subsample", "repeats", "csv"],
+                 {"m": {"default": 1}}),
+    "compare-methods": ("four-way method comparison on synthetic sets",
+                        ["signal_type", "n_signals", "length", "lam", "b", "t_tilde", "t_init", "u", "baseline_m",
+                         "gaussian_draws", "csv"], {"lam": {"default": None}}),
+}
 
 
 def build_parser(config: dict) -> argparse.ArgumentParser:
@@ -431,102 +483,23 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sampenopt", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sampenopt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (help_text, keys, overrides) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON or key=value config file; flags override it")
         p.add_argument("--output", default="-", help="envelope JSON path, '-' for stdout")
-        p.add_argument("--seed", type=int, default=d("seed", 0))
-
-    p = sub.add_parser("synth", help="generate a synthetic signal set as long CSV")
-    common(p)
-    p.add_argument("kind", choices=["white-noise", "ar1"])
-    p.add_argument("--n", dest="n_signals", type=int, required=True, help="number of signals")
-    p.add_argument("--len", dest="length", type=int, required=True, help="samples per signal")
-    p.add_argument("--sigma", type=float, default=d("sigma", 1.0))
-    p.add_argument("--phi", type=float, default=d("phi", 0.9))
-    p.add_argument("--burn-in", type=int, default=d("burn_in", 500))
-    p.add_argument("--label", default=d("label", None, text=True))
-    p.add_argument("--normalize", action="store_true", default=switch("normalize"))
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(fn=_cmd_synth)
-
-    p = sub.add_parser("estimate", help="per-signal entropy at fixed (m, r), optional bootstrap SE")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--m", type=int, default=d("m", 2))
-    p.add_argument("--r", type=float, default=d("r", 0.2))
-    p.add_argument("--q", type=float, default=d("q", None), help="enable bootstrap SE/MSE with this success probability")
-    p.add_argument("--B", dest="b", type=int, default=d("b", 100))
-    p.add_argument("--fuzzen", action="store_true", default=switch("fuzzen"))
-    p.add_argument("--eta", type=float, default=d("eta", 2.0))
-    p.add_argument("--no-normalize", dest="normalize", action="store_false", default=switch("no_normalize", stores=False))
-    p.set_defaults(fn=_cmd_estimate)
-
-    p = sub.add_parser("optimize", help="jointly select (m, r, q) for a signal set")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--no-preprocess", dest="preprocess", action="store_false", default=switch("no_preprocess", stores=False), help="skip the stationarity pipeline (signals are still normalized)")
-    p.add_argument("--alpha", type=float, default=d("alpha", 0.05))
-    _add_optimizer_flags(p, d)
-    p.set_defaults(fn=_cmd_optimize)
-
-    p = sub.add_parser("compare", help="compare entropy distributions of a two-class set")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--m", type=int, default=d("m", 2))
-    p.add_argument("--r", type=float, default=d("r", 0.2))
-    p.add_argument("--q", type=float, default=d("q", None))
-    p.add_argument("--optimize", action="store_true", default=switch("optimize"), help="select (m, r, q) on the pooled set first")
-    p.add_argument("--alternative", choices=["two-sided", "less", "greater"], default=d("alternative", "two-sided", text=True))
-    p.add_argument("--no-normalize", dest="normalize", action="store_false", default=switch("no_normalize", stores=False))
-    _add_optimizer_flags(p, d)
-    p.set_defaults(fn=_cmd_compare)
-
-    p = sub.add_parser("preprocess", help="difference, normalize and ADF-screen a signal set")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--alpha", type=float, default=d("alpha", 0.05))
-    p.add_argument("--out", required=True, help="retained-set CSV path (mirrors input format)")
-    p.set_defaults(fn=_cmd_preprocess)
-
-    p = sub.add_parser("baseline", help="run a baseline hyperparameter selection method")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=["sampeneff", "convergence", "standard", "fuzzen"], required=True)
-    p.add_argument("--m", type=int, default=d("m", None), help="fixed embedding dimension (default: AR-order heuristic)")
-    p.add_argument("--p-max", type=int, default=d("p_max", 5), help="max AR order for the heuristic")
-    p.add_argument("--eta", type=float, default=d("eta", 2.0))
-    p.add_argument("--no-normalize", dest="normalize", action="store_false", default=switch("no_normalize", stores=False))
-    p.set_defaults(fn=_cmd_baseline)
-
-    p = sub.add_parser("varbench", help="variance-estimator error benchmark")
-    common(p)
-    p.add_argument("--signal-type", choices=["white-noise", "ar1"], default=d("signal_type", "white-noise", text=True))
-    p.add_argument("--len", dest="length", type=int, default=d("length", 100))
-    p.add_argument("--r", type=float, default=d("r", 0.20))
-    p.add_argument("--m", type=int, default=d("m", 1))
-    p.add_argument("--q", type=float, default=d("q", None), help="default: 0.9 white noise, 0.5 AR(1)")
-    p.add_argument("--B", dest="b", type=int, default=d("b", 100))
-    p.add_argument("--n-population", type=int, default=d("n_population", 2000), help="full scale: 10000")
-    p.add_argument("--n-subsample", type=int, default=d("n_subsample", 100))
-    p.add_argument("--repeats", type=int, default=d("repeats", 5), help="full scale: 20")
-    p.add_argument("--csv", default=d("csv", None, text=True), help="also write a summary CSV table")
-    p.set_defaults(fn=_cmd_varbench)
-
-    p = sub.add_parser("compare-methods", help="four-way method comparison on synthetic sets")
-    common(p)
-    p.add_argument("--signal-type", choices=["white-noise", "ar1"], default=d("signal_type", "white-noise", text=True))
-    p.add_argument("--n", dest="n_signals", type=int, default=d("n_signals", 100))
-    p.add_argument("--len", dest="length", type=int, default=d("length", 100))
-    p.add_argument("--lambda", dest="lam", type=float, default=d("lam", None), help="default: 1/3 white noise, 1/10 AR(1)")
-    p.add_argument("--B", dest="b", type=int, default=d("b", 100))
-    p.add_argument("--T", dest="t_tilde", type=int, default=d("t_tilde", 100))
-    p.add_argument("--T-init", dest="t_init", type=int, default=d("t_init", 10))
-    p.add_argument("--U", dest="u", type=int, default=d("u", 3))
-    p.add_argument("--baseline-m", type=int, default=d("baseline_m", 1))
-    p.add_argument("--gaussian-draws", type=int, default=d("gaussian_draws", 10000))
-    p.add_argument("--csv", default=d("csv", None, text=True))
-    p.set_defaults(fn=_cmd_compare_methods)
+        for key in ["seed", *keys]:
+            flag, kw = _OPTIONS[key]
+            kw = {**kw, **overrides.get(key, {})}
+            if kw.get("required"):
+                kw.pop("default", None)
+            elif "action" in kw:
+                kw["default"] = switch(key, kw["action"] == "store_true")
+            elif "default" in kw:
+                kw["default"] = d(key, kw["default"], text="type" not in kw)
+            if flag.startswith("--"):
+                kw.setdefault("dest", key)
+            p.add_argument(flag, **kw)
+        p.set_defaults(fn=globals()["_cmd_" + name.replace("-", "_")])
 
     unknown = sorted(set(config) - read)
     if unknown:

@@ -63,6 +63,8 @@ class VarBenchConfig:
             raise ValueError("need 1 <= subsample size <= population size and population size >= 2")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        SampEnParams(m=self.m, r=self.r)
+        BootstrapConfig(q=self.q_value, b=self.b, seed=self.seed)
 
     @property
     def q_value(self) -> float:
@@ -162,12 +164,26 @@ class MethodComparisonConfig:
     def __post_init__(self):
         if self.signal_type not in ("white_noise", "ar1"):
             raise ValueError(f"unknown signal type {self.signal_type!r}")
+        if self.gaussian_draws < 1:
+            raise ValueError("draw count D must be >= 1")
+        SampEnParams(m=self.baseline_m, r=0.2)  # the baselines' m, checked as SampEn's m
+        self.optimizer_config()
 
     @property
     def lam_value(self) -> float:
         if self.lam is not None:
             return self.lam
         return 1.0 / 3.0 if self.signal_type == "white_noise" else 1.0 / 10.0
+
+    def optimizer_config(self) -> OptimizerConfig:
+        return OptimizerConfig(
+            lam=self.lam_value,
+            b=self.b,
+            t_tilde=self.t_tilde,
+            t_init=self.t_init,
+            domain=ParamDomain(u=self.u),
+            seed=child_seed(self.seed, 1),
+        )
 
 
 @dataclass(frozen=True)
@@ -203,17 +219,7 @@ def method_comparison(cfg: MethodComparisonConfig) -> list[MethodRow]:
     rows: list[MethodRow] = []
 
     t0 = time.perf_counter()
-    opt = optimize_set(
-        s,
-        OptimizerConfig(
-            lam=lam,
-            b=cfg.b,
-            t_tilde=cfg.t_tilde,
-            t_init=cfg.t_init,
-            domain=ParamDomain(u=cfg.u),
-            seed=child_seed(cfg.seed, 1),
-        ),
-    )
+    opt = optimize_set(s, cfg.optimizer_config())
     p = SampEnParams(m=opt.best_psi.m, r=opt.best_psi.r)
     mean_e, std_e = _entropy_stats(res.value for res in (sampen(x, p) for x in s) if res.finite)
     rows.append(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sampenopt.cli import main
+from sampenopt.cli import build_parser, main
 from sampenopt.ingest import read_signals, write_signals
 from sampenopt.signal import Signal, SignalSet
 
@@ -304,7 +304,16 @@ class TestConfigFile:
         assert env["payload"]["m"] == 1
 
     @pytest.mark.parametrize(
-        "text, key", [("lamda=0.5\n", "lamda"), ("B=7\n", "B"), ("threads=2\n", "threads"), ('{"T": 3}', "T")]
+        "text, key",
+        [
+            ("lamda=0.5\n", "lamda"),
+            ("B=7\n", "B"),
+            ("threads=2\n", "threads"),
+            ('{"T": 3}', "T"),
+            ("input=x.csv\n", "input"),
+            ("out=x.csv\n", "out"),
+            ("method=standard\n", "method"),
+        ],
     )
     def test_unknown_key_exits_2_and_names_it(self, noise_csv, tmp_path, capsys, text, key):
         cfg = tmp_path / "run.cfg"
@@ -461,6 +470,93 @@ class TestVarbenchSizes:
         code, env = run(["varbench", "--len", "50", "--repeats", "1", "--B", "5"] + sizes, tmp_path)
         assert code == 2 and env is None
         assert capsys.readouterr().err.startswith("sampenopt: config error: ")
+
+
+class TestConfigCheckedBeforeWork:
+    """A bad config field exits 2 before any signal is generated, screened or optimized."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        for target in ["experiments.gen_signal_set", "experiments.optimize_set", "cli.stationarity_pipeline"]:
+            monkeypatch.setattr(f"sampenopt.{target}", lambda *a, **k: pytest.fail("work started"))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--gaussian-draws", "0"],
+            ["--baseline-m", "0"],
+            ["--lambda", "-1"],
+            ["--B", "0"],
+            ["--T-init", "0"],
+            ["--T", "3", "--T-init", "5"],
+            ["--U", "0"],
+        ],
+    )
+    def test_compare_methods(self, tmp_path, capsys, args):
+        code, env = run(["compare-methods", "--n", "4", "--len", "100", "--T", "30", "--B", "30"] + args, tmp_path)
+        assert code == 2 and env is None
+        assert capsys.readouterr().err.startswith("sampenopt: config error: ")
+
+    @pytest.mark.parametrize("args", [["--B", "0"], ["--q", "0"], ["--q", "1.5"]])
+    def test_varbench(self, tmp_path, capsys, args):
+        code, env = run(["varbench"] + args, tmp_path)
+        assert code == 2 and env is None
+        assert capsys.readouterr().err.startswith("sampenopt: config error: ")
+
+    @pytest.mark.parametrize("args", [["--B", "0"], ["--U", "0"], ["--fixed-q", "1"]])
+    def test_optimize_before_the_stationarity_screen(self, noise_csv, tmp_path, capsys, args):
+        code, env = run(["optimize", "--input", noise_csv] + args, tmp_path)
+        assert code == 2 and env is None
+        assert capsys.readouterr().err.startswith("sampenopt: config error: ")
+
+
+class TestParserShape:
+    """Each command's destinations and defaults, as parsed from its required arguments alone."""
+
+    COMMON = {"config": None, "output": "-", "seed": 0}
+    OPTIMIZER = {
+        "lam": 1 / 3, "b": 100, "t_tilde": 100, "t_init": 10, "u": 3,
+        "r_lo": 0.01, "r_hi": 1.0, "q_lo": 0.01, "q_hi": 0.99, "fixed_q": None,
+    }
+    CASES = {
+        "synth": (
+            ["ar1", "--n", "3", "--len", "40", "--out", "s.csv"],
+            {"kind": "ar1", "n_signals": 3, "length": 40, "sigma": 1.0, "phi": 0.9, "burn_in": 500, "label": None,
+             "normalize": False, "out": "s.csv"},
+        ),
+        "estimate": (
+            ["--input", "in.csv"],
+            {"input": "in.csv", "m": 2, "r": 0.2, "q": None, "b": 100, "fuzzen": False, "eta": 2.0, "normalize": True},
+        ),
+        "optimize": (["--input", "in.csv"], {"input": "in.csv", "preprocess": True, "alpha": 0.05, **OPTIMIZER}),
+        "compare": (
+            ["--input", "in.csv"],
+            {"input": "in.csv", "m": 2, "r": 0.2, "q": None, "optimize": False, "alternative": "two-sided",
+             "normalize": True, **OPTIMIZER},
+        ),
+        "preprocess": (["--input", "in.csv", "--out", "o.csv"], {"input": "in.csv", "alpha": 0.05, "out": "o.csv"}),
+        "baseline": (
+            ["--input", "in.csv", "--method", "standard"],
+            {"input": "in.csv", "method": "standard", "m": None, "p_max": 5, "eta": 2.0, "normalize": True},
+        ),
+        "varbench": (
+            [],
+            {"signal_type": "white-noise", "length": 100, "r": 0.2, "m": 1, "q": None, "b": 100,
+             "n_population": 2000, "n_subsample": 100, "repeats": 5, "csv": None},
+        ),
+        "compare-methods": (
+            [],
+            {"signal_type": "white-noise", "n_signals": 100, "length": 100, "lam": None, "b": 100, "t_tilde": 100,
+             "t_init": 10, "u": 3, "baseline_m": 1, "gaussian_draws": 10000, "csv": None},
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_destinations_and_defaults(self, command):
+        argv, expected = self.CASES[command]
+        parsed = vars(build_parser({}).parse_args([command] + argv))
+        parsed.pop("fn")
+        assert parsed == {"command": command, **self.COMMON, **expected}
 
 
 @pytest.fixture(scope="module")

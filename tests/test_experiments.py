@@ -152,3 +152,24 @@ class TestVarBenchConfig:
     def test_smallest_sizes_accepted(self):
         cfg = VarBenchConfig(n_population=2, n_subsample=1)
         assert (cfg.n_population, cfg.n_subsample) == (2, 1)
+
+
+class TestMethodComparisonConfig:
+    @pytest.mark.parametrize(
+        "field",
+        [{"gaussian_draws": 0}, {"baseline_m": 0}, {"lam": -1.0}, {"b": 0}, {"t_init": 0}, {"t_tilde": 3}, {"u": 0}],
+    )
+    def test_bad_field_rejected_on_construction(self, field):
+        with pytest.raises(ValueError):
+            MethodComparisonConfig(**field)
+
+    def test_optimizer_config_carries_the_fields(self):
+        cfg = MethodComparisonConfig(signal_type="ar1", b=7, t_tilde=9, t_init=4, u=2, seed=3).optimizer_config()
+        assert (cfg.lam, cfg.b, cfg.t_tilde, cfg.t_init, cfg.domain.u) == (0.1, 7, 9, 4, 2)
+
+
+class TestVarBenchConfigFields:
+    @pytest.mark.parametrize("field", [{"b": 0}, {"q": 0.0}, {"q": 1.5}, {"m": 0}, {"r": 0.0}])
+    def test_bad_field_rejected_on_construction(self, field):
+        with pytest.raises(ValueError):
+            VarBenchConfig(**field)
