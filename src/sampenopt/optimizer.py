@@ -154,12 +154,16 @@ def objective_set(
 
 def _random_psi(domain: ParamDomain, rng: np.random.Generator) -> ParamVector:
     m = int(rng.integers(1, domain.u + 1))
-    r = _clamp_open(rng.uniform(*domain.r_bounds), *domain.r_bounds)
-    q = domain.fixed_q if domain.fixed_q is not None else _clamp_open(rng.uniform(*domain.q_bounds), *domain.q_bounds)
+    r = float(_clamp_open(rng.uniform(*domain.r_bounds), *domain.r_bounds))
+    q = domain.fixed_q if domain.fixed_q is not None else float(_clamp_open(rng.uniform(*domain.q_bounds), *domain.q_bounds))
     return ParamVector(m=m, r=r, q=q)
 
 
 def _optimize(signals: tuple[Signal, ...], cfg: OptimizerConfig) -> OptResult:
+    shortest = min(signals, key=lambda x: x.n)
+    if shortest.n < 3:
+        # m >= 1 needs N >= m + 2 >= 3, so every trial would score +inf
+        raise AllTrialsInfeasible(f"signal {shortest.id!r} has N={shortest.n}; every m needs N >= m + 2 >= 3")
     tpe_cfg = cfg.tpe()
     history = TrialHistory()
     for t in range(1, cfg.t_tilde + 1):

@@ -8,6 +8,15 @@ non-informative prior component, with shared mixture weights per group.
 The next evaluation point is the best of S candidates drawn from the
 better-group density, scored by the log density ratio.
 
+The S candidates are drawn and scored as one batch. propose makes a single
+rng.random(2 * d * S) draw, viewed as (S, d, 2): entry [s, j, 0] picks the
+mixture component of candidate s in dimension j and [s, j, 1] places the
+value inside it. Drawing one candidate at a time, dimension by dimension,
+consumes the stream in exactly this order, so the batch proposes the same
+point, bit for bit, from the same generator state and leaves the generator
+in the same state. The row sums of each log-sum-exp go through math.log,
+because numpy's vector log need not match libm's in the last bit.
+
 Constants (gamma = 0.10, cap 25, S = 24 candidates, Scott bandwidths with
 magic clipping, old-decay weights) follow the defaults popularized by
 Bergstra et al.'s TPE work and the Optuna framework.
@@ -24,19 +33,9 @@ from scipy.special import ndtr, ndtri
 from .errors import EmptyHistory
 
 __all__ = [
-    "ParamDomain",
-    "ParamVector",
-    "Trial",
-    "TrialHistory",
-    "TpeConfig",
-    "SurrogateDensity",
-    "split_history",
-    "scott_bandwidth",
-    "kernel_continuous",
-    "kernel_discrete",
-    "decay_weights",
-    "build_density",
-    "propose",
+    "ParamDomain", "ParamVector", "Trial", "TrialHistory", "TpeConfig", "SurrogateDensity",
+    "split_history", "scott_bandwidth", "kernel_continuous", "kernel_discrete", "decay_weights",
+    "build_density", "propose",
 ]
 
 _TINY = 1e-300
@@ -174,10 +173,10 @@ def kernel_discrete(m: int, center: float, b: float, u: int) -> float:
     return _one_kernel("discrete", m, center, b, 1.0, float(u))
 
 
-def _clamp_open(v: float, lo: float, hi: float) -> float:
+def _clamp_open(v, lo: float, hi: float):
     """v clamped to 1e-9 of the span inside (lo, hi), so draws stay in the open domain."""
     eps = 1e-9 * (hi - lo)
-    return float(min(max(v, lo + eps), hi - eps))
+    return np.minimum(np.maximum(v, lo + eps), hi - eps)
 
 
 def decay_weights(t_l: int, t_g: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,8 +212,10 @@ class _DimMixture:
     centers: np.ndarray
     bandwidths: np.ndarray
 
-    def log_components(self, v: float) -> np.ndarray:
+    def log_components(self, v) -> np.ndarray:
+        """Log kernel of every component at v: shape (K,) for a scalar, (S, K) for S values."""
         c, b = self.centers, self.bandwidths
+        v = np.asarray(v, dtype=np.float64)[..., None]
         if self.kind == "discrete":
             u = int(self.hi)
             cell = ndtr((v + 0.5 - c) / b) - ndtr((v - 0.5 - c) / b)
@@ -225,56 +226,70 @@ class _DimMixture:
         mass = ndtr((self.hi - c) / b) - ndtr((self.lo - c) / b)
         return log_norm - np.log(np.maximum(mass, _TINY))
 
-    def sample_component(self, idx: int, rng: np.random.Generator) -> float:
-        c, b = float(self.centers[idx]), float(self.bandwidths[idx])
+    def sample_components(self, idx: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """One draw from each component idx[s] by inverse CDF at uniforms[s]."""
+        c, b = self.centers[idx], self.bandwidths[idx]
         if self.kind == "discrete":
-            u = int(self.hi)
-            grid = np.arange(1, u + 1)
-            cells = ndtr((grid + 0.5 - c) / b) - ndtr((grid - 0.5 - c) / b)
-            cells = np.maximum(cells, 0.0)
-            cdf = np.cumsum(cells / max(cells.sum(), _TINY))
-            return float(grid[int(np.searchsorted(cdf, rng.random(), side="left").clip(0, u - 1))])
+            # (S, U) table of the chosen components' cell masses over m = 1..U
+            grid = np.arange(1, int(self.hi) + 1)
+            c, b = c[:, None], b[:, None]
+            cells = np.maximum(ndtr((grid + 0.5 - c) / b) - ndtr((grid - 0.5 - c) / b), 0.0)
+            cdf = np.cumsum(cells / np.maximum(cells.sum(axis=1, keepdims=True), _TINY), axis=1)
+            # per row, the count of cdf values below the draw is searchsorted(side="left")
+            return grid[np.minimum((cdf < uniforms[:, None]).sum(axis=1), grid.size - 1)].astype(np.float64)
         # inverse-CDF truncated normal draw, clamped inside the open domain
         a = ndtr((self.lo - c) / b)
         z = ndtr((self.hi - c) / b)
-        return _clamp_open(c + b * ndtri(a + (z - a) * rng.random()), self.lo, self.hi)
+        return _clamp_open(c + b * ndtri(a + (z - a) * uniforms), self.lo, self.hi)
 
 
 @dataclass(frozen=True)
 class SurrogateDensity:
-    """Per-dimension kernel mixtures with shared component weights."""
+    """Per-dimension kernel mixtures with shared weights; S points are a dict of (S,) arrays."""
 
     dims: dict  # name -> _DimMixture
     weights: np.ndarray
 
-    def logpdf(self, psi: ParamVector) -> float:
+    def logpdf_batch(self, values: dict) -> np.ndarray:
+        """Log density at each of the S points in values."""
         logw = np.log(self.weights)
         total = 0.0
         for name, mix in self.dims.items():
-            v = getattr(psi, name)
-            comp = logw + mix.log_components(float(v))
-            m = comp.max()
-            total += m + math.log(np.exp(comp - m).sum())
+            comp = logw + mix.log_components(values[name])
+            peak = comp.max(axis=1)
+            sums = np.exp(comp - peak[:, None]).sum(axis=1)
+            # math.log, not np.log: numpy's vector log can differ from libm's in the
+            # last bit, which would change scores, winners and so every later trial
+            total = total + (peak + np.fromiter(map(math.log, sums), np.float64, sums.size))
         return total
 
-    def sample(self, rng: np.random.Generator, fixed_q: float | None) -> ParamVector:
+    def sample_batch(self, rng: np.random.Generator, n: int) -> dict:
+        """n points; per point and dimension, a component draw then a value draw."""
+        u = rng.random(2 * len(self.dims) * n).reshape(n, len(self.dims), 2)
         cdf = np.cumsum(self.weights)
         out = {}
-        for name, mix in self.dims.items():
-            idx = int(np.searchsorted(cdf, rng.random(), side="left").clip(0, len(self.weights) - 1))
-            out[name] = mix.sample_component(idx, rng)
-        return ParamVector(m=int(out["m"]), r=out["r"], q=fixed_q if fixed_q is not None else out["q"])
+        for j, (name, mix) in enumerate(self.dims.items()):
+            idx = np.searchsorted(cdf, u[:, j, 0], side="left").clip(0, len(self.weights) - 1)
+            out[name] = mix.sample_components(idx, u[:, j, 1])
+        return out
+
+    def logpdf(self, psi: ParamVector) -> float:
+        return float(self.logpdf_batch({name: np.array([getattr(psi, name)], np.float64) for name in self.dims})[0])
+
+    def sample(self, rng: np.random.Generator, fixed_q: float | None) -> ParamVector:
+        return _param_vector(self.sample_batch(rng, 1), 0, fixed_q)
+
+
+def _param_vector(values: dict, i: int, fixed_q: float | None) -> ParamVector:
+    q = fixed_q if fixed_q is not None else float(values["q"][i])
+    return ParamVector(m=int(values["m"][i]), r=float(values["r"][i]), q=q)
 
 
 def _prior_params(domain: ParamDomain) -> dict:
     # non-informative prior: mean ((U-1)/2, 1/2, 1/2), stds (U-1, 1, 1);
     # the m std degenerates at U = 1 where any positive value gives mass 1
     u = domain.u
-    return {
-        "m": ((u - 1) / 2.0, float(u - 1) if u > 1 else 1.0),
-        "r": (0.5, 1.0),
-        "q": (0.5, 1.0),
-    }
+    return {"m": ((u - 1) / 2.0, float(u - 1) if u > 1 else 1.0), "r": (0.5, 1.0), "q": (0.5, 1.0)}
 
 
 def build_density(group: list[Trial], role: str, cfg: TpeConfig, t_total: int) -> SurrogateDensity:
@@ -289,42 +304,32 @@ def build_density(group: list[Trial], role: str, cfg: TpeConfig, t_total: int) -
         raise ValueError("role must be 'better' or 'worse'")
     domain = cfg.domain
     k = len(group)
-    if role == "better":
-        weights, _ = decay_weights(k, 0)
-    else:
-        _, weights = decay_weights(0, k)
+    weights = decay_weights(k, 0)[0] if role == "better" else decay_weights(0, k)[1]
     prior = _prior_params(domain)
     bounds = {"m": (1.0, float(domain.u)), "r": domain.r_bounds, "q": domain.q_bounds}
     dims = {}
     names = ["m", "r"] + ([] if domain.fixed_q is not None else ["q"])
-    d = len(names)
     for name in names:
         lo, hi = bounds[name]
         pc, pb = prior[name]
-        centers = [pc]
-        bws = [pb]
+        centers, bws = [pc], [pb]
         if k > 0:
             # Scott term uses the full evaluation count T: bandwidths then
             # shrink as the search proceeds, which is what moves the
             # sampler from exploration into exploitation
-            b = scott_bandwidth(t_total, d, lo, hi, t_total)
+            b = scott_bandwidth(t_total, len(names), lo, hi, t_total)
             centers.extend(float(getattr(tr.psi, name)) for tr in group)
             bws.extend([b] * k)
-        dims[name] = _DimMixture(
-            kind="discrete" if name == "m" else "continuous",
-            lo=lo,
-            hi=hi,
-            centers=np.asarray(centers),
-            bandwidths=np.asarray(bws),
-        )
+        dims[name] = _DimMixture(kind="discrete" if name == "m" else "continuous", lo=lo, hi=hi,
+                                 centers=np.asarray(centers), bandwidths=np.asarray(bws))
     return SurrogateDensity(dims=dims, weights=weights)
 
 
 def propose(history: TrialHistory, cfg: TpeConfig, rng: np.random.Generator) -> ParamVector:
     """Next evaluation point: argmax of the density ratio over S candidates.
 
-    Candidates are drawn from the better-group density; scoring is done in
-    the log domain. Deterministic given the rng state.
+    All S candidates are drawn from the better-group density in one batch
+    and scored in the log domain. Deterministic given the rng state.
     """
     better_idx, worse_idx = _split_indices(history)
     t_total = len(history)
@@ -332,12 +337,7 @@ def propose(history: TrialHistory, cfg: TpeConfig, rng: np.random.Generator) -> 
     p_l = build_density([trials[i] for i in better_idx], "better", cfg, t_total)
     # old-decay weights index worse-group components by query order, oldest first
     p_g = build_density([trials[i] for i in sorted(worse_idx)], "worse", cfg, t_total)
-    best_psi = None
-    best_score = -math.inf
-    for _ in range(cfg.n_candidates):
-        cand = p_l.sample(rng, cfg.domain.fixed_q)
-        score = p_l.logpdf(cand) - p_g.logpdf(cand)
-        if score > best_score:
-            best_score = score
-            best_psi = cand
-    return best_psi
+    cands = p_l.sample_batch(rng, cfg.n_candidates)
+    score = p_l.logpdf_batch(cands) - p_g.logpdf_batch(cands)
+    # argmax takes the first maximum: ties go to the earliest candidate
+    return _param_vector(cands, int(np.argmax(score)), cfg.domain.fixed_q)

@@ -25,6 +25,14 @@ def canonical(envelope):
     return json.dumps(e, sort_keys=True)
 
 
+def _csv(tmp_path, signals):
+    """Long-format CSV of {id: values}; returns its path."""
+    path = tmp_path / "signals.csv"
+    rows = "".join(f"{sid},,{t},{float(v)}\n" for sid, vals in signals.items() for t, v in enumerate(vals))
+    path.write_text("signal_id,label,t,value\n" + rows)
+    return str(path)
+
+
 @pytest.fixture
 def noise_csv(tmp_path):
     path = tmp_path / "noise.csv"
@@ -245,6 +253,21 @@ class TestErrorsAndExitCodes:
             tmp_path,
         )
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            lambda tmp: ["compare-methods", "--n", "4", "--len", "2", "--T", "30", "--B", "30"],
+            lambda tmp: ["optimize", "--input", _csv(tmp, {"ok": range(40), "tiny": [0.0, 1.0]}), "--no-preprocess"],
+        ],
+        ids=["compare-methods", "optimize"],
+    )
+    def test_signals_too_short_for_any_m_exit_4_before_search(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr("sampenopt.optimizer.bootstrap_sampen", lambda *a, **k: pytest.fail("trial started"))
+        code, env = run(command(tmp_path), tmp_path)
+        assert code == 4 and env is None
+        err = capsys.readouterr().err
+        assert err.startswith("sampenopt: computation error: signal ") and "N=2" in err
 
     def test_bad_config_value_exits_2(self, noise_csv, tmp_path):
         code, _ = run(["estimate", "--input", noise_csv, "--r", "-0.5"], tmp_path)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -134,11 +135,45 @@ class TestOptimize:
             else:
                 assert rec.y == math.inf
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("entry", ["single", "set"])
+    def test_signal_too_short_for_any_m_raises_before_the_first_trial(self, white100, monkeypatch, n, entry):
+        monkeypatch.setattr("sampenopt.optimizer.bootstrap_sampen", lambda *a, **k: pytest.fail("trial started"))
+        tiny = Signal("tiny", np.arange(float(n)))
+        with pytest.raises(AllTrialsInfeasible, match=f"'tiny' has N={n}"):
+            if entry == "single":
+                optimize_single(tiny, small_cfg())
+            else:
+                optimize_set(SignalSet((white100, tiny)), small_cfg())
+
+    def test_three_points_still_search(self, monkeypatch):
+        # m = 1 passes N >= m + 2 at N = 3, so the search is not ruled out up front
+        class TrialStarted(Exception):
+            pass
+
+        def started(*args, **kwargs):
+            raise TrialStarted
+
+        monkeypatch.setattr("sampenopt.optimizer.bootstrap_sampen", started)
+        with pytest.raises(TrialStarted):
+            optimize_single(Signal("three", np.array([0.0, 1.0, 0.0])), small_cfg())
+
     def test_duplicated_signal_set_runs(self, white100):
         twin = Signal("copy", white100.values)
         cfg = small_cfg(seed=20)
         res = optimize_set(SignalSet((white100, twin)), cfg)
         assert cfg.domain.contains(res.best_psi)
+
+
+class TestPinnedHistory:
+    def test_sixty_trial_history_digest(self):
+        # (m, r, q, y) of every trial, bit for bit: a change to the TPE or
+        # bootstrap RNG layout, or to any number a trial computes, changes it
+        x = normalize(gen_white_noise(100, 1.0, seed=1))
+        res = optimize_single(x, OptimizerConfig(lam=1 / 3, b=10, t_tilde=60, seed=1))
+        rows = [(t.psi.m, t.psi.r.hex(), t.psi.q.hex(), t.y.hex()) for t in res.history]
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "a382abb578f7b6356b70e1703f7568b64dad9f9d640bc0bd094672d353ca7d9e"
 
 
 class TestSearchQuality:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 
 from sampenopt.errors import EmptyHistory
 from sampenopt.tpe import (
@@ -11,6 +14,7 @@ from sampenopt.tpe import (
     TpeConfig,
     Trial,
     TrialHistory,
+    _split_indices,
     build_density,
     decay_weights,
     kernel_continuous,
@@ -262,3 +266,136 @@ class TestPropose:
         for seed in range(20):
             psi = propose(h, cfg, np.random.default_rng(seed))
             assert psi.q == 0.42
+
+
+# Scalar oracle: the acquisition as it stood before candidates were scored as
+# one batch. It samples one candidate at a time and one dimension at a time,
+# scores each candidate on its own, and keeps the first strict maximum.
+
+
+def _oracle_log_components(mix, v):
+    c, b = mix.centers, mix.bandwidths
+    if mix.kind == "discrete":
+        u = int(mix.hi)
+        cell = ndtr((v + 0.5 - c) / b) - ndtr((v - 0.5 - c) / b)
+        total = ndtr((u + 0.5 - c) / b) - ndtr((0.5 - c) / b)
+        return np.log(np.maximum(cell, 1e-300)) - np.log(np.maximum(total, 1e-300))
+    z = (v - c) / b
+    log_norm = -0.5 * z * z - np.log(b) - 0.5 * math.log(2.0 * math.pi)
+    mass = ndtr((mix.hi - c) / b) - ndtr((mix.lo - c) / b)
+    return log_norm - np.log(np.maximum(mass, 1e-300))
+
+
+def _oracle_logpdf(dens, psi):
+    logw = np.log(dens.weights)
+    total = 0.0
+    for name, mix in dens.dims.items():
+        comp = logw + _oracle_log_components(mix, float(getattr(psi, name)))
+        m = comp.max()
+        total += m + math.log(np.exp(comp - m).sum())
+    return total
+
+
+def _oracle_sample_component(mix, idx, rng):
+    c, b = float(mix.centers[idx]), float(mix.bandwidths[idx])
+    if mix.kind == "discrete":
+        u = int(mix.hi)
+        grid = np.arange(1, u + 1)
+        cells = np.maximum(ndtr((grid + 0.5 - c) / b) - ndtr((grid - 0.5 - c) / b), 0.0)
+        cdf = np.cumsum(cells / max(cells.sum(), 1e-300))
+        return float(grid[int(np.searchsorted(cdf, rng.random(), side="left").clip(0, u - 1))])
+    a = ndtr((mix.lo - c) / b)
+    z = ndtr((mix.hi - c) / b)
+    eps = 1e-9 * (mix.hi - mix.lo)
+    return float(min(max(c + b * ndtri(a + (z - a) * rng.random()), mix.lo + eps), mix.hi - eps))
+
+
+def _oracle_sample(dens, rng, fixed_q):
+    cdf = np.cumsum(dens.weights)
+    out = {}
+    for name, mix in dens.dims.items():
+        idx = int(np.searchsorted(cdf, rng.random(), side="left").clip(0, len(dens.weights) - 1))
+        out[name] = _oracle_sample_component(mix, idx, rng)
+    return ParamVector(m=int(out["m"]), r=out["r"], q=fixed_q if fixed_q is not None else out["q"])
+
+
+def _oracle_propose(history, cfg, rng):
+    better_idx, worse_idx = _split_indices(history)
+    t_total = len(history)
+    trials = history.trials
+    p_l = build_density([trials[i] for i in better_idx], "better", cfg, t_total)
+    p_g = build_density([trials[i] for i in sorted(worse_idx)], "worse", cfg, t_total)
+    best_psi, best_score = None, -math.inf
+    for _ in range(cfg.n_candidates):
+        cand = _oracle_sample(p_l, rng, cfg.domain.fixed_q)
+        score = _oracle_logpdf(p_l, cand) - _oracle_logpdf(p_g, cand)
+        if score > best_score:
+            best_psi, best_score = cand, score
+    return best_psi
+
+
+def _bounds(draw):
+    lo = draw(st.floats(0.01, 0.9))
+    return lo, min(lo + draw(st.sampled_from([1e-4, 0.01, 0.07, 0.3, 1.0])), 1.0)
+
+
+@st.composite
+def _search_states(draw):
+    """A TpeConfig and a history over its domain: infinite and tied y included."""
+    u = draw(st.integers(1, 6))
+    r_bounds, q_bounds = _bounds(draw), _bounds(draw)
+    fixed_q = draw(st.one_of(st.none(), st.floats(0.01, 0.99)))
+    domain = ParamDomain(u=u, r_bounds=r_bounds, q_bounds=q_bounds, fixed_q=fixed_q)
+    ys = st.one_of(st.just(math.inf), st.sampled_from([0.25, 0.5]), st.floats(0.0, 3.0))
+    h = TrialHistory()
+    for _ in range(draw(st.integers(1, 120))):
+        q = fixed_q if fixed_q is not None else draw(st.floats(*q_bounds))
+        h.append(Trial(ParamVector(m=draw(st.integers(1, u)), r=draw(st.floats(*r_bounds)), q=q), draw(ys)))
+    return TpeConfig(domain=domain, n_candidates=draw(st.integers(1, 32))), h
+
+
+def _long_state():
+    """300 trials: worse-group rows longer than numpy's 128-element pairwise-summation block."""
+    rng = np.random.default_rng(77)
+    h = TrialHistory()
+    for i in range(300):
+        psi = ParamVector(m=int(rng.integers(1, 4)), r=float(rng.uniform(0.01, 1.0)), q=float(rng.uniform(0.01, 0.99)))
+        h.append(Trial(psi, math.inf if i % 9 == 0 else float(rng.uniform(0.0, 2.0))))
+    return TpeConfig(), h
+
+
+def _bits(psi):
+    return psi.m, psi.r.hex(), psi.q.hex()
+
+
+class TestBatchMatchesScalarOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(state=_search_states(), seed=st.integers(0, 2**32 - 1))
+    @example(state=_long_state(), seed=5)
+    def test_propose_bitwise_and_same_stream(self, state, seed):
+        cfg, h = state
+        rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = propose(h, cfg, rng)
+        assert _bits(got) == _bits(_oracle_propose(h, cfg, rng_oracle))
+        assert type(got.r) is float and type(got.q) is float and type(got.m) is int
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(state=_search_states(), seed=st.integers(0, 2**32 - 1))
+    def test_densities_bitwise(self, state, seed):
+        # one-point views, then 64-point logpdf batches: enough log calls that
+        # a vector log differing from libm's in the last bit would show
+        cfg, h = state
+        better, worse = split_history(h, cfg)
+        densities = [build_density(better, "better", cfg, len(h)), build_density(worse, "worse", cfg, len(h))]
+        rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        for dens in densities:
+            psi = dens.sample(rng, cfg.domain.fixed_q)
+            assert _bits(psi) == _bits(_oracle_sample(dens, rng_oracle, cfg.domain.fixed_q))
+            assert dens.logpdf(psi).hex() == _oracle_logpdf(dens, psi).hex()
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
+        for dens in densities:
+            points = [_oracle_sample(dens, rng, cfg.domain.fixed_q) for _ in range(64)]
+            batch = {name: np.array([getattr(p, name) for p in points], np.float64) for name in dens.dims}
+            got = [v.hex() for v in dens.logpdf_batch(batch).tolist()]
+            assert got == [_oracle_logpdf(dens, p).hex() for p in points]
