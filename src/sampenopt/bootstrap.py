@@ -65,7 +65,7 @@ class BootstrapEstimates:
         return np.array([r.value for r in self.replicates if r.finite], dtype=np.float64)
 
 
-def _draw_block_lengths(q: float, size: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_block_lengths(q: float, size: int | tuple[int, int], rng: np.random.Generator) -> np.ndarray:
     """Geom(q) block lengths with support {1, 2, ...} (P(b=1) = q, E[b] = 1/q)."""
     return rng.geometric(q, size=size)
 
@@ -92,39 +92,38 @@ def _block_indices(starts: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarra
     return idx.reshape(shape[:-1] + (n,))
 
 
-def _draw_blocks(n: int, q: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """n uniform start indices, then n Geom(q) lengths (n blocks always suffice)."""
-    return rng.integers(0, n, size=n), _draw_block_lengths(q, n, rng)
+def _draw_blocks(
+    n: int, q: float, rng: np.random.Generator, size: int | tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start indices in [0, n), then Geom(q) lengths, each of shape n or (B, n)."""
+    return rng.integers(0, n, size=size), _draw_block_lengths(q, size, rng)
 
 
 def stationary_bootstrap(x: Signal, q: float, rng: np.random.Generator) -> Signal:
     """One stationary-bootstrap replicate of x, same length as x.
 
-    Draws n start indices and n geometric lengths up front (n blocks always
-    suffice since lengths are >= 1) and assembles only as many blocks as
-    needed; wrap-around indexing handles blocks running past the end.
+    Draws n blocks up front (enough, since lengths are >= 1) and assembles
+    only as many as needed, wrapping blocks that run past the end.
     """
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0, 1)")
     n = x.n
-    return x.with_values(x.values[_block_indices(*_draw_blocks(n, q, rng), n)])
+    return x.with_values(x.values[_block_indices(*_draw_blocks(n, q, rng, n), n)])
 
 
 def bootstrap_sampen(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> BootstrapEstimates:
     """Score B stationary-bootstrap replicates of x with sampen.
 
-    Replicate b draws from the child stream (cfg.seed, b), exactly as
-    stationary_bootstrap(x, cfg.q, generator(cfg.seed, b)) would, so
-    results are identical under any execution order. The block indices of
-    all B replicates are built in one step. A replicate's point gaps are
-    gaps of x, so each replicate is counted on its rows and columns of x's
-    point-match matrix, which is thresholded once.
+    All B replicates come from one stream, generator(cfg.seed): (B, n)
+    starts, then (B, n) Geom(q) lengths, row b being replicate b. The draws
+    depend only on (x.n, cfg), not on (m, r) or on execution order. A
+    replicate's point gaps are gaps of x, so each replicate is counted on
+    its rows and columns of x's point-match matrix, thresholded once.
     """
     original = sampen(x, p)
     n = x.n
     z = (n - p.m) * (n - p.m - 1)
-    draws = [_draw_blocks(n, cfg.q, generator(cfg.seed, b)) for b in range(cfg.b)]
-    starts, lengths = (np.stack(d) for d in zip(*draws))
+    starts, lengths = _draw_blocks(n, cfg.q, generator(cfg.seed), (cfg.b, n))
     g = _point_matches(x.values, p.r)
     reps = tuple(
         _sampen_from_counts(*_ordered_counts(g[i][:, i], p.m), z) for i in _block_indices(starts, lengths, n)

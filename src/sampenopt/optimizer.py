@@ -8,8 +8,8 @@ selected. The driver runs T_init uniform random trials, then TPE proposals
 until the trial budget is exhausted.
 
 RNG streams: signal i of trial t bootstraps with the seed
-child_seed(seed, 0, t, i), so its replicate b draws from
-SeedSequence((child_seed(seed, 0, t, i), b)); the TPE proposal (and
+child_seed(seed, 0, t, i), so all B of its replicates draw from the one
+stream generator(child_seed(seed, 0, t, i)); the TPE proposal (and
 random-init draw) for trial t uses (seed, 1, t). Signals are evaluated in
 order, and a trial stops at its first infeasible signal.
 """

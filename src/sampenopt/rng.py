@@ -9,14 +9,14 @@ from a 64-bit master seed and an integer index path:
 independent and reproducible on any platform, under any execution order.
 Conventions used by the optimizer and harnesses:
 
-    (child_seed(seed, 0, trial, signal), replicate)   bootstrap replicate streams
-    (seed, 1, trial)                                  TPE proposal / random init draws
-    (seed, 2, ...)                                    harness-local streams
+    child_seed(seed, 0, trial, signal)   bootstrap stream (all B replicates)
+    (seed, 1, trial)                     TPE proposal / random init draws
+    (seed, 2, ...)                       harness-local streams
 
-so results are identical whether per-signal or per-replicate work runs
-sequentially or in parallel. A bootstrap stream is two levels deep: the
-optimizer collapses (seed, 0, trial, signal) to one 64-bit seed with
-child_seed, and replicate b then draws from SeedSequence((that seed, b)).
+so results are identical whether per-signal work runs sequentially or in
+parallel. The optimizer collapses (seed, 0, trial, signal) to one 64-bit
+seed with child_seed, and bootstrap_sampen draws every replicate's blocks
+from generator(that seed); there is no per-replicate level.
 """
 
 from __future__ import annotations

@@ -45,10 +45,8 @@ def _block_indices_reference(starts, lengths, n):
     return (np.repeat(starts, lengths) + offsets) % n
 
 
-def _replicate_oracle(x, q, rng):
-    """One replicate as the per-replicate loop drew it: n starts, then n Geom(q) lengths."""
-    starts = rng.integers(0, x.n, size=x.n)
-    lengths = rng.geometric(q, size=x.n)
+def _replicate_oracle(x, starts, lengths):
+    """One replicate assembled block by block from its drawn starts and lengths."""
     return x.with_values(x.values[_block_indices_reference(starts, lengths, x.n)])
 
 
@@ -152,13 +150,51 @@ class TestBootstrapSampen:
         est = bootstrap_sampen(x, SampEnParams(1, 0.3), BootstrapConfig(q=0.5, b=1, seed=3))
         assert len(est.replicates) == 1
 
-    def test_replicate_streams_are_child_indexed(self):
-        # replicate b depends only on (seed, b): growing B keeps the prefix
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(5, 40),
+        b=st.integers(1, 12),
+        q=st.floats(0.05, 0.95),
+        seed=st.integers(0, 2**64 - 1),
+        params=st.lists(st.tuples(st.integers(1, 3), st.sampled_from([0.05, 0.2, 0.6])), min_size=2, max_size=3),
+    )
+    def test_replicate_invariants(self, n, b, q, seed, params):
+        x = Signal("w", np.round(np.random.default_rng(n).standard_normal(n), 1))
+        cfg = BootstrapConfig(q=q, b=b, seed=seed)
+        seen = []  # every call's block indices, as bootstrap_sampen builds them
+
+        def spy(starts, lengths, size):
+            seen.append(_block_indices(starts, lengths, size))
+            return seen[-1]
+
+        ps = [SampEnParams(m, r) for m, r in params]
+        ps.append(ps[0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("sampenopt.bootstrap._block_indices", spy)
+            ests = [bootstrap_sampen(x, p, cfg) for p in ps]
+        assert len(seen) == len(ps)
+        for p, est, idx in zip(ps, ests, seen):
+            # B replicates of length n whose values come from x, scored as sampen scores them
+            assert idx.shape == (b, n) and idx.min() >= 0 and idx.max() < n
+            assert [_fields(r) for r in est.replicates] == [_fields(sampen(x.with_values(x.values[i]), p)) for i in idx]
+        # the same cfg gives the same replicates (the repeated first call), and
+        # the block draws do not depend on (m, r)
+        assert [_fields(r) for r in ests[0].replicates] == [_fields(r) for r in ests[-1].replicates]
+        assert all(np.array_equal(idx, seen[0]) for idx in seen)
+
+    @pytest.mark.parametrize("b", [1, 7, 100])
+    def test_one_generator_per_call(self, monkeypatch, b):
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return generator(*args)
+
+        monkeypatch.setattr("sampenopt.bootstrap.generator", counting)
         x = gen_white_noise(50, 1.0, seed=10)
-        p = SampEnParams(1, 0.3)
-        small = bootstrap_sampen(x, p, BootstrapConfig(q=0.5, b=5, seed=4))
-        large = bootstrap_sampen(x, p, BootstrapConfig(q=0.5, b=10, seed=4))
-        assert [r.value for r in small.replicates] == [r.value for r in large.replicates[:5]]
+        est = bootstrap_sampen(x, SampEnParams(1, 0.3), BootstrapConfig(q=0.5, b=b, seed=4))
+        assert len(est.replicates) == b
+        assert made == [(4,)]
 
 
 class TestBootstrapOracle:
@@ -182,10 +218,16 @@ class TestBootstrapOracle:
                 too_short += 1
                 continue
             est = bootstrap_sampen(x, p, cfg)
-            oracle = [_replicate_oracle(x, cfg.q, generator(cfg.seed, b)) for b in range(cfg.b)]
-            for b, xb in enumerate(oracle):
-                assert np.array_equal(stationary_bootstrap(x, cfg.q, generator(cfg.seed, b)).values, xb.values)
-            want = [sampen(xb, p) for xb in oracle]
+            # one stream per call: (B, n) starts, then (B, n) lengths, row b is replicate b
+            rng = generator(cfg.seed)
+            starts = rng.integers(0, n, (cfg.b, n))
+            lengths = rng.geometric(cfg.q, (cfg.b, n))
+            want = [sampen(_replicate_oracle(x, s, l), p) for s, l in zip(starts, lengths)]
+            # the single-replicate caller: n starts, then n lengths, and the same stream state after
+            rng, ref = generator(cfg.seed), generator(cfg.seed)
+            xb = _replicate_oracle(x, ref.integers(0, n, n), ref.geometric(cfg.q, n))
+            assert np.array_equal(stationary_bootstrap(x, cfg.q, rng).values, xb.values)
+            assert rng.bit_generator.state == ref.bit_generator.state
             assert _fields(est.original) == _fields(sampen(x, p))
             assert [_fields(r) for r in est.replicates] == [_fields(r) for r in want], f"case {case}"
             undefined += sum(r.value is None for r in want)

@@ -173,7 +173,7 @@ class TestPinnedHistory:
         res = optimize_single(x, OptimizerConfig(lam=1 / 3, b=10, t_tilde=60, seed=1))
         rows = [(t.psi.m, t.psi.r.hex(), t.psi.q.hex(), t.y.hex()) for t in res.history]
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert digest == "a382abb578f7b6356b70e1703f7568b64dad9f9d640bc0bd094672d353ca7d9e"
+        assert digest == "91e71df900c3b4153f13903c49bfbdc511e1121bf6f29d9c9d17f95ed069dca3"
 
 
 class TestSearchQuality:
