@@ -31,7 +31,7 @@ from . import __version__
 from .baselines import ar_order_m, convergence_select, sampeneff_select, standard_params_eval
 from .bootstrap import BootstrapConfig, bootstrap_sampen, bootstrap_se, mse as bootstrap_mse
 from .entropy import SampEnParams, fuzzen, sampen
-from .errors import ComputationError, DataError, EmptySurvivorSet
+from .errors import ComputationError, DataError
 from .experiments import MethodComparisonConfig, VarBenchConfig, estimator_error, method_comparison
 from .ingest import read_signals, write_signals
 from .optimizer import OptimizerConfig, optimize_set
@@ -256,9 +256,7 @@ def _median_or_none(vals: list[float]) -> float | None:
 def _cmd_preprocess(args) -> tuple[dict, dict]:
     s, fmt = read_signals(args.input)
     report = stationarity_pipeline(s, args.alpha)
-    retained = report.retained
-    if retained is None:
-        raise EmptySurvivorSet("no signal passed the stationarity screen")
+    retained = report.retained_or_raise()
     write_signals(args.out, retained, fmt=fmt)
     payload = {
         "alpha": args.alpha,
@@ -455,13 +453,14 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
 
     A config value reaches argparse as a string, so the option's type
     converts or rejects it like a flag; an option with no type takes only
-    text. Null is kept only where the option's default is None, and a switch
-    takes only true or false. Any other value becomes a ValueError default,
-    which main raises only if the command reads that option.
+    text, and one with choices only those. Null is kept only where the
+    option's default is None, and a switch takes only true or false. Any
+    other value becomes a ValueError default, which main raises only if the
+    command reads that option.
     """
     read = set()
 
-    def d(key, fallback, text=False):
+    def d(key, fallback, text=False, choices=None):
         read.add(key)
         if key not in config:
             return fallback
@@ -469,7 +468,9 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
         if value is None:
             return None if fallback is None else ValueError(f"config key {key!r} cannot be null")
         if isinstance(value, str):
-            return value
+            if choices is None or value in choices:
+                return value
+            return ValueError(f"config key {key!r} takes one of {', '.join(choices)}, not {value!r}")
         return ValueError(f"config key {key!r} takes text, not {value!r}") if text else str(value)
 
     def switch(key, stores=True):
@@ -495,7 +496,7 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
             elif "action" in kw:
                 kw["default"] = switch(key, kw["action"] == "store_true")
             elif "default" in kw:
-                kw["default"] = d(key, kw["default"], text="type" not in kw)
+                kw["default"] = d(key, kw["default"], text="type" not in kw, choices=kw.get("choices"))
             if flag.startswith("--"):
                 kw.setdefault("dest", key)
             p.add_argument(flag, **kw)

@@ -117,15 +117,16 @@ def _ordered_counts(g: np.ndarray, m: int) -> tuple[int, int]:
     return int(np.count_nonzero(match_m)) - nt, int(np.count_nonzero(match_m1)) - nt
 
 
-def count_matches(x: Signal, p: SampEnParams) -> MatchCounts:
-    """Count ordered template-pair matches at lengths m and m+1.
+def _require_length(x: Signal, m: int) -> None:
+    """Raise SignalTooShort unless N >= m + 2, so the common index range is non-degenerate."""
+    if x.n < m + 2:
+        raise SignalTooShort(f"signal {x.id!r}: need N >= m + 2 = {m + 2}, got N = {x.n}")
 
-    Requires N >= m + 2 so that the common index range is non-degenerate.
-    """
-    n = x.n
-    if n < p.m + 2:
-        raise SignalTooShort(f"signal {x.id!r}: need N >= m + 2 = {p.m + 2}, got N = {n}")
-    nt = n - p.m
+
+def count_matches(x: Signal, p: SampEnParams) -> MatchCounts:
+    """Count ordered template-pair matches at lengths m and m+1 (needs N >= m + 2)."""
+    _require_length(x, p.m)
+    nt = x.n - p.m
     b_count, a_count = _ordered_counts(_point_matches(x.values, p.r), p.m)
     return MatchCounts(b_count=b_count, a_count=a_count, z=nt * (nt - 1))
 
@@ -177,10 +178,8 @@ def fuzzen(x: Signal, m: int, r: float, eta: float = 2.0) -> float:
         raise ValueError("embedding dimension m must be >= 1")
     if not (0 < r < math.inf) or not (0 < eta < math.inf):
         raise ValueError("r and eta must be positive and finite")
-    n = x.n
-    if n < m + 2:
-        raise SignalTooShort(f"signal {x.id!r}: need N >= m + 2 = {m + 2}, got N = {n}")
-    nt = n - m
+    _require_length(x, m)
+    nt = x.n - m
     return _fuzzy_log_phi(x.values, m, nt, r, eta) - _fuzzy_log_phi(x.values, m + 1, nt, r, eta)
 
 
@@ -242,9 +241,7 @@ def cp_sigma(x: Signal, p: SampEnParams) -> tuple[float, float]:
 
     Raises UndefinedEntropy when CP is undefined (B = 0) or zero (A = 0).
     """
-    n = x.n
-    if n < p.m + 2:
-        raise SignalTooShort(f"signal {x.id!r}: need N >= m + 2 = {p.m + 2}, got N = {n}")
+    _require_length(x, p.m)
     match_m, match_m1 = _match_matrices(_point_matches(x.values, p.r), p.m)
     match_b = np.triu(match_m, 1)
     b_un = int(np.count_nonzero(match_b))

@@ -4,7 +4,8 @@ Every failure mode named by an operation contract gets its own class so
 callers (and the CLI exit-code mapping) can discriminate without string
 matching. ``SampenoptError`` is the common base; ``DataError`` groups
 ingestion/shape problems, ``ComputationError`` groups cases where the
-requested quantity does not exist for the given input.
+requested quantity does not exist for the given input. ``NonStationaryConfig``
+is a generator setting, so it is also a ``ValueError`` (a config error).
 """
 
 
@@ -32,8 +33,8 @@ class SignalTooShort(TooShort):
     """Signal shorter than m + 2; no template pairs exist."""
 
 
-class NonStationaryConfig(DataError):
-    """AR(1) coefficient with |phi| >= 1 has no stationary distribution."""
+class NonStationaryConfig(SampenoptError, ValueError):
+    """AR(1) coefficient with |phi| >= 1 has no stationary distribution (a config error)."""
 
 
 class NotTwoClasses(DataError):

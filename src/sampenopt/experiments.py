@@ -20,7 +20,7 @@ import numpy as np
 from .baselines import convergence_select, gaussian_mse_approx, sampeneff_select, standard_params_eval
 from .bootstrap import BootstrapConfig, bootstrap_sampen, variance
 from .entropy import SampEnParams, counting_se, sampen
-from .errors import InsufficientDefined, UndefinedEntropy
+from .errors import Infeasible, InsufficientDefined, UndefinedEntropy
 from .optimizer import OptimizerConfig, optimize_set
 from .rng import child_seed, generator
 from .signal import SignalSet, gen_signal_set
@@ -64,6 +64,8 @@ class VarBenchConfig:
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         SampEnParams(m=self.m, r=self.r)
+        if self.n < self.m + 2:
+            raise ValueError(f"signal length N = {self.n} is too short for m = {self.m}; need N >= m + 2")
         BootstrapConfig(q=self.q_value, b=self.b, seed=self.seed)
 
     @property
@@ -100,8 +102,9 @@ def estimator_error(cfg: VarBenchConfig, counting=None, bootstrap=None) -> VarBe
     Builds the population, computes the true cross-signal variance, then
     for each repeat subsamples n_subsample signals and scores each
     estimator's mean squared error against the truth. Signals where either
-    estimator is undefined are excluded from both averages (keeps the
-    comparison like-to-like). Reports per-repeat errors plus the relative
+    estimator is undefined or infeasible (too few finite bootstrap
+    replicates) are excluded from both averages (keeps the comparison
+    like-to-like). Reports per-repeat errors plus the relative
     reduction 100 * (eps_counting - eps_bootstrap) / eps_counting.
 
     The counting/bootstrap callables are injectable for harness tests.
@@ -124,7 +127,7 @@ def estimator_error(cfg: VarBenchConfig, counting=None, bootstrap=None) -> VarBe
             try:
                 vc = counting(x, seed_ij)
                 vb = bootstrap(x, seed_ij)
-            except UndefinedEntropy:
+            except (UndefinedEntropy, Infeasible):
                 continue
             sq_c.append((sigma2 - vc) ** 2)
             sq_b.append((sigma2 - vb) ** 2)

@@ -100,17 +100,6 @@ class OptResult:
         return out
 
 
-def _evaluate_signal(x: Signal, params: SampEnParams, q: float, b: int, seed: int):
-    cfg = BootstrapConfig(q=q, b=b, seed=seed)
-    try:
-        est = bootstrap_sampen(x, params, cfg)
-    except SignalTooShort:
-        return None  # m too large for this signal: the trial is infeasible
-    if not est.feasible:
-        return None
-    return mse(est), est.original.value, variance(est), bias(est)
-
-
 def _objective(
     signals: tuple[Signal, ...],
     psi: ParamVector,
@@ -121,20 +110,22 @@ def _objective(
 ) -> TrialRecord:
     """Mean bootstrap MSE + lambda*sqrt(r); +inf at the first infeasible signal."""
     params = SampEnParams(m=psi.m, r=psi.r)
-    outs = []
+    ests = []
     for i, x in enumerate(signals):
-        out = _evaluate_signal(x, params, psi.q, b, child_seed(seed, 0, trial_index, i))
-        if out is None:
+        try:
+            est = bootstrap_sampen(x, params, BootstrapConfig(q=psi.q, b=b, seed=child_seed(seed, 0, trial_index, i)))
+        except SignalTooShort:
+            est = None  # m too large for this signal
+        if est is None or not est.feasible:
             return TrialRecord(psi=psi, y=math.inf)
-        outs.append(out)
-    mses, thetas, variances, biases = map(list, zip(*outs))
-    y = float(np.mean(mses)) + lam * math.sqrt(psi.r)
+        ests.append(est)
+    y = float(np.mean([mse(e) for e in ests])) + lam * math.sqrt(psi.r)
     return TrialRecord(
         psi=psi,
         y=y,
-        entropy=float(np.mean(thetas)),
-        variance=float(np.mean(variances)),
-        bias=float(np.mean(biases)),
+        entropy=float(np.mean([e.original.value for e in ests])),
+        variance=float(np.mean([variance(e) for e in ests])),
+        bias=float(np.mean([bias(e) for e in ests])),
     )
 
 
@@ -173,14 +164,10 @@ def _optimize(signals: tuple[Signal, ...], cfg: OptimizerConfig) -> OptResult:
         else:
             psi = propose(history, tpe_cfg, rng)
         history.append(_objective(signals, psi, cfg.lam, cfg.b, cfg.seed, t))
-    best_idx = None
-    best_y = math.inf
-    for i, tr in enumerate(history):
-        if tr.finite and tr.y < best_y:
-            best_idx, best_y = i, tr.y
-    if best_idx is None:
+    best = min(history, key=lambda tr: tr.y)  # the first of the lowest
+    if not best.finite:
         raise AllTrialsInfeasible("every trial scored +inf; widen the domain or shrink m/r demands")
-    return OptResult(best_psi=history.trials[best_idx].psi, best_y=best_y, history=history)
+    return OptResult(best_psi=best.psi, best_y=best.y, history=history)
 
 
 def optimize_single(x: Signal, cfg: OptimizerConfig) -> OptResult:

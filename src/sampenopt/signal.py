@@ -60,9 +60,6 @@ class SignalSet:
     def __getitem__(self, i: int) -> Signal:
         return self.signals[i]
 
-    def labels(self) -> list[str | None]:
-        return [s.label for s in self.signals]
-
 
 @dataclass(frozen=True)
 class Ar1Config:

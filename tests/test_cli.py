@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from sampenopt.cli import build_parser, main
@@ -170,6 +171,20 @@ class TestPreprocess:
         key = "signals" if command == "preprocess" else "preprocess"
         rec = {r["id"]: r for r in env["payload"][key]}
         assert rec["square"]["retained"] is False and rec["square"]["reason"] == "SingularDesign"
+
+
+class TestNoStationarySurvivor:
+    """A set whose every signal fails the ADF screen exits 4 (EmptySurvivorSet)."""
+
+    @pytest.mark.parametrize("command", ["preprocess", "optimize"])
+    def test_exits_4(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(3)
+        walks = {f"rw{i}": np.cumsum(np.cumsum(rng.standard_normal(60))) for i in range(3)}
+        extra = ["--out", str(tmp_path / "kept.csv")] if command == "preprocess" else ["--T", "4", "--T-init", "2"]
+        code, env = run([command, "--input", _csv(tmp_path, walks), *extra], tmp_path)
+        assert code == 4 and env is None
+        assert capsys.readouterr().err.strip() == "sampenopt: computation error: no signal passed the stationarity screen"
+        assert not (tmp_path / "kept.csv").exists()
 
 
 class TestBaseline:
@@ -525,6 +540,42 @@ class TestConfigCheckedBeforeWork:
         code, env = run(["varbench"] + args, tmp_path)
         assert code == 2 and env is None
         assert capsys.readouterr().err.startswith("sampenopt: config error: ")
+
+    def test_varbench_signal_shorter_than_m_plus_2(self, tmp_path, capsys):
+        code, env = run(["varbench", "--len", "3", "--m", "2"], tmp_path)
+        assert code == 2 and env is None
+        err = capsys.readouterr().err
+        assert err.startswith("sampenopt: config error: ") and "N >= m + 2" in err
+
+    def test_synth_nonstationary_phi(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code, env = run(["synth", "ar1", "--n", "2", "--len", "30", "--phi", "1.5", "--out", str(out)], tmp_path)
+        assert code == 2 and env is None and not out.exists()
+        assert capsys.readouterr().err.startswith("sampenopt: config error: |phi| must be < 1")
+
+    def test_config_value_outside_the_choices(self, tmp_path, capsys, monkeypatch, two_class_csv):
+        monkeypatch.setattr("sampenopt.cli.optimize_set", lambda *a, **k: pytest.fail("work started"))
+        cfg = tmp_path / "alt.cfg"
+        cfg.write_text("alternative = bogus\n")
+        args = ["compare", "--input", two_class_csv, "--optimize", "--T", "30", "--B", "40", "--config", str(cfg)]
+        code, env = run(args, tmp_path)
+        assert code == 2 and env is None
+        err = capsys.readouterr().err
+        assert err.startswith("sampenopt: config error: config key 'alternative'")
+        assert "bogus" in err and "two-sided, less, greater" in err
+
+    def test_config_choice_is_checked_only_by_a_command_that_reads_it(self, noise_csv, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"alternative": "bogus", "signal_type": "pink"}')
+        code, env = run(["estimate", "--input", noise_csv, "--config", str(cfg)], tmp_path)
+        assert code == 0 and "alternative" not in env["config"]
+
+    def test_config_choice_is_overridden_by_the_flag(self, two_class_csv, tmp_path):
+        cfg = tmp_path / "alt.cfg"
+        cfg.write_text("alternative = bogus\n")
+        args = ["compare", "--input", two_class_csv, "--alternative", "less", "--config", str(cfg)]
+        code, env = run(args, tmp_path)
+        assert code == 0 and env["payload"]["alternative"] == "less"
 
     @pytest.mark.parametrize("args", [["--B", "0"], ["--U", "0"], ["--fixed-q", "1"]])
     def test_optimize_before_the_stationarity_screen(self, noise_csv, tmp_path, capsys, args):

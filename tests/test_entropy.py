@@ -219,6 +219,25 @@ class TestCountMatches:
             SampEnParams(1, r)
 
 
+class TestLengthRule:
+    """count_matches, cp_sigma and fuzzen share one N >= m + 2 rule and message."""
+
+    CALLS = {
+        "count_matches": lambda x, m: count_matches(x, SampEnParams(m, 0.5)),
+        "cp_sigma": lambda x, m: cp_sigma(x, SampEnParams(m, 0.5)),
+        "fuzzen": lambda x, m: fuzzen(x, m, 0.5),
+    }
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_rejects_m_plus_1_and_accepts_m_plus_2(self, name, m):
+        with pytest.raises(SignalTooShort) as exc:
+            self.CALLS[name](Signal("s", np.zeros(m + 1)), m)
+        assert str(exc.value) == f"signal 's': need N >= m + 2 = {m + 2}, got N = {m + 1}"
+        # a constant signal matches everywhere, so cp_sigma's CP is defined too
+        self.CALLS[name](Signal("s", np.zeros(m + 2)), m)
+
+
 class TestSampen:
     def test_constant_is_zero(self, constant):
         res = sampen(constant, SampEnParams(2, 0.2))

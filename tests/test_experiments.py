@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from sampenopt.errors import InsufficientDefined
+from sampenopt.errors import Infeasible, InsufficientDefined
 from sampenopt.experiments import (
     MethodComparisonConfig,
     VarBenchConfig,
@@ -125,6 +127,33 @@ class TestEstimatorError:
         assert res.mean_reduction > 0
 
 
+class TestEstimatorErrorInfeasible:
+    """A signal whose bootstrap set is infeasible is left out, like an undefined one."""
+
+    def test_standard_params_on_50_point_signals_run(self):
+        cfg = VarBenchConfig(
+            signal_type="white_noise", n=50, r=0.2, m=2, b=30, n_population=200, n_subsample=40, repeats=2, seed=3
+        )
+        res = estimator_error(cfg)
+        assert len(res.reductions) == 2 and all(math.isfinite(v) for v in res.reductions)
+
+    def test_infeasible_signal_left_out_of_both_averages(self, tiny_cfg):
+        # odd-numbered signals are infeasible; had their counting value of 1e6
+        # entered the average, eps_counting would be about 1e12
+        def odd(x):
+            return int(x.id[-5:]) % 2 == 1
+
+        def bootstrap(x, seed):
+            if odd(x):
+                raise Infeasible("injected")
+            return 0.0
+
+        res = estimator_error(tiny_cfg, counting=lambda x, seed: 1e6 if odd(x) else 0.0, bootstrap=bootstrap)
+        assert res.eps_counting == res.eps_bootstrap
+        assert res.eps_counting[0] == pytest.approx(res.true_var ** 2, rel=1e-12)
+        assert res.reductions == (0.0,) * tiny_cfg.repeats
+
+
 class TestMethodComparison:
     def test_all_methods_present(self, comparison_rows):
         assert [r.method for r in comparison_rows] == ["ours", "sampeneff", "convergence", "standard"]
@@ -173,3 +202,8 @@ class TestVarBenchConfigFields:
     def test_bad_field_rejected_on_construction(self, field):
         with pytest.raises(ValueError):
             VarBenchConfig(**field)
+
+    def test_signal_shorter_than_m_plus_2_rejected(self):
+        with pytest.raises(ValueError, match="N >= m \\+ 2"):
+            VarBenchConfig(n=3, m=2)
+        assert VarBenchConfig(n=4, m=2).n == 4

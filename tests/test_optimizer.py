@@ -7,6 +7,7 @@ import pytest
 from sampenopt.errors import AllTrialsInfeasible
 from sampenopt.optimizer import (
     OptimizerConfig,
+    TrialRecord,
     objective_set,
     objective_single,
     optimize_set,
@@ -163,6 +164,27 @@ class TestOptimize:
         cfg = small_cfg(seed=20)
         res = optimize_set(SignalSet((white100, twin)), cfg)
         assert cfg.domain.contains(res.best_psi)
+
+
+class TestBestTrialRule:
+    """The first trial with the lowest y is the result; all +inf raises."""
+
+    @staticmethod
+    def script(monkeypatch, ys):
+        scores = iter(ys)
+        monkeypatch.setattr("sampenopt.optimizer._objective", lambda signals, psi, *a: TrialRecord(psi, next(scores)))
+
+    def test_first_of_the_lowest_wins(self, white100, monkeypatch):
+        self.script(monkeypatch, [math.inf, 0.5, 0.2, 0.2, math.inf])
+        res = optimize_single(white100, small_cfg(t_tilde=5, t_init=5))
+        assert [tr.y for tr in res.history] == [math.inf, 0.5, 0.2, 0.2, math.inf]
+        assert res.best_y == 0.2 and res.best_psi == res.history.trials[2].psi
+        assert res.best_psi != res.history.trials[3].psi
+
+    def test_all_infinite_raises(self, white100, monkeypatch):
+        self.script(monkeypatch, [math.inf] * 5)
+        with pytest.raises(AllTrialsInfeasible, match="every trial scored"):
+            optimize_single(white100, small_cfg(t_tilde=5, t_init=5))
 
 
 class TestPinnedHistory:

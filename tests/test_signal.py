@@ -45,6 +45,11 @@ class TestSignalTypes:
         with pytest.raises(NonStationaryConfig):
             Ar1Config(phi=1.0, sigma=1.0, n=10, seed=0)
 
+    def test_nonstationary_phi_is_a_config_error(self):
+        # a generator setting, like sigma <= 0: the CLI maps ValueError to exit 2
+        with pytest.raises(ValueError):
+            Ar1Config(phi=-1.5, sigma=1.0, n=10, seed=0)
+
 
 class TestNormalize:
     def test_hand_example(self):
