@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .entropy import SampEnParams, SampEnResult, _ordered_counts, _point_matches, _sampen_from_counts, sampen
+from .entropy import SampEnParams, SampEnResult, _replicate_counts, _sampen_from_counts, sampen
 from .errors import Infeasible
 from .rng import generator
 from .signal import Signal
@@ -56,10 +57,17 @@ class BootstrapEstimates:
     original: SampEnResult
     replicates: tuple[SampEnResult, ...]
 
+    @cached_property
+    def _sorted_finite(self) -> np.ndarray:
+        # read once per estimate set; sorting makes every moment exactly
+        # invariant to replicate order
+        vals = np.sort(self.finite_values())
+        vals.setflags(write=False)
+        return vals
+
     @property
     def feasible(self) -> bool:
-        n_finite = sum(1 for r in self.replicates if r.finite)
-        return self.original.finite and 10 * n_finite >= 9 * len(self.replicates)
+        return self.original.finite and 10 * self._sorted_finite.size >= 9 * len(self.replicates)
 
     def finite_values(self) -> np.ndarray:
         return np.array([r.value for r in self.replicates if r.finite], dtype=np.float64)
@@ -116,26 +124,31 @@ def bootstrap_sampen(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> Bootst
 
     All B replicates come from one stream, generator(cfg.seed): (B, n)
     starts, then (B, n) Geom(q) lengths, row b being replicate b. The draws
-    depend only on (x.n, cfg), not on (m, r) or on execution order. A
-    replicate's point gaps are gaps of x, so each replicate is counted on
-    its rows and columns of x's point-match matrix, thresholded once.
+    depend only on (x.n, cfg), not on (m, r) or on execution order.
+
+    A replicate's point gaps are gaps of x, so all B replicates are counted
+    in one batched pass (entropy._replicate_counts) from x's point-match
+    matrix, thresholded once. That matrix, read in x's sorted order, gives
+    each point the rank interval of the points within r of it, so a point
+    pair of a replicate matches when the partner's rank falls in the
+    interval. Only half of the ordered pairs are tested: the partners at
+    circular offsets d = 1..n//2, each unordered template pair once, and
+    every count is doubled. The counts equal those of sampen on each
+    replicate exactly.
     """
     original = sampen(x, p)
     n = x.n
     z = (n - p.m) * (n - p.m - 1)
     starts, lengths = _draw_blocks(n, cfg.q, generator(cfg.seed), (cfg.b, n))
-    g = _point_matches(x.values, p.r)
-    reps = tuple(
-        _sampen_from_counts(*_ordered_counts(g[i][:, i], p.m), z) for i in _block_indices(starts, lengths, n)
-    )
+    counts = _replicate_counts(x.values, _block_indices(starts, lengths, n), p.m, p.r)
+    reps = tuple(_sampen_from_counts(b_count, a_count, z) for b_count, a_count in counts.tolist())
     return BootstrapEstimates(original=original, replicates=reps)
 
 
 def _require_feasible(est: BootstrapEstimates) -> np.ndarray:
     if not est.feasible:
         raise Infeasible("bootstrap estimate set is infeasible (too many non-finite values)")
-    # sorting makes every moment exactly invariant to replicate order
-    return np.sort(est.finite_values())
+    return est._sorted_finite
 
 
 def variance(est: BootstrapEstimates) -> float:

@@ -117,6 +117,63 @@ def _ordered_counts(g: np.ndarray, m: int) -> tuple[int, int]:
     return int(np.count_nonzero(match_m)) - nt, int(np.count_nonzero(match_m1)) - nt
 
 
+_CHUNK_PAIRS = 2**17  # point pairs tested per chunk of replicates, about 1 MB of temporaries
+_NARROW_RANKS_BELOW = 2**15  # signals shorter than this rank in int16 (faster than int32)
+
+
+def _replicate_counts(x: np.ndarray, idx: np.ndarray, m: int, r: float) -> np.ndarray:
+    """Ordered (B, A) match counts of every resampled signal x[idx[b]], as a (B, 2) array.
+
+    Row b equals _ordered_counts(_point_matches(x, r)[i][:, i], m) for
+    i = idx[b], without gathering any (N, N) block. The float gap test
+    rounds monotonically, so the points within r of x_i form one
+    contiguous run of x's stable sort order: ranks lo_i .. lo_i + width_i,
+    both read from _point_matches (ties included). A point pair (s, t) of
+    a resample then matches iff rank[t] - lo[s], viewed as unsigned, is
+    <= width[s].
+
+    Pairs (s, (s + d) mod N) for d = 1..N//2 cover every unordered pair
+    once (row d = N/2 of an even N twice, so its wrapped half is masked),
+    and the partner ranks of row d are a window of the doubled rank row.
+    A template at start s is compared with the one at (s + d) mod N when
+    both lie in 0..nt-1 (nt = N - m): forward s <= nt-1-d, or wrapped
+    N-d <= s <= nt-1. ANDing m (then m+1) shifted point tests gives the
+    template matches; each unordered match is counted once and doubled.
+    """
+    n, b = x.size, idx.shape[0]
+    nt, half = n - m, n // 2
+    rank_t, width_t = (np.int16, np.uint16) if n < _NARROW_RANKS_BELOW else (np.int32, np.uint32)
+    order = np.argsort(x, kind="stable")
+    rank = np.empty(n, dtype=rank_t)
+    rank[order] = np.arange(n, dtype=rank_t)
+    g = _point_matches(x, r)[:, order]
+    lo = np.argmax(g, axis=1).astype(rank_t)[idx][:, None, :]
+    width = (np.count_nonzero(g, axis=1) - 1).astype(width_t)[idx][:, None, :]
+    ranks = rank[idx]
+    partners = np.lib.stride_tricks.sliding_window_view(np.concatenate((ranks, ranks), axis=1), n, axis=1)
+    d = np.arange(1, half + 1)[:, None]
+    s = np.arange(nt)
+    valid = (s <= nt - 1 - d) | ((s >= n - d) & (2 * d < n))
+    step = max(1, _CHUNK_PAIRS // (half * n))
+    gaps = np.empty((min(step, b), half, n), dtype=rank_t)
+    point = np.empty(gaps.shape, dtype=bool)
+    template = np.empty((gaps.shape[0], half, nt), dtype=bool)
+    counts = np.empty((b, 2), dtype=np.int64)
+    for c in range(0, b, step):
+        k = min(step, b - c)
+        rows = slice(c, c + k)
+        np.subtract(partners[rows, 1:half + 1], lo[rows], out=gaps[:k])
+        np.less_equal(gaps[:k].view(width_t), width[rows], out=point[:k])
+        tm = np.logical_and(point[:k, :, :nt], valid, out=template[:k])
+        for j in range(1, m):
+            tm &= point[:k, :, j:j + nt]
+        flat = tm.reshape(k, -1)  # a view: it also sees the (m+1)-th AND below
+        counts[rows, 0] = np.bitwise_count(np.packbits(flat, axis=1)).sum(axis=1)
+        tm &= point[:k, :, m:m + nt]
+        counts[rows, 1] = np.bitwise_count(np.packbits(flat, axis=1)).sum(axis=1)
+    return 2 * counts
+
+
 def _require_length(x: Signal, m: int) -> None:
     """Raise SignalTooShort unless N >= m + 2, so the common index range is non-degenerate."""
     if x.n < m + 2:

@@ -112,16 +112,22 @@ def gen_white_noise(n: int, sigma: float, seed: int, id: str = "wn", label: str 
     return Signal(id=id, values=sigma * rng.standard_normal(n), label=label)
 
 
+def _ar1_paths(phi: float, eps: np.ndarray) -> np.ndarray:
+    """x_t = phi * x_{t-1} + eps_t from x_{-1} = 0 along the last axis of eps.
+
+    eps is (total,) for one path or (k, total) for k paths; every path
+    advances by one numpy step per time index.
+    """
+    x = eps.T.copy()
+    for t in range(1, x.shape[0]):
+        x[t] += phi * x[t - 1]
+    return x.T
+
+
 def gen_ar1(cfg: Ar1Config, id: str = "ar1", label: str | None = None) -> Signal:
     """Simulate burn_in + n AR(1) steps from x_0 = 0 and discard the burn-in."""
-    from scipy.signal import lfilter  # imported here: scipy.signal dominates the package import time
-
-    rng = generator(cfg.seed)
-    total = cfg.burn_in + cfg.n
-    eps = cfg.sigma * rng.standard_normal(total)
-    # x_t = phi x_{t-1} + eps_t from x_0 = 0 is an IIR filter with zero state
-    out = lfilter([1.0], [1.0, -cfg.phi], eps)
-    return Signal(id=id, values=out[cfg.burn_in:], label=label)
+    eps = cfg.sigma * generator(cfg.seed).standard_normal(cfg.burn_in + cfg.n)
+    return Signal(id=id, values=_ar1_paths(cfg.phi, eps)[cfg.burn_in:], label=label)
 
 
 def gen_signal_set(
@@ -142,13 +148,15 @@ def gen_signal_set(
     """
     if kind not in ("white_noise", "ar1"):
         raise ValueError(f"unknown signal kind {kind!r}")
-    signals = []
-    for i in range(n_signals):
-        sid = f"{kind}_{i:05d}"
-        sub = child_seed(seed, i)
-        if kind == "white_noise":
-            s = gen_white_noise(n, sigma, sub, id=sid, label=label)
-        else:
-            s = gen_ar1(Ar1Config(phi=phi, sigma=sigma, n=n, seed=sub, burn_in=burn_in), id=sid, label=label)
-        signals.append(normalize(s) if normalize_signals else s)
-    return SignalSet(tuple(signals))
+    sids = [f"{kind}_{i:05d}" for i in range(n_signals)]
+    if kind == "white_noise":
+        raw = [gen_white_noise(n, sigma, child_seed(seed, i), id=sid, label=label) for i, sid in enumerate(sids)]
+    else:
+        cfg = Ar1Config(phi=phi, sigma=sigma, n=n, seed=seed, burn_in=burn_in)
+        # each signal draws eps from its own stream; the recurrence runs across all of them at once
+        eps = np.empty((n_signals, cfg.burn_in + cfg.n))
+        for i in range(n_signals):
+            eps[i] = cfg.sigma * generator(child_seed(seed, i)).standard_normal(eps.shape[1])
+        paths = np.ascontiguousarray(_ar1_paths(cfg.phi, eps)[:, cfg.burn_in:])
+        raw = [Signal(id=sid, values=path, label=label) for sid, path in zip(sids, paths)]
+    return SignalSet(tuple(normalize(s) if normalize_signals else s for s in raw))

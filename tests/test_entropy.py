@@ -9,8 +9,10 @@ from sampenopt.entropy import (
     MatchCounts,
     SampEnParams,
     _match_matrices,
+    _ordered_counts,
     _overlap_counts,
     _point_matches,
+    _replicate_counts,
     count_matches,
     counting_se,
     cp_sigma,
@@ -128,6 +130,12 @@ def _overlap_counts_oracle(starts: np.ndarray, ext_match: np.ndarray, m: int) ->
     return kb, ka
 
 
+def replicate_counts_oracle(x, idx, m, r):
+    """The per-replicate loop: each resample counted on its rows and columns of x's point-match matrix."""
+    g = _point_matches(x, r)
+    return np.array([_ordered_counts(g[i][:, i], m) for i in idx], dtype=np.int64).reshape(-1, 2)
+
+
 def overlap_counts_both(x, m, r):
     """(K_B, K_A) from the prefix-sum counter and from the O(K^2) oracle on the same matches."""
     match_m, match_m1 = _match_matrices(_point_matches(np.asarray(x, dtype=np.float64), r), m)
@@ -217,6 +225,46 @@ class TestCountMatches:
     def test_radius_must_be_positive_and_finite(self, r):
         with pytest.raises(ValueError):
             SampEnParams(1, r)
+
+
+class TestReplicateCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 4),
+        extra=st.integers(0, 58),
+        tied=st.booleans(),
+        rows=st.sampled_from(["random", "constant", "identity"]),
+        b=st.integers(1, 200),
+        chunk_pairs=st.sampled_from([1, 40, 2**17]),
+        narrow=st.booleans(),
+        data=st.data(),
+    )
+    def test_rows_equal_per_replicate_loop(self, m, extra, tied, rows, b, chunk_pairs, narrow, data):
+        # N from m + 2 to 60; index rows in [0, n) with repeats; several
+        # chunks per call (a small chunk_pairs, or B = 200 at N = 60);
+        # int32 ranks when not narrow
+        n = min(m + 2 + extra, 60)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.standard_normal(n)
+        if tied:
+            x = np.round(x, 1)
+        gaps = np.unique(np.abs(x[:, None] - x[None, :]))
+        gaps = gaps[gaps > 0]
+        below = gaps[0] / 2 if gaps.size else 0.01
+        r = data.draw(st.sampled_from([below, float(np.ptp(x)) + 1.0, *gaps[:: max(1, gaps.size // 8)].tolist()]))
+        if rows == "random":
+            idx = rng.integers(0, n, (b, n))
+        elif rows == "constant":
+            idx = np.repeat(rng.integers(0, n, (b, 1)), n, axis=1)
+        else:
+            idx = np.tile(np.arange(n), (b, 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("sampenopt.entropy._CHUNK_PAIRS", chunk_pairs)
+            if not narrow:
+                mp.setattr("sampenopt.entropy._NARROW_RANKS_BELOW", 0)
+            got = _replicate_counts(x, idx, m, r)
+        assert got.shape == (b, 2)
+        assert np.array_equal(got, replicate_counts_oracle(x, idx, m, r))
 
 
 class TestLengthRule:

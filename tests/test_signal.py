@@ -9,6 +9,7 @@ import pytest
 import sampenopt
 
 from sampenopt.errors import NonStationaryConfig, TooShort, ZeroVariance
+from sampenopt.rng import child_seed, generator
 from sampenopt.signal import (
     Ar1Config,
     Signal,
@@ -157,8 +158,64 @@ class TestAdfStationarityInvariant:
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal dominates import time and only gen_ar1 needs it
+    # scipy.signal dominates import time and nothing in the package needs it
     env = dict(os.environ, PYTHONPATH=str(Path(sampenopt.__file__).resolve().parent.parent))
     code = "import sys, sampenopt; print('scipy.signal' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_ar1_generators_leave_scipy_signal_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(sampenopt.__file__).resolve().parent.parent))
+    code = (
+        "import sys\n"
+        "from sampenopt.signal import Ar1Config, gen_ar1, gen_signal_set\n"
+        "gen_ar1(Ar1Config(phi=0.9, sigma=0.1, n=50, seed=1))\n"
+        "gen_signal_set('ar1', 3, 50, seed=1)\n"
+        "print('scipy.signal' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+class TestAr1AgainstLfilter:
+    """The AR(1) recurrence is bit-identical to the zero-state IIR filter lfilter([1], [1, -phi], eps)."""
+
+    CASES = [
+        (phi, sigma, n, burn_in)
+        for phi in (-0.95, -0.3, 0.0, 0.5, 0.99)
+        for sigma, n, burn_in in ((1.0, 60, 500), (0.1, 1, 0), (2.5, 40, 0), (0.7, 25, 3))
+    ]
+
+    @staticmethod
+    def _filtered(phi, sigma, n, burn_in, seed):
+        from scipy.signal import lfilter
+
+        eps = sigma * generator(seed).standard_normal(burn_in + n)
+        return lfilter([1.0], [1.0, -phi], eps)[burn_in:]
+
+    @pytest.mark.parametrize("phi,sigma,n,burn_in", CASES)
+    def test_gen_ar1(self, phi, sigma, n, burn_in):
+        x = gen_ar1(Ar1Config(phi=phi, sigma=sigma, n=n, seed=31, burn_in=burn_in))
+        assert np.array_equal(x.values, self._filtered(phi, sigma, n, burn_in, 31))
+
+    @pytest.mark.parametrize("phi,sigma,n,burn_in", CASES)
+    def test_signal_set_rows(self, phi, sigma, n, burn_in):
+        raw = gen_signal_set("ar1", 4, n, seed=32, sigma=sigma, phi=phi, burn_in=burn_in, normalize_signals=False)
+        for i, x in enumerate(raw):
+            assert x.id == f"ar1_{i:05d}"
+            assert np.array_equal(x.values, self._filtered(phi, sigma, n, burn_in, child_seed(32, i)))
+        if n >= 2:
+            # normalized sets normalize each generated row, as gen_ar1 + normalize does
+            cfgs = [Ar1Config(phi=phi, sigma=sigma, n=n, seed=child_seed(32, i), burn_in=burn_in) for i in range(4)]
+            normed = gen_signal_set("ar1", 4, n, seed=32, sigma=sigma, phi=phi, burn_in=burn_in)
+            for x, cfg in zip(normed, cfgs):
+                assert np.array_equal(x.values, normalize(gen_ar1(cfg)).values)
+
+    def test_bad_settings_still_rejected(self):
+        with pytest.raises(NonStationaryConfig):
+            gen_signal_set("ar1", 2, 10, seed=0, phi=1.0)
+        with pytest.raises(ValueError):
+            gen_signal_set("ar1", 2, 10, seed=0, sigma=0.0)
+        with pytest.raises(ValueError):
+            gen_signal_set("ar1", 0, 10, seed=0)
