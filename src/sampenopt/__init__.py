@@ -73,6 +73,6 @@ from .stats import (
     mann_whitney_u,
     stationarity_pipeline,
 )
-from .tpe import ParamDomain, ParamVector, TpeConfig, Trial, TrialHistory, propose
+from .tpe import ParamDomain, ParamVector, Trial, propose
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .baselines import ar_order_m, convergence_select, sampeneff_select, standard_params_eval
 from .bootstrap import BootstrapConfig, bootstrap_sampen, bootstrap_se, mse as bootstrap_mse
-from .entropy import SampEnParams, fuzzen, sampen
+from .entropy import SampEnParams, _fuzzen_params, fuzzen, sampen
 from .errors import ComputationError, DataError
 from .experiments import MethodComparisonConfig, VarBenchConfig, estimator_error, method_comparison
 from .ingest import read_signals, write_signals
@@ -104,6 +104,12 @@ def _optimizer_config(args) -> OptimizerConfig:
     )
 
 
+def _check_bootstrap_options(args) -> None:
+    """BootstrapConfig's rules on --q and --B, also in a mode that ignores them."""
+    # with --q unset only B is in question; 0.5 stands in for the absent q
+    BootstrapConfig(q=0.5 if args.q is None else args.q, b=args.b, seed=args.seed)
+
+
 def _psi_dict(psi) -> dict:
     return {"m": psi.m, "r": psi.r, "q": psi.q}
 
@@ -162,12 +168,14 @@ def _cmd_synth(args) -> tuple[dict, dict]:
 
 
 def _cmd_estimate(args) -> tuple[dict, dict]:
+    # every listed option is checked before the input is read, whichever measure and mode run
+    params = _fuzzen_params(args.m, args.r, args.eta)
+    _check_bootstrap_options(args)
     s = _read_input(args)
     if args.fuzzen:
         records = [_record(x, fuzzen(x, args.m, args.r, args.eta)) for x in s]
         payload = {"measure": "fuzzen", "m": args.m, "r": args.r, "eta": args.eta, "signals": records}
         return payload, {}
-    params = SampEnParams(m=args.m, r=args.r)
     if args.q is None:
         results = [(x, sampen(x, params)) for x in s]
         records = [_record(x, res.value, bm=res.bm, am=res.am, cp=res.cp) for x, res in results]
@@ -191,12 +199,12 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
     best = result.best_psi
     history = [
         {"psi": _psi_dict(rec.psi), "y": (rec.y if math.isfinite(rec.y) else None), "feasible": rec.feasible}
-        for rec in result.history
+        for rec in result.records
     ]
     payload = {
         "best_psi": _psi_dict(best),
         "best_y": result.best_y,
-        "n_trials": len(result.history),
+        "n_trials": len(result.records),
         "history": history,
         "signals": _bootstrap_records(s, SampEnParams(m=best.m, r=best.r), best.q, args.b, args.seed, 3),
     }
@@ -206,16 +214,19 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
 
 
 def _cmd_compare(args) -> tuple[dict, dict]:
+    # every listed option is checked before the input is read, with or without --optimize
+    cfg = _optimizer_config(args)
+    params = SampEnParams(m=args.m, r=args.r)
+    _check_bootstrap_options(args)
     s = _read_input(args)
     label_a, label_b, group_a, group_b = two_class_split(s)
     optimized = None
+    m, r, q = args.m, args.r, args.q
     if args.optimize:
-        result = optimize_set(s, _optimizer_config(args))
+        result = optimize_set(s, cfg)
         m, r, q = result.best_psi.m, result.best_psi.r, result.best_psi.q
         optimized = {"best_psi": _psi_dict(result.best_psi), "best_y": result.best_y}
-    else:
-        m, r, q = args.m, args.r, args.q
-    params = SampEnParams(m=m, r=r)
+        params = SampEnParams(m=m, r=r)
 
     def class_values(group, tag):
         if q is None:

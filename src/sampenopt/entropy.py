@@ -224,6 +224,14 @@ def _fuzzy_log_phi(x: np.ndarray, k: int, nt: int, r: float, eta: float) -> floa
     return float(top + np.log(np.exp(u - top).sum()) - math.log(nt * (nt - 1)))
 
 
+def _fuzzen_params(m: int, r: float, eta: float) -> SampEnParams:
+    """fuzzen's settings: SampEnParams' rules on m and r, and a positive, finite eta."""
+    params = SampEnParams(m=m, r=r)
+    if not (0 < eta < math.inf):
+        raise ValueError("fuzzy exponent eta must be positive and finite")
+    return params
+
+
 def fuzzen(x: Signal, m: int, r: float, eta: float = 2.0) -> float:
     """Fuzzy entropy: -log(phi_{m+1}/phi_m) with membership exp(-(d/r)^eta).
 
@@ -231,10 +239,7 @@ def fuzzen(x: Signal, m: int, r: float, eta: float = 2.0) -> float:
     Chen et al.'s fuzzy entropy convention, and both phi terms average over
     the same ordered index range as sampen. Always finite for finite input.
     """
-    if m < 1:
-        raise ValueError("embedding dimension m must be >= 1")
-    if not (0 < r < math.inf) or not (0 < eta < math.inf):
-        raise ValueError("r and eta must be positive and finite")
+    _fuzzen_params(m, r, eta)
     _require_length(x, m)
     nt = x.n - m
     return _fuzzy_log_phi(x.values, m, nt, r, eta) - _fuzzy_log_phi(x.values, m + 1, nt, r, eta)

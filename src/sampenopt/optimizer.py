@@ -26,11 +26,10 @@ from .entropy import SampEnParams
 from .errors import AllTrialsInfeasible, SignalTooShort
 from .rng import child_seed, generator
 from .signal import Signal, SignalSet
-from .tpe import ParamDomain, ParamVector, TpeConfig, Trial, TrialHistory, _clamp_open, propose
+from .tpe import ParamDomain, ParamVector, Trial, _clamp_open, propose
 
 __all__ = [
     "OptimizerConfig",
-    "TrialRecord",
     "OptResult",
     "objective_single",
     "objective_set",
@@ -58,43 +57,19 @@ class OptimizerConfig:
         if self.b < 1:
             raise ValueError("replicate count B must be >= 1")
 
-    def tpe(self) -> TpeConfig:
-        return TpeConfig(domain=self.domain)
-
-
-@dataclass(frozen=True)
-class TrialRecord(Trial):
-    """A scored trial plus its mean entropy/variance/bias diagnostics.
-
-    The mean diagnostics cover signals with feasible bootstrap sets; they
-    are None for infeasible trials (y = +inf).
-    """
-
-    entropy: float | None = None
-    variance: float | None = None
-    bias: float | None = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.finite
-
 
 @dataclass(frozen=True)
 class OptResult:
-    """Best point, best objective and the full trial history."""
+    """Best point, best objective and every trial in evaluation order."""
 
     best_psi: ParamVector
     best_y: float
-    history: TrialHistory
-
-    @property
-    def records(self) -> tuple[TrialRecord, ...]:
-        return tuple(self.history)
+    records: tuple[Trial, ...]
 
     def best_so_far(self) -> list[float]:
         out = []
         cur = math.inf
-        for tr in self.history:
+        for tr in self.records:
             cur = min(cur, tr.y)
             out.append(cur)
         return out
@@ -107,7 +82,7 @@ def _objective(
     b: int,
     seed: int,
     trial_index: int,
-) -> TrialRecord:
+) -> Trial:
     """Mean bootstrap MSE + lambda*sqrt(r); +inf at the first infeasible signal."""
     params = SampEnParams(m=psi.m, r=psi.r)
     ests = []
@@ -117,10 +92,10 @@ def _objective(
         except SignalTooShort:
             est = None  # m too large for this signal
         if est is None or not est.feasible:
-            return TrialRecord(psi=psi, y=math.inf)
+            return Trial(psi=psi, y=math.inf)
         ests.append(est)
     y = float(np.mean([mse(e) for e in ests])) + lam * math.sqrt(psi.r)
-    return TrialRecord(
+    return Trial(
         psi=psi,
         y=y,
         entropy=float(np.mean([e.original.value for e in ests])),
@@ -155,19 +130,18 @@ def _optimize(signals: tuple[Signal, ...], cfg: OptimizerConfig) -> OptResult:
     if shortest.n < 3:
         # m >= 1 needs N >= m + 2 >= 3, so every trial would score +inf
         raise AllTrialsInfeasible(f"signal {shortest.id!r} has N={shortest.n}; every m needs N >= m + 2 >= 3")
-    tpe_cfg = cfg.tpe()
-    history = TrialHistory()
+    history: list[Trial] = []
     for t in range(1, cfg.t_tilde + 1):
         rng = generator(cfg.seed, 1, t)
         if t <= cfg.t_init:
             psi = _random_psi(cfg.domain, rng)
         else:
-            psi = propose(history, tpe_cfg, rng)
+            psi = propose(history, cfg.domain, rng)
         history.append(_objective(signals, psi, cfg.lam, cfg.b, cfg.seed, t))
     best = min(history, key=lambda tr: tr.y)  # the first of the lowest
-    if not best.finite:
+    if not best.feasible:
         raise AllTrialsInfeasible("every trial scored +inf; widen the domain or shrink m/r demands")
-    return OptResult(best_psi=best.psi, best_y=best.y, history=history)
+    return OptResult(best_psi=best.psi, best_y=best.y, records=tuple(history))
 
 
 def optimize_single(x: Signal, cfg: OptimizerConfig) -> OptResult:

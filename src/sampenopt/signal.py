@@ -144,15 +144,19 @@ def gen_signal_set(
     """Generate a set of white-noise or AR(1) signals with indexed child seeds.
 
     Signal i uses the child stream (seed, i), so any subset is reproducible
-    independently of set size.
+    independently of set size. Every setting is range-checked for both
+    kinds, phi and burn_in included, before any signal is drawn.
     """
     if kind not in ("white_noise", "ar1"):
         raise ValueError(f"unknown signal kind {kind!r}")
+    # Ar1Config checks every setting for both kinds, so white noise rejects what AR(1) would
+    cfg = Ar1Config(phi=phi, sigma=sigma, n=n, seed=seed, burn_in=burn_in)
+    if normalize_signals and n < 2:
+        raise ValueError("normalized signals need n >= 2")
     sids = [f"{kind}_{i:05d}" for i in range(n_signals)]
     if kind == "white_noise":
         raw = [gen_white_noise(n, sigma, child_seed(seed, i), id=sid, label=label) for i, sid in enumerate(sids)]
     else:
-        cfg = Ar1Config(phi=phi, sigma=sigma, n=n, seed=seed, burn_in=burn_in)
         # each signal draws eps from its own stream; the recurrence runs across all of them at once
         eps = np.empty((n_signals, cfg.burn_in + cfg.n))
         for i in range(n_signals):

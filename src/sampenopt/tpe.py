@@ -25,7 +25,7 @@ Bergstra et al.'s TPE work and the Optuna framework.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -33,14 +33,14 @@ from scipy.special import ndtr, ndtri
 from .errors import EmptyHistory
 
 __all__ = [
-    "ParamDomain", "ParamVector", "Trial", "TrialHistory", "TpeConfig", "SurrogateDensity",
-    "split_history", "scott_bandwidth", "kernel_continuous", "kernel_discrete", "decay_weights",
+    "ParamDomain", "ParamVector", "Trial", "SurrogateDensity", "scott_bandwidth", "decay_weights",
     "build_density", "propose",
 ]
 
 _TINY = 1e-300
 _GAMMA = 0.10  # better-set quantile
 _BETTER_MAX = 25  # cap on the better-set size T_l
+_N_CANDIDATES = 24  # S, the candidates scored per proposal
 
 
 @dataclass(frozen=True)
@@ -85,65 +85,39 @@ class ParamVector:
 
 @dataclass(frozen=True)
 class Trial:
-    """A scored decision point; y is math.inf for infeasible evaluations."""
+    """A scored decision point plus its mean entropy/variance/bias diagnostics.
+
+    y is math.inf for infeasible evaluations. The mean diagnostics cover
+    signals with feasible bootstrap sets; they are None for infeasible
+    trials.
+    """
 
     psi: ParamVector
     y: float
+    entropy: float | None = None
+    variance: float | None = None
+    bias: float | None = None
 
     @property
-    def finite(self) -> bool:
+    def feasible(self) -> bool:
         return math.isfinite(self.y)
 
 
-class TrialHistory:
-    """Insertion-ordered trials."""
+def _split_indices(history: list[Trial]) -> tuple[list[int], list[int]]:
+    """Indices of the (better, worse) trials by the top-quantile rule.
 
-    def __init__(self, trials: list[Trial] | None = None):
-        self.trials: list[Trial] = list(trials) if trials else []
-
-    def append(self, trial: Trial) -> None:
-        self.trials.append(trial)
-
-    def __len__(self) -> int:
-        return len(self.trials)
-
-    def __iter__(self):
-        return iter(self.trials)
-
-
-@dataclass(frozen=True)
-class TpeConfig:
-    """The search domain and the candidate count S of the acquisition."""
-
-    domain: ParamDomain = field(default_factory=ParamDomain)
-    n_candidates: int = 24
-
-    def __post_init__(self):
-        if self.n_candidates < 1:
-            raise ValueError("candidate count S must be >= 1")
-
-
-def _split_indices(history: TrialHistory) -> tuple[list[int], list[int]]:
-    t = len(history)
-    if t < 1:
-        raise EmptyHistory("need at least one trial to split")
-    order = sorted(range(t), key=lambda i: history.trials[i].y)  # stable: ties keep insertion order
-    t_l = min(math.ceil(_GAMMA * t), _BETTER_MAX)
-    n_finite = sum(1 for tr in history.trials if tr.finite)
-    t_l = min(t_l, n_finite)
-    return order[:t_l], order[t_l:]
-
-
-def split_history(history: TrialHistory, cfg: TpeConfig) -> tuple[list[Trial], list[Trial]]:
-    """Partition trials into (better, worse) by the top-quantile rule.
-
-    T_l = min(ceil(gamma * T), cap), restricted to finite-y trials:
+    T_l = min(ceil(gamma * T), cap), restricted to feasible trials:
     infeasible trials always land in the worse set, so the better set may
     be smaller than T_l (possibly empty when every trial is infeasible).
     """
-    better_idx, worse_idx = _split_indices(history)
-    trials = history.trials
-    return [trials[i] for i in better_idx], [trials[i] for i in worse_idx]
+    t = len(history)
+    if t < 1:
+        raise EmptyHistory("need at least one trial to split")
+    order = sorted(range(t), key=lambda i: history[i].y)  # stable: ties keep insertion order
+    t_l = min(math.ceil(_GAMMA * t), _BETTER_MAX)
+    n_feasible = sum(1 for tr in history if tr.feasible)
+    t_l = min(t_l, n_feasible)
+    return order[:t_l], order[t_l:]
 
 
 def scott_bandwidth(t_group: int, d: int, lo: float, hi: float, t_total: int) -> float:
@@ -153,24 +127,6 @@ def scott_bandwidth(t_group: int, d: int, lo: float, hi: float, t_total: int) ->
     b = t_group ** (-1.0 / (d + 4))
     b_min = (hi - lo) / min(t_total, 100)
     return max(b, b_min)
-
-
-def _one_kernel(kind: str, v: float, center: float, b: float, lo: float, hi: float) -> float:
-    mix = _DimMixture(kind=kind, lo=lo, hi=hi, centers=np.array([center], dtype=np.float64),
-                      bandwidths=np.array([b], dtype=np.float64))
-    return math.exp(mix.log_components(float(v))[0])
-
-
-def kernel_continuous(v: float, center: float, b: float, lo: float, hi: float) -> float:
-    """Gaussian density at v, renormalized by the Gaussian mass on [lo, hi]."""
-    return _one_kernel("continuous", v, center, b, lo, hi)
-
-
-def kernel_discrete(m: int, center: float, b: float, u: int) -> float:
-    """Gaussian mass on [m - 1/2, m + 1/2] normalized by the mass on [1/2, u + 1/2]."""
-    if not (1 <= m <= u):
-        raise ValueError("m outside {1..U}")
-    return _one_kernel("discrete", m, center, b, 1.0, float(u))
 
 
 def _clamp_open(v, lo: float, hi: float):
@@ -213,7 +169,11 @@ class _DimMixture:
     bandwidths: np.ndarray
 
     def log_components(self, v) -> np.ndarray:
-        """Log kernel of every component at v: shape (K,) for a scalar, (S, K) for S values."""
+        """Log kernel of every component at v: shape (K,) for a scalar, (S, K) for S values.
+
+        Continuous: the Gaussian density renormalized by its mass on [lo, hi].
+        Discrete: the Gaussian mass on [v - 1/2, v + 1/2] over the mass on [1/2, U + 1/2].
+        """
         c, b = self.centers, self.bandwidths
         v = np.asarray(v, dtype=np.float64)[..., None]
         if self.kind == "discrete":
@@ -273,12 +233,6 @@ class SurrogateDensity:
             out[name] = mix.sample_components(idx, u[:, j, 1])
         return out
 
-    def logpdf(self, psi: ParamVector) -> float:
-        return float(self.logpdf_batch({name: np.array([getattr(psi, name)], np.float64) for name in self.dims})[0])
-
-    def sample(self, rng: np.random.Generator, fixed_q: float | None) -> ParamVector:
-        return _param_vector(self.sample_batch(rng, 1), 0, fixed_q)
-
 
 def _param_vector(values: dict, i: int, fixed_q: float | None) -> ParamVector:
     q = fixed_q if fixed_q is not None else float(values["q"][i])
@@ -292,7 +246,7 @@ def _prior_params(domain: ParamDomain) -> dict:
     return {"m": ((u - 1) / 2.0, float(u - 1) if u > 1 else 1.0), "r": (0.5, 1.0), "q": (0.5, 1.0)}
 
 
-def build_density(group: list[Trial], role: str, cfg: TpeConfig, t_total: int) -> SurrogateDensity:
+def build_density(group: list[Trial], role: str, domain: ParamDomain, t_total: int) -> SurrogateDensity:
     """Kernel density for one partition group ("better" or "worse").
 
     An empty group yields the prior alone. Weights index components in the
@@ -302,7 +256,6 @@ def build_density(group: list[Trial], role: str, cfg: TpeConfig, t_total: int) -
     """
     if role not in ("better", "worse"):
         raise ValueError("role must be 'better' or 'worse'")
-    domain = cfg.domain
     k = len(group)
     weights = decay_weights(k, 0)[0] if role == "better" else decay_weights(0, k)[1]
     prior = _prior_params(domain)
@@ -325,7 +278,7 @@ def build_density(group: list[Trial], role: str, cfg: TpeConfig, t_total: int) -
     return SurrogateDensity(dims=dims, weights=weights)
 
 
-def propose(history: TrialHistory, cfg: TpeConfig, rng: np.random.Generator) -> ParamVector:
+def propose(history: list[Trial], domain: ParamDomain, rng: np.random.Generator) -> ParamVector:
     """Next evaluation point: argmax of the density ratio over S candidates.
 
     All S candidates are drawn from the better-group density in one batch
@@ -333,11 +286,10 @@ def propose(history: TrialHistory, cfg: TpeConfig, rng: np.random.Generator) -> 
     """
     better_idx, worse_idx = _split_indices(history)
     t_total = len(history)
-    trials = history.trials
-    p_l = build_density([trials[i] for i in better_idx], "better", cfg, t_total)
+    p_l = build_density([history[i] for i in better_idx], "better", domain, t_total)
     # old-decay weights index worse-group components by query order, oldest first
-    p_g = build_density([trials[i] for i in sorted(worse_idx)], "worse", cfg, t_total)
-    cands = p_l.sample_batch(rng, cfg.n_candidates)
+    p_g = build_density([history[i] for i in sorted(worse_idx)], "worse", domain, t_total)
+    cands = p_l.sample_batch(rng, _N_CANDIDATES)
     score = p_l.logpdf_batch(cands) - p_g.logpdf_batch(cands)
     # argmax takes the first maximum: ties go to the earliest candidate
-    return _param_vector(cands, int(np.argmax(score)), cfg.domain.fixed_q)
+    return _param_vector(cands, int(np.argmax(score)), domain.fixed_q)

@@ -34,14 +34,11 @@ from sampenopt.stats import adf_test, holm_sidak, mann_whitney_u
 from sampenopt.tpe import (
     ParamDomain,
     ParamVector,
-    TpeConfig,
     Trial,
-    TrialHistory,
+    _DimMixture,
+    _split_indices,
     decay_weights,
-    kernel_continuous,
-    kernel_discrete,
     scott_bandwidth,
-    split_history,
 )
 
 from conftest import make_ar_set
@@ -188,28 +185,28 @@ def test_criterion_5_bootstrap_invariants():
 
 
 def test_criterion_6_tpe_formulas():
-    cfg = TpeConfig()
+    def n_better(k):
+        return len(_split_indices([Trial(ParamVector(m=1, r=0.5, q=0.5), float(i)) for i in range(k)])[0])
 
-    def hist(k):
-        h = TrialHistory()
-        for i in range(k):
-            h.append(Trial(ParamVector(m=1, r=0.5, q=0.5), float(i)))
-        return h
+    def kernel(kind, center, b, lo, hi):
+        return _DimMixture(kind=kind, lo=lo, hi=hi, centers=np.array([center]), bandwidths=np.array([b]))
 
-    ok_split = len(split_history(hist(30), cfg)[0]) == 3 and len(split_history(hist(300), cfg)[0]) == 25
+    ok_split = n_better(30) == 3 and n_better(300) == 25
     ok_scott = abs(scott_bandwidth(100, 3, 0.0, 1e-9, 10**9) - 0.517947) <= 1e-6
 
     rng = np.random.default_rng(606)
     ok_cont = True
     for _ in range(8):
         center, b = float(rng.uniform(-0.3, 1.3)), float(rng.uniform(0.02, 0.6))
-        val, _ = quad(lambda v: kernel_continuous(v, center, b, 0.0, 1.0), 0.0, 1.0, limit=200)
+        mix = kernel("continuous", center, b, 0.0, 1.0)
+        val, _ = quad(lambda v: math.exp(mix.log_components(v)[0]), 0.0, 1.0, limit=200)
         ok_cont &= abs(val - 1.0) <= 1e-6
     ok_disc = True
     for _ in range(20):
         u = int(rng.integers(1, 9))
         center, b = float(rng.uniform(0, u + 1)), float(rng.uniform(0.05, 4.0))
-        ok_disc &= abs(sum(kernel_discrete(m, center, b, u) for m in range(1, u + 1)) - 1.0) <= 1e-12
+        masses = np.exp(kernel("discrete", center, b, 1.0, float(u)).log_components(np.arange(1, u + 1)))
+        ok_disc &= abs(masses.sum() - 1.0) <= 1e-12
     ok_weights = True
     for _ in range(100):
         better, worse = decay_weights(int(rng.integers(0, 40)), int(rng.integers(0, 150)))
@@ -260,7 +257,7 @@ def test_criterion_8_regularization():
                 lam=lam, b=100, t_tilde=100, t_init=10, domain=ParamDomain(u=3, fixed_q=0.9), seed=base_seed + seed
             )
             res = optimize_single(x, cfg)
-            rs = np.array([t.psi.r for t in res.history])
+            rs = np.array([t.psi.r for t in res.records])
             fracs.append(float((rs >= 0.95).mean()))
         return fracs
 

@@ -583,6 +583,39 @@ class TestConfigCheckedBeforeWork:
         assert code == 2 and env is None
         assert capsys.readouterr().err.startswith("sampenopt: config error: ")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["estimate", "--B", "-5"],
+            ["estimate", "--fuzzen", "--q", "0"],
+            ["estimate", "--eta", "-1"],
+            ["compare", "--B", "0"],
+            ["compare", "--T", "0"],
+            ["compare", "--U", "0"],
+            ["compare", "--lambda", "-1"],
+        ],
+    )
+    def test_option_the_mode_ignores_before_the_input_is_read(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.setattr("sampenopt.cli.read_signals", lambda *a, **k: pytest.fail("input read"))
+        code, env = run(args + ["--input", "unread.csv"], tmp_path)
+        assert code == 2 and env is None
+        assert capsys.readouterr().err.startswith("sampenopt: config error: ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["white-noise", "--len", "30", "--phi", "2"],
+            ["white-noise", "--len", "30", "--burn-in", "-1"],
+            ["white-noise", "--len", "1", "--normalize"],
+            ["ar1", "--len", "1", "--normalize"],
+        ],
+    )
+    def test_synth_setting_for_either_kind(self, tmp_path, capsys, args):
+        out = tmp_path / "s.csv"
+        code, env = run(["synth"] + args + ["--n", "2", "--out", str(out)], tmp_path)
+        assert code == 2 and env is None and not out.exists()
+        assert capsys.readouterr().err.startswith("sampenopt: config error: ")
+
 
 class TestParserShape:
     """Each command's destinations and defaults, as parsed from its required arguments alone."""

@@ -7,14 +7,13 @@ import pytest
 from sampenopt.errors import AllTrialsInfeasible
 from sampenopt.optimizer import (
     OptimizerConfig,
-    TrialRecord,
     objective_set,
     objective_single,
     optimize_set,
     optimize_single,
 )
 from sampenopt.signal import Signal, SignalSet, gen_white_noise, normalize
-from sampenopt.tpe import ParamDomain, ParamVector
+from sampenopt.tpe import ParamDomain, ParamVector, Trial
 
 from conftest import make_ar_set
 
@@ -78,8 +77,8 @@ class TestOptimize:
         a = optimize_single(white100, cfg)
         b = optimize_single(white100, cfg)
         assert a.best_psi == b.best_psi and a.best_y == b.best_y
-        assert [t.psi for t in a.history] == [t.psi for t in b.history]
-        assert [t.y for t in a.history] == [t.y for t in b.history]
+        assert [t.psi for t in a.records] == [t.psi for t in b.records]
+        assert [t.y for t in a.records] == [t.y for t in b.records]
 
     def test_best_so_far_monotone(self, white100):
         res = optimize_single(white100, small_cfg(seed=12))
@@ -89,30 +88,30 @@ class TestOptimize:
     def test_every_psi_in_domain(self, white100):
         cfg = small_cfg(seed=13)
         res = optimize_single(white100, cfg)
-        for t in res.history:
+        for t in res.records:
             assert cfg.domain.contains(t.psi)
             assert t.y >= 0.0 or t.y == math.inf
 
     def test_best_is_first_minimum(self, white100):
         res = optimize_single(white100, small_cfg(seed=14))
-        ys = [t.y for t in res.history]
+        ys = [t.y for t in res.records]
         first = next(i for i, y in enumerate(ys) if y == res.best_y)
-        assert res.history.trials[first].psi == res.best_psi
+        assert res.records[first].psi == res.best_psi
 
     def test_pure_random_search(self, white100):
         cfg = small_cfg(t_tilde=5, t_init=5, seed=15)
         res = optimize_single(white100, cfg)
-        finite = [t.y for t in res.history if t.finite]
+        finite = [t.y for t in res.records if t.feasible]
         assert res.best_y == min(finite)
 
     def test_fixed_q_everywhere(self, white100):
         res = optimize_single(white100, small_cfg(seed=16))
-        assert all(t.psi.q == 0.5 for t in res.history)
+        assert all(t.psi.q == 0.5 for t in res.records)
 
     def test_free_q_within_bounds(self, white100):
         cfg = small_cfg(domain=ParamDomain(u=3, q_bounds=(0.2, 0.9)), seed=17)
         res = optimize_single(white100, cfg)
-        assert all(0.2 <= t.psi.q <= 0.9 for t in res.history)
+        assert all(0.2 <= t.psi.q <= 0.9 for t in res.records)
 
     def test_single_signal_set_equals_single(self, white100):
         cfg = small_cfg(seed=18)
@@ -127,14 +126,16 @@ class TestOptimize:
             optimize_single(x, cfg)
 
     def test_records_mirror_history(self, white100):
+        # one Trial per evaluation, in order; a feasible one carries all three
+        # finite diagnostics, an infeasible one none of them
         res = optimize_single(white100, small_cfg(seed=19))
-        assert len(res.records) == len(res.history)
-        for rec, tr in zip(res.records, res.history):
-            assert rec.psi == tr.psi and rec.y == tr.y
+        assert isinstance(res.records, tuple) and len(res.records) == 20
+        for rec in res.records:
+            diagnostics = (rec.entropy, rec.variance, rec.bias)
             if rec.feasible:
-                assert rec.entropy is not None and rec.variance is not None
+                assert all(type(v) is float and math.isfinite(v) for v in diagnostics)
             else:
-                assert rec.y == math.inf
+                assert rec.y == math.inf and diagnostics == (None, None, None)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("entry", ["single", "set"])
@@ -172,19 +173,43 @@ class TestBestTrialRule:
     @staticmethod
     def script(monkeypatch, ys):
         scores = iter(ys)
-        monkeypatch.setattr("sampenopt.optimizer._objective", lambda signals, psi, *a: TrialRecord(psi, next(scores)))
+        monkeypatch.setattr("sampenopt.optimizer._objective", lambda signals, psi, *a: Trial(psi, next(scores)))
 
     def test_first_of_the_lowest_wins(self, white100, monkeypatch):
         self.script(monkeypatch, [math.inf, 0.5, 0.2, 0.2, math.inf])
         res = optimize_single(white100, small_cfg(t_tilde=5, t_init=5))
-        assert [tr.y for tr in res.history] == [math.inf, 0.5, 0.2, 0.2, math.inf]
-        assert res.best_y == 0.2 and res.best_psi == res.history.trials[2].psi
-        assert res.best_psi != res.history.trials[3].psi
+        assert [tr.y for tr in res.records] == [math.inf, 0.5, 0.2, 0.2, math.inf]
+        assert res.best_y == 0.2 and res.best_psi == res.records[2].psi
+        assert res.best_psi != res.records[3].psi
 
     def test_all_infinite_raises(self, white100, monkeypatch):
         self.script(monkeypatch, [math.inf] * 5)
         with pytest.raises(AllTrialsInfeasible, match="every trial scored"):
             optimize_single(white100, small_cfg(t_tilde=5, t_init=5))
+
+
+class TestReplay:
+    """Trial t of a search is objective_*(..., trial_index=t): the best trial replays bit for bit."""
+
+    @staticmethod
+    def first_best_index(res):
+        ys = [t.y for t in res.records]
+        return ys.index(min(ys))
+
+    def test_single(self, white100):
+        cfg = small_cfg(seed=23, domain=ParamDomain(u=3))
+        res = optimize_single(white100, cfg)
+        k = self.first_best_index(res)
+        y = objective_single(white100, res.best_psi, cfg.lam, cfg.b, cfg.seed, trial_index=k + 1)
+        assert y.hex() == res.best_y.hex()
+
+    def test_set(self):
+        s = make_ar_set(3, 60, seed=24)
+        cfg = small_cfg(seed=25, domain=ParamDomain(u=3))
+        res = optimize_set(s, cfg)
+        k = self.first_best_index(res)
+        y = objective_set(s, res.best_psi, cfg.lam, cfg.b, cfg.seed, trial_index=k + 1)
+        assert y.hex() == res.best_y.hex()
 
 
 class TestPinnedHistory:
@@ -193,7 +218,7 @@ class TestPinnedHistory:
         # bootstrap RNG layout, or to any number a trial computes, changes it
         x = normalize(gen_white_noise(100, 1.0, seed=1))
         res = optimize_single(x, OptimizerConfig(lam=1 / 3, b=10, t_tilde=60, seed=1))
-        rows = [(t.psi.m, t.psi.r.hex(), t.psi.q.hex(), t.y.hex()) for t in res.history]
+        rows = [(t.psi.m, t.psi.r.hex(), t.psi.q.hex(), t.y.hex()) for t in res.records]
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == "91e71df900c3b4153f13903c49bfbdc511e1121bf6f29d9c9d17f95ed069dca3"
 

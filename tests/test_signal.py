@@ -219,3 +219,12 @@ class TestAr1AgainstLfilter:
             gen_signal_set("ar1", 2, 10, seed=0, sigma=0.0)
         with pytest.raises(ValueError):
             gen_signal_set("ar1", 0, 10, seed=0)
+
+    @pytest.mark.parametrize(
+        "n,settings", [(10, dict(phi=2.0)), (10, dict(burn_in=-1)), (1, dict(normalize_signals=True))]
+    )
+    def test_white_noise_checks_every_setting(self, monkeypatch, n, settings):
+        # rejected as config before any signal is drawn, as ar1 rejects them
+        monkeypatch.setattr("sampenopt.signal.gen_white_noise", lambda *a, **k: pytest.fail("signal drawn"))
+        with pytest.raises(ValueError):
+            gen_signal_set("white_noise", 2, n, seed=0, **settings)

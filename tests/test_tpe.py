@@ -9,24 +9,22 @@ from scipy.special import ndtr, ndtri
 
 from sampenopt.errors import EmptyHistory
 from sampenopt.tpe import (
+    _N_CANDIDATES,
     ParamDomain,
     ParamVector,
-    TpeConfig,
     Trial,
-    TrialHistory,
+    _DimMixture,
+    _param_vector,
     _split_indices,
     build_density,
     decay_weights,
-    kernel_continuous,
-    kernel_discrete,
     propose,
     scott_bandwidth,
-    split_history,
 )
 
 
 def _history(ys, psis=None):
-    h = TrialHistory()
+    h = []
     for i, y in enumerate(ys):
         psi = psis[i] if psis else ParamVector(m=1 + i % 3, r=0.1 + 0.8 * (i % 7) / 7, q=0.2 + 0.6 * (i % 5) / 5)
         h.append(Trial(psi=psi, y=y))
@@ -35,41 +33,39 @@ def _history(ys, psis=None):
 
 class TestSplit:
     def test_spot_values(self):
-        cfg = TpeConfig()
-        assert len(split_history(_history(range(30)), cfg)[0]) == 3
-        assert len(split_history(_history(range(300)), cfg)[0]) == 25
+        assert len(_split_indices(_history(range(30)))[0]) == 3
+        assert len(_split_indices(_history(range(300)))[0]) == 25
 
     def test_single_trial(self):
-        better, worse = split_history(_history([0.5]), TpeConfig())
-        assert len(better) == 1 and worse == []
+        better, worse = _split_indices(_history([0.5]))
+        assert better == [0] and worse == []
 
     def test_partition_properties(self):
         h = _history([5.0, 1.0, 3.0, math.inf, 2.0, 4.0, 0.5, 6.0, 7.0, 8.0])
-        better, worse = split_history(h, TpeConfig())
-        assert len(better) + len(worse) == len(h)
-        max_better = max(t.y for t in better)
-        finite_worse = [t.y for t in worse if t.finite]
-        assert max_better <= min(finite_worse)
+        better, worse = _split_indices(h)
+        assert sorted(better + worse) == list(range(len(h)))
+        max_better = max(h[i].y for i in better)
+        feasible_worse = [h[i].y for i in worse if h[i].feasible]
+        assert max_better <= min(feasible_worse)
 
     def test_infinite_always_worse(self):
         h = _history([math.inf, math.inf, 0.1])
-        better, worse = split_history(h, TpeConfig())
-        assert all(t.finite for t in better)
+        better, worse = _split_indices(h)
+        assert all(h[i].feasible for i in better)
 
     def test_all_infinite_gives_empty_better(self):
-        h = _history([math.inf] * 4)
-        better, worse = split_history(h, TpeConfig())
+        better, worse = _split_indices(_history([math.inf] * 4))
         assert better == [] and len(worse) == 4
 
     def test_empty_history(self):
         with pytest.raises(EmptyHistory):
-            split_history(TrialHistory(), TpeConfig())
+            _split_indices([])
 
     def test_ties_keep_insertion_order(self):
         psis = [ParamVector(m=1, r=0.1 * (i + 1), q=0.5) for i in range(4)]
         h = _history([1.0, 1.0, 1.0, 1.0], psis)
-        better, _ = split_history(h, TpeConfig())
-        assert better[0].psi.r == pytest.approx(0.1)
+        better, _ = _split_indices(h)
+        assert h[better[0]].psi.r == pytest.approx(0.1)
 
 
 class TestScottBandwidth:
@@ -97,18 +93,25 @@ class TestScottBandwidth:
             assert b >= (hi - lo) / min(t_total, 100) - 1e-15
 
 
+def _one_component(kind, center, b, lo, hi):
+    """A mixture dimension holding the single kernel (center, b) on [lo, hi]."""
+    return _DimMixture(kind=kind, lo=lo, hi=hi, centers=np.array([center]), bandwidths=np.array([b]))
+
+
 class TestKernels:
+    """Kernel normalizations, through the log_components that the acquisition scores with."""
+
     def test_continuous_integrates_to_one(self):
         rng = np.random.default_rng(1)
         for _ in range(12):
             center = float(rng.uniform(-0.5, 1.5))
             b = float(rng.uniform(0.02, 0.8))
-            val, _ = quad(lambda v: kernel_continuous(v, center, b, 0.0, 1.0), 0.0, 1.0, limit=200)
+            mix = _one_component("continuous", center, b, 0.0, 1.0)
+            val, _ = quad(lambda v: math.exp(mix.log_components(v)[0]), 0.0, 1.0, limit=200)
             assert abs(val - 1.0) <= 1e-6
 
     def test_continuous_concentration(self):
-        mid = kernel_continuous(0.5, 0.5, 0.01, 0.0, 1.0)
-        edge = kernel_continuous(0.9, 0.5, 0.01, 0.0, 1.0)
+        mid, edge = np.exp(_one_component("continuous", 0.5, 0.01, 0.0, 1.0).log_components([0.5, 0.9]))[:, 0]
         assert mid > 10 * max(edge, 1e-12)
 
     def test_discrete_masses_sum_to_one(self):
@@ -117,15 +120,17 @@ class TestKernels:
             u = int(rng.integers(1, 8))
             center = float(rng.uniform(0, u + 1))
             b = float(rng.uniform(0.05, 5.0))
-            total = sum(kernel_discrete(m, center, b, u) for m in range(1, u + 1))
-            assert abs(total - 1.0) <= 1e-12
+            masses = np.exp(_one_component("discrete", center, b, 1.0, float(u)).log_components(np.arange(1, u + 1)))
+            assert abs(masses.sum() - 1.0) <= 1e-12
 
     def test_discrete_small_bandwidth_limit(self):
-        assert kernel_discrete(2, 2.0, 1e-8, 3) == pytest.approx(1.0, abs=1e-12)
+        mass = math.exp(_one_component("discrete", 2.0, 1e-8, 1.0, 3.0).log_components(2)[0])
+        assert mass == pytest.approx(1.0, abs=1e-12)
 
     def test_discrete_single_point_domain(self):
         for b in (0.01, 1.0, 100.0):
-            assert kernel_discrete(1, 1.0, b, 1) == pytest.approx(1.0, abs=1e-15)
+            mass = math.exp(_one_component("discrete", 1.0, b, 1.0, 1.0).log_components(1)[0])
+            assert mass == pytest.approx(1.0, abs=1e-15)
 
 
 class TestWeights:
@@ -161,16 +166,16 @@ class TestWeights:
 
 class TestDensity:
     def test_prior_only_integrates_to_one(self):
-        cfg = TpeConfig()
-        dens = build_density([], "better", cfg, t_total=1)
+        domain = ParamDomain()
+        dens = build_density([], "better", domain, t_total=1)
         r_mix = dens.dims["r"]
         val, _ = quad(
             lambda v: sum(
                 w * math.exp(k)
                 for w, k in zip(dens.weights, r_mix.log_components(v))
             ),
-            cfg.domain.r_bounds[0],
-            cfg.domain.r_bounds[1],
+            domain.r_bounds[0],
+            domain.r_bounds[1],
             limit=200,
         )
         assert abs(val - 1.0) <= 1e-6
@@ -180,91 +185,78 @@ class TestDensity:
         # trial's psi despite the broad prior component
         from dataclasses import replace
 
-        cfg = TpeConfig(domain=ParamDomain(u=3))
         trial = Trial(ParamVector(m=2, r=0.37, q=0.5), 0.1)
-        dens = build_density([trial], "better", cfg, t_total=100)
+        dens = build_density([trial], "better", ParamDomain(u=3), t_total=100)
         shrunk = {
             name: replace(mix, bandwidths=np.where(np.arange(mix.centers.size) == 0, mix.bandwidths, 0.01))
             for name, mix in dens.dims.items()
         }
         dens = type(dens)(dims=shrunk, weights=dens.weights)
         grid = np.linspace(0.011, 0.999, 989)
-        vals = [dens.logpdf(ParamVector(m=2, r=float(r), q=0.5)) for r in grid]
+        vals = dens.logpdf_batch({"m": np.full(grid.size, 2.0), "r": grid, "q": np.full(grid.size, 0.5)})
         assert abs(grid[int(np.argmax(vals))] - 0.37) < 0.005
 
     def test_strictly_positive_everywhere(self):
-        cfg = TpeConfig()
-        dens = build_density([Trial(ParamVector(m=1, r=0.05, q=0.9), 0.2)], "worse", cfg, t_total=10)
+        dens = build_density([Trial(ParamVector(m=1, r=0.05, q=0.9), 0.2)], "worse", ParamDomain(), t_total=10)
         rng = np.random.default_rng(4)
+        points = {"m": [], "r": [], "q": []}
         for _ in range(200):
-            psi = ParamVector(
-                m=int(rng.integers(1, 4)),
-                r=float(rng.uniform(0.0100001, 0.9999)),
-                q=float(rng.uniform(0.0100001, 0.9899)),
-            )
-            assert math.isfinite(dens.logpdf(psi))
+            points["m"].append(int(rng.integers(1, 4)))
+            points["r"].append(float(rng.uniform(0.0100001, 0.9999)))
+            points["q"].append(float(rng.uniform(0.0100001, 0.9899)))
+        assert np.all(np.isfinite(dens.logpdf_batch({k: np.array(v, np.float64) for k, v in points.items()})))
 
 
 class TestPropose:
     def test_domain_closure(self):
-        cfg = TpeConfig()
+        domain = ParamDomain()
         h = _history([0.5, 0.2, math.inf, 0.8, 0.1, 0.9, 0.3])
         rng = np.random.default_rng(5)
         for _ in range(500):
-            psi = propose(h, cfg, rng)
-            assert cfg.domain.contains(psi)
+            psi = propose(h, domain, rng)
+            assert domain.contains(psi)
 
     def test_candidate_sampling_domain_closure_bulk(self):
         # every proposal is one of the sampled candidates, so candidate-level
         # closure implies proposal closure; 10,000 seeded draws
-        cfg = TpeConfig()
-        better, _ = split_history(_history([0.5, 0.2, 0.8, 0.1, 0.9, 0.3, 0.7]), cfg)
-        dens = build_density(better, "better", cfg, t_total=7)
-        rng = np.random.default_rng(55)
-        for _ in range(10_000):
-            psi = dens.sample(rng, cfg.domain.fixed_q)
-            assert cfg.domain.contains(psi)
-
-    def test_single_candidate(self):
-        cfg = TpeConfig(n_candidates=1)
-        h = _history([0.4, 0.6])
-        rng = np.random.default_rng(6)
-        psi = propose(h, cfg, rng)
-        assert cfg.domain.contains(psi)
+        domain = ParamDomain()
+        h = _history([0.5, 0.2, 0.8, 0.1, 0.9, 0.3, 0.7])
+        dens = build_density([h[i] for i in _split_indices(h)[0]], "better", domain, t_total=7)
+        draws = dens.sample_batch(np.random.default_rng(55), 10_000)
+        for i in range(10_000):
+            assert domain.contains(_param_vector(draws, i, domain.fixed_q))
 
     def test_degenerate_all_infinite(self):
-        cfg = TpeConfig()
-        h = _history([math.inf] * 6)
-        psi = propose(h, cfg, np.random.default_rng(7))
-        assert cfg.domain.contains(psi)
+        domain = ParamDomain()
+        psi = propose(_history([math.inf] * 6), domain, np.random.default_rng(7))
+        assert domain.contains(psi)
 
     def test_deterministic_given_rng_state(self):
-        cfg = TpeConfig()
+        domain = ParamDomain()
         h = _history([0.5, 0.2, 0.8, 0.1])
-        a = propose(h, cfg, np.random.default_rng(8))
-        b = propose(h, cfg, np.random.default_rng(8))
+        a = propose(h, domain, np.random.default_rng(8))
+        b = propose(h, domain, np.random.default_rng(8))
         assert a == b
 
     def test_concentrates_on_repeated_optimum(self):
         # all finite history at one point: proposals should land within two
         # bandwidths of it in at least 90% of seeds
-        cfg = TpeConfig(domain=ParamDomain(u=3, fixed_q=0.5))
+        domain = ParamDomain(u=3, fixed_q=0.5)
         point = ParamVector(m=1, r=0.3, q=0.5)
-        trials = [Trial(point, 0.1)] * 12 + [Trial(ParamVector(m=3, r=0.9, q=0.5), 5.0)] * 8
-        h = TrialHistory(trials)
+        h = [Trial(point, 0.1)] * 12 + [Trial(ParamVector(m=3, r=0.9, q=0.5), 5.0)] * 8
         bw = scott_bandwidth(20, 2, 0.01, 1.0, 20)
         hits = 0
         for seed in range(50):
-            psi = propose(h, cfg, np.random.default_rng(seed))
+            psi = propose(h, domain, np.random.default_rng(seed))
             if abs(psi.r - 0.3) <= 2 * bw:
                 hits += 1
         assert hits >= 45
 
     def test_fixed_q_respected(self):
-        cfg = TpeConfig(domain=ParamDomain(fixed_q=0.42))
+        domain = ParamDomain(fixed_q=0.42)
         h = _history([0.5, 0.1, 0.7])
         for seed in range(20):
-            psi = propose(h, cfg, np.random.default_rng(seed))
+            psi = propose(h, domain, np.random.default_rng(seed))
             assert psi.q == 0.42
 
 
@@ -319,15 +311,14 @@ def _oracle_sample(dens, rng, fixed_q):
     return ParamVector(m=int(out["m"]), r=out["r"], q=fixed_q if fixed_q is not None else out["q"])
 
 
-def _oracle_propose(history, cfg, rng):
+def _oracle_propose(history, domain, rng):
     better_idx, worse_idx = _split_indices(history)
     t_total = len(history)
-    trials = history.trials
-    p_l = build_density([trials[i] for i in better_idx], "better", cfg, t_total)
-    p_g = build_density([trials[i] for i in sorted(worse_idx)], "worse", cfg, t_total)
+    p_l = build_density([history[i] for i in better_idx], "better", domain, t_total)
+    p_g = build_density([history[i] for i in sorted(worse_idx)], "worse", domain, t_total)
     best_psi, best_score = None, -math.inf
-    for _ in range(cfg.n_candidates):
-        cand = _oracle_sample(p_l, rng, cfg.domain.fixed_q)
+    for _ in range(_N_CANDIDATES):
+        cand = _oracle_sample(p_l, rng, domain.fixed_q)
         score = _oracle_logpdf(p_l, cand) - _oracle_logpdf(p_g, cand)
         if score > best_score:
             best_psi, best_score = cand, score
@@ -341,27 +332,27 @@ def _bounds(draw):
 
 @st.composite
 def _search_states(draw):
-    """A TpeConfig and a history over its domain: infinite and tied y included."""
+    """A domain and a history over it: infinite and tied y included."""
     u = draw(st.integers(1, 6))
     r_bounds, q_bounds = _bounds(draw), _bounds(draw)
     fixed_q = draw(st.one_of(st.none(), st.floats(0.01, 0.99)))
     domain = ParamDomain(u=u, r_bounds=r_bounds, q_bounds=q_bounds, fixed_q=fixed_q)
     ys = st.one_of(st.just(math.inf), st.sampled_from([0.25, 0.5]), st.floats(0.0, 3.0))
-    h = TrialHistory()
+    h = []
     for _ in range(draw(st.integers(1, 120))):
         q = fixed_q if fixed_q is not None else draw(st.floats(*q_bounds))
         h.append(Trial(ParamVector(m=draw(st.integers(1, u)), r=draw(st.floats(*r_bounds)), q=q), draw(ys)))
-    return TpeConfig(domain=domain, n_candidates=draw(st.integers(1, 32))), h
+    return domain, h
 
 
 def _long_state():
     """300 trials: worse-group rows longer than numpy's 128-element pairwise-summation block."""
     rng = np.random.default_rng(77)
-    h = TrialHistory()
+    h = []
     for i in range(300):
         psi = ParamVector(m=int(rng.integers(1, 4)), r=float(rng.uniform(0.01, 1.0)), q=float(rng.uniform(0.01, 0.99)))
         h.append(Trial(psi, math.inf if i % 9 == 0 else float(rng.uniform(0.0, 2.0))))
-    return TpeConfig(), h
+    return ParamDomain(), h
 
 
 def _bits(psi):
@@ -373,29 +364,31 @@ class TestBatchMatchesScalarOracle:
     @given(state=_search_states(), seed=st.integers(0, 2**32 - 1))
     @example(state=_long_state(), seed=5)
     def test_propose_bitwise_and_same_stream(self, state, seed):
-        cfg, h = state
+        domain, h = state
         rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = propose(h, cfg, rng)
-        assert _bits(got) == _bits(_oracle_propose(h, cfg, rng_oracle))
+        got = propose(h, domain, rng)
+        assert _bits(got) == _bits(_oracle_propose(h, domain, rng_oracle))
         assert type(got.r) is float and type(got.q) is float and type(got.m) is int
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
     @settings(max_examples=100, deadline=None)
     @given(state=_search_states(), seed=st.integers(0, 2**32 - 1))
     def test_densities_bitwise(self, state, seed):
-        # one-point views, then 64-point logpdf batches: enough log calls that
+        # one-point batches, then 64-point logpdf batches: enough log calls that
         # a vector log differing from libm's in the last bit would show
-        cfg, h = state
-        better, worse = split_history(h, cfg)
-        densities = [build_density(better, "better", cfg, len(h)), build_density(worse, "worse", cfg, len(h))]
+        domain, h = state
+        better_idx, worse_idx = _split_indices(h)
+        densities = [build_density([h[i] for i in better_idx], "better", domain, len(h)),
+                     build_density([h[i] for i in worse_idx], "worse", domain, len(h))]
         rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
         for dens in densities:
-            psi = dens.sample(rng, cfg.domain.fixed_q)
-            assert _bits(psi) == _bits(_oracle_sample(dens, rng_oracle, cfg.domain.fixed_q))
-            assert dens.logpdf(psi).hex() == _oracle_logpdf(dens, psi).hex()
+            psi = _param_vector(dens.sample_batch(rng, 1), 0, domain.fixed_q)
+            assert _bits(psi) == _bits(_oracle_sample(dens, rng_oracle, domain.fixed_q))
+            row = {name: np.array([getattr(psi, name)], np.float64) for name in dens.dims}
+            assert dens.logpdf_batch(row)[0].hex() == _oracle_logpdf(dens, psi).hex()
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
         for dens in densities:
-            points = [_oracle_sample(dens, rng, cfg.domain.fixed_q) for _ in range(64)]
+            points = [_oracle_sample(dens, rng, domain.fixed_q) for _ in range(64)]
             batch = {name: np.array([getattr(p, name) for p in points], np.float64) for name in dens.dims}
             got = [v.hex() for v in dens.logpdf_batch(batch).tolist()]
             assert got == [_oracle_logpdf(dens, p).hex() for p in points]
