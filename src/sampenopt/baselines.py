@@ -192,6 +192,12 @@ def knee_point(xs, ys) -> int:
     raise NoKnee("no local maximum cleared the sensitivity threshold")
 
 
+def _require_p_max(p_max: int) -> None:
+    """ar_order_m's rule on the largest AR order it fits."""
+    if p_max < 1:
+        raise ValueError("p_max must be >= 1")
+
+
 def ar_order_m(s: SignalSet, p_max: int) -> int:
     """Median best AR order across the set, as a proxy embedding dimension.
 
@@ -201,8 +207,7 @@ def ar_order_m(s: SignalSet, p_max: int) -> int:
     lagged design carries no intercept. The median is rounded half-up and
     floored at 1.
     """
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
+    _require_p_max(p_max)
     orders = []
     for x in s:
         v = x.values
@@ -246,13 +251,16 @@ def gaussian_mse_approx(s: SignalSet, m: int, r: float, d: int, lam: float, rng:
     return float(np.mean(eps)) + lam * math.sqrt(r)
 
 
+_STANDARD_M, _STANDARD_R = 2, 0.20  # the standard parameters (m = 2, r = 0.20)
+
+
 def standard_params_eval(s: SignalSet, fuzzy: bool = False, eta: float = 2.0) -> BaselineResult:
     """Per-signal entropy at the standard parameters (m = 2, r = 0.20).
 
     With fuzzy=True, fuzzy entropy at (2, 0.20, eta) is reported instead;
     fuzzy entropy is always finite, and no counting SE is attached to it.
     """
-    m, r = 2, 0.20
+    m, r = _STANDARD_M, _STANDARD_R
     if fuzzy:
         entropies = tuple(fuzzen(x, m, r, eta) for x in s)
         ses: tuple = (None,) * s.n

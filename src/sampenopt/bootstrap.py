@@ -4,6 +4,16 @@ Replicates follow Politis & Romano's stationary bootstrap: blocks start at
 a uniformly random index, have Geom(q) lengths (support {1, 2, ...},
 expected length 1/q), wrap around the end of the signal, and the final
 block is truncated so the replicate has exactly the original length.
+
+One private core, _bootstrap_counts, draws and counts for every caller:
+it scores the original with sampen, draws all B replicates' blocks from
+generator(cfg.seed) and returns their (B, 2) match counts. It has two
+readers. bootstrap_sampen turns the counts into SampEnResult objects (the
+public path of estimate, compare, varbench and the CLI's per-signal
+records). _trial_moments, which scores one signal of an optimizer trial,
+reads the same counts as arrays: the sorted finite replicate values, the
+90% feasibility rule and the MSE/variance/bias helpers that the public
+mse/variance/bias also call, so both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import SampEnParams, SampEnResult, _replicate_counts, _sampen_from_counts, sampen
-from .errors import Infeasible
+from .errors import Infeasible, SignalTooShort
 from .rng import generator
 from .signal import Signal
 
@@ -67,7 +77,7 @@ class BootstrapEstimates:
 
     @property
     def feasible(self) -> bool:
-        return self.original.finite and 10 * self._sorted_finite.size >= 9 * len(self.replicates)
+        return _feasible(self.original, self._sorted_finite.size, len(self.replicates))
 
     def finite_values(self) -> np.ndarray:
         return np.array([r.value for r in self.replicates if r.finite], dtype=np.float64)
@@ -90,13 +100,13 @@ def _block_indices(starts: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarra
     starts = np.reshape(starts, (-1, shape[-1]))
     lengths = np.reshape(lengths, starts.shape)
     begin = np.cumsum(lengths, axis=1) - lengths
-    # mark the output position where each block begins (blocks beginning
-    # past the end all land in the dropped column n); the running count of
-    # marks is then the block each output position belongs to
-    marks = np.zeros((starts.shape[0], n + 1), dtype=np.intp)
-    marks[np.arange(starts.shape[0])[:, None], np.minimum(begin, n)] = 1
-    block = np.cumsum(marks[:, :n], axis=1) - 1
-    idx = (np.take_along_axis(starts - begin, block, axis=1) + np.arange(n)) % n
+    # the blocks beginning before n, the last one cut at n, fill each row
+    # with exactly n positions; position i of a block is start - begin + i
+    used = begin < n
+    idx = np.repeat((starts - begin)[used], np.minimum(lengths, n - begin)[used]).reshape(-1, n)
+    idx += np.arange(n)
+    # start < n and i - begin < n, so one subtraction wraps every index
+    np.subtract(idx, n, out=idx, where=idx >= n)
     return idx.reshape(shape[:-1] + (n,))
 
 
@@ -119,8 +129,8 @@ def stationary_bootstrap(x: Signal, q: float, rng: np.random.Generator) -> Signa
     return x.with_values(x.values[_block_indices(*_draw_blocks(n, q, rng, n), n)])
 
 
-def bootstrap_sampen(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> BootstrapEstimates:
-    """Score B stationary-bootstrap replicates of x with sampen.
+def _bootstrap_counts(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> tuple[SampEnResult, np.ndarray]:
+    """The original sampen of x and the ordered (B, A) counts of its B replicates, as a (B, 2) array.
 
     All B replicates come from one stream, generator(cfg.seed): (B, n)
     starts, then (B, n) Geom(q) lengths, row b being replicate b. The draws
@@ -138,11 +148,47 @@ def bootstrap_sampen(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> Bootst
     """
     original = sampen(x, p)
     n = x.n
-    z = (n - p.m) * (n - p.m - 1)
     starts, lengths = _draw_blocks(n, cfg.q, generator(cfg.seed), (cfg.b, n))
-    counts = _replicate_counts(x.values, _block_indices(starts, lengths, n), p.m, p.r)
+    return original, _replicate_counts(x.values, _block_indices(starts, lengths, n), p.m, p.r)
+
+
+def bootstrap_sampen(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> BootstrapEstimates:
+    """Score B stationary-bootstrap replicates of x with sampen (see _bootstrap_counts)."""
+    original, counts = _bootstrap_counts(x, p, cfg)
+    z = (x.n - p.m) * (x.n - p.m - 1)
     reps = tuple(_sampen_from_counts(b_count, a_count, z) for b_count, a_count in counts.tolist())
     return BootstrapEstimates(original=original, replicates=reps)
+
+
+def _sorted_finite_values(counts: np.ndarray) -> np.ndarray:
+    """Sorted finite replicate values of (B, A) count rows, bit for bit as _sampen_from_counts gives them."""
+    finite = counts[:, 1] > 0  # A <= B, so B > 0 too
+    # int64 counts below 2**53 divide exactly as Python ints do; math.log, not
+    # np.log, whose vector loop can differ from libm in the last bit
+    cp = (counts[finite, 1] / counts[finite, 0]).tolist()
+    return np.sort(np.array([-math.log(c) for c in cp], dtype=np.float64))
+
+
+def _feasible(original: SampEnResult, n_finite: int, b: int) -> bool:
+    """A finite original and at least 90% of the B replicate values finite."""
+    return original.finite and 10 * n_finite >= 9 * b
+
+
+def _trial_moments(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> tuple[float, float, float, float] | None:
+    """(original, MSE, variance, bias) of x as mse/variance/bias of bootstrap_sampen give them, bit for bit.
+
+    None when x cannot be scored: m too large for it, an undefined or
+    infinite original, or fewer than 90% finite replicates. No
+    per-replicate object is built.
+    """
+    try:
+        original, counts = _bootstrap_counts(x, p, cfg)
+    except SignalTooShort:
+        return None
+    vals = _sorted_finite_values(counts)
+    if not _feasible(original, vals.size, cfg.b):
+        return None
+    return original.value, _mse(vals, original.value), _variance(vals), _bias(vals, original.value)
 
 
 def _require_feasible(est: BootstrapEstimates) -> np.ndarray:
@@ -151,16 +197,26 @@ def _require_feasible(est: BootstrapEstimates) -> np.ndarray:
     return est._sorted_finite
 
 
+def _variance(vals: np.ndarray) -> float:
+    return float(np.mean((vals - vals.mean()) ** 2))
+
+
+def _bias(vals: np.ndarray, original: float) -> float:
+    return float(vals.mean() - original)
+
+
+def _mse(vals: np.ndarray, original: float) -> float:
+    return float(np.mean((original - vals) ** 2))
+
+
 def variance(est: BootstrapEstimates) -> float:
     """Mean squared deviation of finite replicate values around their mean."""
-    vals = _require_feasible(est)
-    return float(np.mean((vals - vals.mean()) ** 2))
+    return _variance(_require_feasible(est))
 
 
 def bias(est: BootstrapEstimates) -> float:
     """Mean of finite replicate values minus the original estimate."""
-    vals = _require_feasible(est)
-    return float(vals.mean() - est.original.value)
+    return _bias(_require_feasible(est), est.original.value)
 
 
 def mse(est: BootstrapEstimates) -> float:
@@ -169,8 +225,7 @@ def mse(est: BootstrapEstimates) -> float:
     Equals bias(est)**2 + variance(est) exactly (same finite subset and
     divisor on both sides of the identity).
     """
-    vals = _require_feasible(est)
-    return float(np.mean((est.original.value - vals) ** 2))
+    return _mse(_require_feasible(est), est.original.value)
 
 
 def bootstrap_se(est: BootstrapEstimates) -> float:

@@ -28,7 +28,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import ar_order_m, convergence_select, sampeneff_select, standard_params_eval
+from .baselines import (
+    _STANDARD_M,
+    _STANDARD_R,
+    _require_p_max,
+    ar_order_m,
+    convergence_select,
+    sampeneff_select,
+    standard_params_eval,
+)
 from .bootstrap import BootstrapConfig, bootstrap_sampen, bootstrap_se, mse as bootstrap_mse
 from .entropy import SampEnParams, _fuzzen_params, fuzzen, sampen
 from .errors import ComputationError, DataError
@@ -281,6 +289,10 @@ def _cmd_preprocess(args) -> tuple[dict, dict]:
 
 
 def _cmd_baseline(args) -> tuple[dict, dict]:
+    # every listed option is checked before the input is read, whichever method
+    # runs; the standard parameters stand in for an unset --m and for r
+    _fuzzen_params(_STANDARD_M if args.m is None else args.m, _STANDARD_R, args.eta)
+    _require_p_max(args.p_max)
     s = _read_input(args)
     if args.method in ("standard", "fuzzen"):
         res = standard_params_eval(s, fuzzy=args.method == "fuzzen", eta=args.eta)

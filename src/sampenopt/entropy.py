@@ -153,7 +153,7 @@ def _replicate_counts(x: np.ndarray, idx: np.ndarray, m: int, r: float) -> np.nd
     partners = np.lib.stride_tricks.sliding_window_view(np.concatenate((ranks, ranks), axis=1), n, axis=1)
     d = np.arange(1, half + 1)[:, None]
     s = np.arange(nt)
-    valid = (s <= nt - 1 - d) | ((s >= n - d) & (2 * d < n))
+    packed_valid = np.packbits((s <= nt - 1 - d) | ((s >= n - d) & (2 * d < n)))
     step = max(1, _CHUNK_PAIRS // (half * n))
     gaps = np.empty((min(step, b), half, n), dtype=rank_t)
     point = np.empty(gaps.shape, dtype=bool)
@@ -164,13 +164,18 @@ def _replicate_counts(x: np.ndarray, idx: np.ndarray, m: int, r: float) -> np.nd
         rows = slice(c, c + k)
         np.subtract(partners[rows, 1:half + 1], lo[rows], out=gaps[:k])
         np.less_equal(gaps[:k].view(width_t), width[rows], out=point[:k])
-        tm = np.logical_and(point[:k, :, :nt], valid, out=template[:k])
-        for j in range(1, m):
+        tm = template[:k]
+        if m == 1:
+            np.copyto(tm, point[:k, :, :nt])
+        else:
+            np.logical_and(point[:k, :, :nt], point[:k, :, 1:1 + nt], out=tm)
+        for j in range(2, m):
             tm &= point[:k, :, j:j + nt]
         flat = tm.reshape(k, -1)  # a view: it also sees the (m+1)-th AND below
-        counts[rows, 0] = np.bitwise_count(np.packbits(flat, axis=1)).sum(axis=1)
+        # the valid mask is applied to the packed bits, 8 pairs per byte
+        counts[rows, 0] = np.bitwise_count(np.packbits(flat, axis=1) & packed_valid).sum(axis=1)
         tm &= point[:k, :, m:m + nt]
-        counts[rows, 1] = np.bitwise_count(np.packbits(flat, axis=1)).sum(axis=1)
+        counts[rows, 1] = np.bitwise_count(np.packbits(flat, axis=1) & packed_valid).sum(axis=1)
     return 2 * counts
 
 
@@ -189,7 +194,12 @@ def count_matches(x: Signal, p: SampEnParams) -> MatchCounts:
 
 
 def _sampen_from_counts(b_count: int, a_count: int, z: int) -> SampEnResult:
-    """SampEn result from ordered match counts and the shared normalizer z."""
+    """SampEn result from ordered match counts and the shared normalizer z.
+
+    bootstrap._sorted_finite_values reads replicate values straight off
+    count arrays by this rule (finite iff A > 0, value -log(A/B)); a change
+    here must be made there too.
+    """
     bm = b_count / z
     am = a_count / z
     if b_count == 0:

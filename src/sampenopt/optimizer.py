@@ -7,6 +7,13 @@ or too many non-finite bootstrap replicates) score +inf and are never
 selected. The driver runs T_init uniform random trials, then TPE proposals
 until the trial budget is exhausted.
 
+A trial scores each signal with bootstrap._trial_moments: it scores the
+original with sampen, draws and counts the B replicates in one pass
+(bootstrap._bootstrap_counts) and reads the MSE, variance and bias off
+the count array, with no per-replicate object, or reports the signal
+infeasible. The numbers are those of bootstrap_sampen with
+mse/variance/bias, bit for bit.
+
 RNG streams: signal i of trial t bootstraps with the seed
 child_seed(seed, 0, t, i), so all B of its replicates draw from the one
 stream generator(child_seed(seed, 0, t, i)); the TPE proposal (and
@@ -21,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, bias, bootstrap_sampen, mse, variance
+from .bootstrap import BootstrapConfig, _trial_moments
 from .entropy import SampEnParams
-from .errors import AllTrialsInfeasible, SignalTooShort
+from .errors import AllTrialsInfeasible
 from .rng import child_seed, generator
 from .signal import Signal, SignalSet
 from .tpe import ParamDomain, ParamVector, Trial, _clamp_open, propose
@@ -85,23 +92,14 @@ def _objective(
 ) -> Trial:
     """Mean bootstrap MSE + lambda*sqrt(r); +inf at the first infeasible signal."""
     params = SampEnParams(m=psi.m, r=psi.r)
-    ests = []
+    scored = []  # (original, MSE, variance, bias) per signal
     for i, x in enumerate(signals):
-        try:
-            est = bootstrap_sampen(x, params, BootstrapConfig(q=psi.q, b=b, seed=child_seed(seed, 0, trial_index, i)))
-        except SignalTooShort:
-            est = None  # m too large for this signal
-        if est is None or not est.feasible:
+        moments = _trial_moments(x, params, BootstrapConfig(q=psi.q, b=b, seed=child_seed(seed, 0, trial_index, i)))
+        if moments is None:
             return Trial(psi=psi, y=math.inf)
-        ests.append(est)
-    y = float(np.mean([mse(e) for e in ests])) + lam * math.sqrt(psi.r)
-    return Trial(
-        psi=psi,
-        y=y,
-        entropy=float(np.mean([e.original.value for e in ests])),
-        variance=float(np.mean([variance(e) for e in ests])),
-        bias=float(np.mean([bias(e) for e in ests])),
-    )
+        scored.append(moments)
+    entropy, mse, variance, bias = (float(np.mean(col)) for col in zip(*scored))
+    return Trial(psi=psi, y=mse + lam * math.sqrt(psi.r), entropy=entropy, variance=variance, bias=bias)
 
 
 def objective_single(

@@ -278,7 +278,7 @@ class TestErrorsAndExitCodes:
         ids=["compare-methods", "optimize"],
     )
     def test_signals_too_short_for_any_m_exit_4_before_search(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setattr("sampenopt.optimizer.bootstrap_sampen", lambda *a, **k: pytest.fail("trial started"))
+        monkeypatch.setattr("sampenopt.bootstrap._bootstrap_counts", lambda *a, **k: pytest.fail("trial started"))
         code, env = run(command(tmp_path), tmp_path)
         assert code == 4 and env is None
         err = capsys.readouterr().err
@@ -593,6 +593,10 @@ class TestConfigCheckedBeforeWork:
             ["compare", "--T", "0"],
             ["compare", "--U", "0"],
             ["compare", "--lambda", "-1"],
+            ["baseline", "--method", "sampeneff", "--m", "1", "--eta", "-1"],
+            ["baseline", "--method", "standard", "--p-max", "0"],
+            ["baseline", "--method", "standard", "--m", "0"],
+            ["baseline", "--method", "fuzzen", "--m", "0"],
         ],
     )
     def test_option_the_mode_ignores_before_the_input_is_read(self, tmp_path, capsys, monkeypatch, args):

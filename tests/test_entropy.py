@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sampenopt.entropy import (
@@ -237,21 +237,31 @@ class TestReplicateCounts:
         b=st.integers(1, 200),
         chunk_pairs=st.sampled_from([1, 40, 2**17]),
         narrow=st.booleans(),
-        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        r_pick=st.integers(0, 2**16),
     )
-    def test_rows_equal_per_replicate_loop(self, m, extra, tied, rows, b, chunk_pairs, narrow, data):
+    # m = 1 at even and odd N (the wrapped half of d = N/2 is masked only at
+    # even N), and larger m at both parities
+    @example(m=1, extra=1, tied=False, rows="random", b=30, chunk_pairs=2**17, narrow=True, seed=1, r_pick=3)
+    @example(m=1, extra=2, tied=False, rows="random", b=30, chunk_pairs=2**17, narrow=True, seed=2, r_pick=3)
+    @example(m=1, extra=57, tied=True, rows="random", b=100, chunk_pairs=2**17, narrow=True, seed=3, r_pick=4)
+    @example(m=1, extra=56, tied=False, rows="random", b=100, chunk_pairs=40, narrow=False, seed=4, r_pick=5)
+    @example(m=2, extra=56, tied=False, rows="random", b=100, chunk_pairs=2**17, narrow=True, seed=5, r_pick=4)
+    @example(m=3, extra=54, tied=True, rows="random", b=100, chunk_pairs=2**17, narrow=True, seed=6, r_pick=6)
+    def test_rows_equal_per_replicate_loop(self, m, extra, tied, rows, b, chunk_pairs, narrow, seed, r_pick):
         # N from m + 2 to 60; index rows in [0, n) with repeats; several
         # chunks per call (a small chunk_pairs, or B = 200 at N = 60);
         # int32 ranks when not narrow
         n = min(m + 2 + extra, 60)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rng = np.random.default_rng(seed)
         x = rng.standard_normal(n)
         if tied:
             x = np.round(x, 1)
         gaps = np.unique(np.abs(x[:, None] - x[None, :]))
         gaps = gaps[gaps > 0]
         below = gaps[0] / 2 if gaps.size else 0.01
-        r = data.draw(st.sampled_from([below, float(np.ptp(x)) + 1.0, *gaps[:: max(1, gaps.size // 8)].tolist()]))
+        radii = [below, float(np.ptp(x)) + 1.0, *gaps[:: max(1, gaps.size // 8)].tolist()]
+        r = radii[r_pick % len(radii)]
         if rows == "random":
             idx = rng.integers(0, n, (b, n))
         elif rows == "constant":

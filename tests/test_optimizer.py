@@ -3,15 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from sampenopt.errors import AllTrialsInfeasible
+from sampenopt.bootstrap import BootstrapConfig, bias, bootstrap_sampen, mse, variance
+from sampenopt.entropy import SampEnParams
+from sampenopt.errors import AllTrialsInfeasible, SignalTooShort
 from sampenopt.optimizer import (
     OptimizerConfig,
+    _objective,
     objective_set,
     objective_single,
     optimize_set,
     optimize_single,
 )
+from sampenopt.rng import child_seed
 from sampenopt.signal import Signal, SignalSet, gen_white_noise, normalize
 from sampenopt.tpe import ParamDomain, ParamVector, Trial
 
@@ -62,6 +68,81 @@ class TestObjective:
         bad = Signal("g", np.array([0.0, 10.0, 20.0, 30.0, 40.0, 50.0]))
         psi = ParamVector(m=1, r=1e-9, q=0.5)
         assert objective_set(SignalSet((good, bad)), psi, lam=0.0, b=10, seed=10) == math.inf
+
+
+def objective_oracle(signals, psi, lam, b, seed, trial_index):
+    """A trial composed from the public API: bootstrap_sampen per signal, then mse/variance/bias.
+
+    Signals run in order and the first infeasible one (m too large, an
+    undefined or infinite original, under 90% finite replicates) scores
+    the trial +inf. The second element names that reason, or "feasible".
+    """
+    params = SampEnParams(m=psi.m, r=psi.r)
+    ests = []
+    for i, x in enumerate(signals):
+        cfg = BootstrapConfig(q=psi.q, b=b, seed=child_seed(seed, 0, trial_index, i))
+        try:
+            est = bootstrap_sampen(x, params, cfg)
+        except SignalTooShort:
+            return Trial(psi=psi, y=math.inf), "m_too_large"
+        if not est.original.finite:
+            return Trial(psi=psi, y=math.inf), "original_undefined"
+        if not est.feasible:
+            return Trial(psi=psi, y=math.inf), "replicates_nonfinite"
+        ests.append(est)
+    y = float(np.mean([mse(e) for e in ests])) + lam * math.sqrt(psi.r)
+    trial = Trial(
+        psi=psi,
+        y=y,
+        entropy=float(np.mean([e.original.value for e in ests])),
+        variance=float(np.mean([variance(e) for e in ests])),
+        bias=float(np.mean([bias(e) for e in ests])),
+    )
+    return trial, "feasible"
+
+
+def _bits(trial):
+    """A trial's psi and its four numbers in hex, so -0.0 and 0.0 differ; None stays None."""
+    numbers = (trial.y, trial.entropy, trial.variance, trial.bias)
+    return trial.psi, *(None if v is None else float(v).hex() for v in numbers)
+
+
+class TestObjectiveOracle:
+    """_objective scores from count arrays; bootstrap_sampen with mse/variance/bias gives the same bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(3, 70), min_size=1, max_size=3),
+        tied=st.booleans(),
+        m=st.integers(1, 4),
+        r=st.sampled_from([1e-6, 0.02, 0.1, 0.3, 1.0, 5.0]),
+        q=st.one_of(st.floats(0.01, 0.99), st.sampled_from([0.01, 0.0101, 0.9899, 0.99])),
+        b=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+        t=st.integers(0, 200),
+    )
+    # different N, m too large for the second signal, an undefined original,
+    # too few finite replicates, q at both ends of its domain, B = 1
+    @example(lengths=[40, 4, 60], tied=False, m=3, r=1.0, q=0.5, b=20, seed=1, t=1)
+    @example(lengths=[30, 50], tied=False, m=2, r=1e-6, q=0.5, b=20, seed=2, t=3)
+    @example(lengths=[30, 40], tied=False, m=2, r=0.3, q=0.5, b=20, seed=13, t=2)
+    @example(lengths=[25, 61], tied=True, m=1, r=0.3, q=0.01, b=30, seed=3, t=4)
+    @example(lengths=[64, 33], tied=False, m=2, r=0.3, q=0.99, b=30, seed=4, t=5)
+    @example(lengths=[50, 51], tied=False, m=1, r=0.3, q=0.5, b=1, seed=5, t=6)
+    @example(lengths=[12], tied=False, m=2, r=0.1, q=0.5, b=40, seed=6, t=7)
+    # a set where np.log and math.log differ in the last bit of one replicate
+    @example(lengths=[18], tied=False, m=2, r=5.0, q=0.9899, b=11, seed=65470994, t=1)
+    def test_equals_the_public_composition(self, lengths, tied, m, r, q, b, seed, t):
+        rng = np.random.default_rng(seed % 2**32)
+        signals = []
+        for i, n in enumerate(lengths):
+            v = rng.standard_normal(n)
+            signals.append(Signal(f"s{i}", np.round(v, 1) if tied else v))
+        signals = tuple(signals)
+        psi = ParamVector(m=m, r=r, q=q)
+        want, reason = objective_oracle(signals, psi, 0.2, b, seed, t)
+        event(reason)
+        assert _bits(_objective(signals, psi, 0.2, b, seed, t)) == _bits(want)
 
 
 class TestConfig:
@@ -140,7 +221,7 @@ class TestOptimize:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("entry", ["single", "set"])
     def test_signal_too_short_for_any_m_raises_before_the_first_trial(self, white100, monkeypatch, n, entry):
-        monkeypatch.setattr("sampenopt.optimizer.bootstrap_sampen", lambda *a, **k: pytest.fail("trial started"))
+        monkeypatch.setattr("sampenopt.bootstrap._bootstrap_counts", lambda *a, **k: pytest.fail("trial started"))
         tiny = Signal("tiny", np.arange(float(n)))
         with pytest.raises(AllTrialsInfeasible, match=f"'tiny' has N={n}"):
             if entry == "single":
@@ -156,7 +237,7 @@ class TestOptimize:
         def started(*args, **kwargs):
             raise TrialStarted
 
-        monkeypatch.setattr("sampenopt.optimizer.bootstrap_sampen", started)
+        monkeypatch.setattr("sampenopt.bootstrap._bootstrap_counts", started)
         with pytest.raises(TrialStarted):
             optimize_single(Signal("three", np.array([0.0, 1.0, 0.0])), small_cfg())
 

@@ -65,6 +65,7 @@ def _inputs() -> None:
     # twice-integrated random walks: still integrated after one difference
     _write_long("i2.csv", {f"rw{i}": ("", np.cumsum(np.cumsum(rng.standard_normal(60)))) for i in range(3)})
     _write_long("short.csv", {f"s{i}": ("", rng.standard_normal(2)) for i in range(2)})
+    _write_long("mixed.csv", {f"n{n}": ("", _z(rng.standard_normal(n))) for n in (8, 40, 70)})
     Path("cfg.json").write_text(json.dumps({"b": 12, "t_tilde": 6, "t_init": 3, "lam": 0.2, "r_hi": 0.6}))
     Path("cfg.txt").write_text("# key=value config\nm = 1\nr = 0.25\nq = 0.7\nb = 10\n")
     Path("alt.cfg").write_text("alternative = bogus\n")
@@ -92,7 +93,14 @@ RUNS = {
     "optimize-u1": ["optimize", "--input", "in.csv", "--no-preprocess", "--U", "1", *OPT],
     "optimize-u8-fixed-q": ["optimize", "--input", "ar.csv", "--U", "8", "--fixed-q", "0.7", *OPT],
     "compare-optimize": ["compare", "--input", "two.csv", "--optimize", *OPT],
+    # N = 8, 40 and 70 in one set: trials with m > 6 or a tiny r score +inf
+    "optimize-mixed-lengths": ["optimize", "--input", "mixed.csv", "--no-preprocess", "--U", "8", "--r-lo", "0.005",
+                               "--T", "30", "--T-init", "10", "--B", "15", "--seed", "9"],
     "compare-no-q": ["compare", "--input", "two.csv", "--m", "2", "--r", "0.2", "--alternative", "less"],
+    # at this r most replicates are undefined or infinite, so no signal has a
+    # bootstrap SE, whether its original is finite or not
+    "estimate-infeasible": ["estimate", "--input", "in.csv", "--m", "2", "--r", "0.1", "--q", "0.5", "--B", "20",
+                            "--seed", "9"],
     "estimate-fuzzen": ["estimate", "--input", "in.csv", "--fuzzen", "--m", "2", "--r", "0.3", "--eta", "3"],
     "baseline-sampeneff": ["baseline", "--input", "in.csv", "--method", "sampeneff"],
     "baseline-convergence": ["baseline", "--input", "in.csv", "--method", "convergence", "--m", "1"],
