@@ -5,15 +5,12 @@ a uniformly random index, have Geom(q) lengths (support {1, 2, ...},
 expected length 1/q), wrap around the end of the signal, and the final
 block is truncated so the replicate has exactly the original length.
 
-One private core, _bootstrap_counts, draws and counts for every caller:
-it scores the original with sampen, draws all B replicates' blocks from
-generator(cfg.seed) and returns their (B, 2) match counts. It has two
-readers. bootstrap_sampen turns the counts into SampEnResult objects (the
-public path of estimate, compare, varbench and the CLI's per-signal
-records). _trial_moments, which scores one signal of an optimizer trial,
-reads the same counts as arrays: the sorted finite replicate values, the
-90% feasibility rule and the MSE/variance/bias helpers that the public
-mse/variance/bias also call, so both paths give the same bits.
+bootstrap_sampen is the one bootstrap path: estimate, compare, varbench,
+the CLI's per-signal records and every optimizer trial call it. It scores
+the original with sampen, draws all B replicates' blocks from
+generator(cfg.seed) and scores them in one batched pass
+(entropy._replicate_values); BootstrapEstimates holds the replicate values
+as a float array that mse/variance/bias read.
 """
 
 from __future__ import annotations
@@ -24,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .entropy import SampEnParams, SampEnResult, _replicate_counts, _sampen_from_counts, sampen
-from .errors import Infeasible, SignalTooShort
+from .entropy import SampEnParams, SampEnResult, _replicate_values, sampen
+from .errors import Infeasible
 from .rng import generator
 from .signal import Signal
 
@@ -56,16 +53,19 @@ class BootstrapConfig:
             raise ValueError("replicate count B must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BootstrapEstimates:
-    """Original estimate plus B replicate estimates and the feasibility flag.
+    """Original estimate plus the B replicate values and the feasibility flag.
 
+    replicates is a float64 (B,) array of replicate SampEn values: inf
+    where a replicate's entropy is infinite, nan where it is undefined.
     feasible is true iff the original value is finite and at least 90% of
-    replicate values are finite.
+    replicate values are finite. (eq=False: the array has no truth value,
+    and nan never equals itself.)
     """
 
     original: SampEnResult
-    replicates: tuple[SampEnResult, ...]
+    replicates: np.ndarray
 
     @cached_property
     def _sorted_finite(self) -> np.ndarray:
@@ -77,10 +77,10 @@ class BootstrapEstimates:
 
     @property
     def feasible(self) -> bool:
-        return _feasible(self.original, self._sorted_finite.size, len(self.replicates))
+        return self.original.finite and 10 * self._sorted_finite.size >= 9 * self.replicates.size
 
     def finite_values(self) -> np.ndarray:
-        return np.array([r.value for r in self.replicates if r.finite], dtype=np.float64)
+        return self.replicates[np.isfinite(self.replicates)]
 
 
 def _draw_block_lengths(q: float, size: int | tuple[int, int], rng: np.random.Generator) -> np.ndarray:
@@ -129,8 +129,8 @@ def stationary_bootstrap(x: Signal, q: float, rng: np.random.Generator) -> Signa
     return x.with_values(x.values[_block_indices(*_draw_blocks(n, q, rng, n), n)])
 
 
-def _bootstrap_counts(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> tuple[SampEnResult, np.ndarray]:
-    """The original sampen of x and the ordered (B, A) counts of its B replicates, as a (B, 2) array.
+def bootstrap_sampen(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> BootstrapEstimates:
+    """The original sampen of x and the sampen values of its B stationary-bootstrap replicates.
 
     All B replicates come from one stream, generator(cfg.seed): (B, n)
     starts, then (B, n) Geom(q) lengths, row b being replicate b. The draws
@@ -143,52 +143,13 @@ def _bootstrap_counts(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> tuple
     pair of a replicate matches when the partner's rank falls in the
     interval. Only half of the ordered pairs are tested: the partners at
     circular offsets d = 1..n//2, each unordered template pair once, and
-    every count is doubled. The counts equal those of sampen on each
+    every count is doubled. Each replicate value equals sampen's on that
     replicate exactly.
     """
     original = sampen(x, p)
     n = x.n
     starts, lengths = _draw_blocks(n, cfg.q, generator(cfg.seed), (cfg.b, n))
-    return original, _replicate_counts(x.values, _block_indices(starts, lengths, n), p.m, p.r)
-
-
-def bootstrap_sampen(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> BootstrapEstimates:
-    """Score B stationary-bootstrap replicates of x with sampen (see _bootstrap_counts)."""
-    original, counts = _bootstrap_counts(x, p, cfg)
-    z = (x.n - p.m) * (x.n - p.m - 1)
-    reps = tuple(_sampen_from_counts(b_count, a_count, z) for b_count, a_count in counts.tolist())
-    return BootstrapEstimates(original=original, replicates=reps)
-
-
-def _sorted_finite_values(counts: np.ndarray) -> np.ndarray:
-    """Sorted finite replicate values of (B, A) count rows, bit for bit as _sampen_from_counts gives them."""
-    finite = counts[:, 1] > 0  # A <= B, so B > 0 too
-    # int64 counts below 2**53 divide exactly as Python ints do; math.log, not
-    # np.log, whose vector loop can differ from libm in the last bit
-    cp = (counts[finite, 1] / counts[finite, 0]).tolist()
-    return np.sort(np.array([-math.log(c) for c in cp], dtype=np.float64))
-
-
-def _feasible(original: SampEnResult, n_finite: int, b: int) -> bool:
-    """A finite original and at least 90% of the B replicate values finite."""
-    return original.finite and 10 * n_finite >= 9 * b
-
-
-def _trial_moments(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> tuple[float, float, float, float] | None:
-    """(original, MSE, variance, bias) of x as mse/variance/bias of bootstrap_sampen give them, bit for bit.
-
-    None when x cannot be scored: m too large for it, an undefined or
-    infinite original, or fewer than 90% finite replicates. No
-    per-replicate object is built.
-    """
-    try:
-        original, counts = _bootstrap_counts(x, p, cfg)
-    except SignalTooShort:
-        return None
-    vals = _sorted_finite_values(counts)
-    if not _feasible(original, vals.size, cfg.b):
-        return None
-    return original.value, _mse(vals, original.value), _variance(vals), _bias(vals, original.value)
+    return BootstrapEstimates(original, _replicate_values(x.values, _block_indices(starts, lengths, n), p.m, p.r))
 
 
 def _require_feasible(est: BootstrapEstimates) -> np.ndarray:
@@ -197,26 +158,15 @@ def _require_feasible(est: BootstrapEstimates) -> np.ndarray:
     return est._sorted_finite
 
 
-def _variance(vals: np.ndarray) -> float:
-    return float(np.mean((vals - vals.mean()) ** 2))
-
-
-def _bias(vals: np.ndarray, original: float) -> float:
-    return float(vals.mean() - original)
-
-
-def _mse(vals: np.ndarray, original: float) -> float:
-    return float(np.mean((original - vals) ** 2))
-
-
 def variance(est: BootstrapEstimates) -> float:
     """Mean squared deviation of finite replicate values around their mean."""
-    return _variance(_require_feasible(est))
+    vals = _require_feasible(est)
+    return float(np.mean((vals - vals.mean()) ** 2))
 
 
 def bias(est: BootstrapEstimates) -> float:
     """Mean of finite replicate values minus the original estimate."""
-    return _bias(_require_feasible(est), est.original.value)
+    return float(_require_feasible(est).mean() - est.original.value)
 
 
 def mse(est: BootstrapEstimates) -> float:
@@ -225,7 +175,7 @@ def mse(est: BootstrapEstimates) -> float:
     Equals bias(est)**2 + variance(est) exactly (same finite subset and
     divisor on both sides of the identity).
     """
-    return _mse(_require_feasible(est), est.original.value)
+    return float(np.mean((est.original.value - _require_feasible(est)) ** 2))
 
 
 def bootstrap_se(est: BootstrapEstimates) -> float:

@@ -4,7 +4,8 @@ Subcommands: optimize, estimate, compare, preprocess, baseline, synth,
 varbench, compare-methods. Every run emits a JSON envelope (schema_version,
 resolved config, timestamps, payload) to --output (default stdout); some
 commands additionally write CSV files. Exit codes: 0 success, 2 usage or
-config error, 3 data error, 4 computation infeasible.
+config error (an output path that cannot be written among them), 3 data
+error, 4 computation infeasible.
 
 All stochastic commands take --seed (default 0) and are deterministic
 given (input bytes, flags, seed); only the envelope timestamps and the
@@ -17,6 +18,7 @@ that no subcommand reads is a config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -144,8 +146,17 @@ def _preprocess_records(report) -> list[dict]:
     ]
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an OSError raised while writing path into a config error (exit 2) that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _writing(path), open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
@@ -163,7 +174,8 @@ def _cmd_synth(args) -> tuple[dict, dict]:
         normalize_signals=args.normalize,
         label=args.label,
     )
-    write_signals(args.out, s, fmt="long")
+    with _writing(args.out):
+        write_signals(args.out, s, fmt="long")
     payload = {
         "kind": args.kind.replace("-", "_"),
         "n_signals": s.n,
@@ -276,7 +288,8 @@ def _cmd_preprocess(args) -> tuple[dict, dict]:
     s, fmt = read_signals(args.input)
     report = stationarity_pipeline(s, args.alpha)
     retained = report.retained_or_raise()
-    write_signals(args.out, retained, fmt=fmt)
+    with _writing(args.out):
+        write_signals(args.out, retained, fmt=fmt)
     payload = {
         "alpha": args.alpha,
         "n_input": s.n,
@@ -587,8 +600,13 @@ def main(argv: list[str] | None = None) -> int:
         return _COMPUTE_EXIT
     if args.output == "-":
         print(text)
-    else:
-        Path(args.output).write_text(text + "\n")
+        return 0
+    try:
+        with _writing(args.output):
+            Path(args.output).write_text(text + "\n")
+    except ValueError as exc:
+        print(f"sampenopt: config error: {exc}", file=sys.stderr)
+        return _USAGE_EXIT
     return 0
 
 

@@ -89,7 +89,9 @@ class SampEnResult:
 
 def _point_matches(x: np.ndarray, r: float) -> np.ndarray:
     """Boolean (N, N) matrix of point gaps within the radius, |x_i - x_j| <= r."""
-    return np.abs(x[:, None] - x[None, :]) <= r
+    d = x[:, None] - x[None, :]
+    # in place: one float (N, N) temporary, not two
+    return np.abs(d, out=d) <= r
 
 
 def _match_matrices(g: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,21 +195,40 @@ def count_matches(x: Signal, p: SampEnParams) -> MatchCounts:
     return MatchCounts(b_count=b_count, a_count=a_count, z=nt * (nt - 1))
 
 
-def _sampen_from_counts(b_count: int, a_count: int, z: int) -> SampEnResult:
-    """SampEn result from ordered match counts and the shared normalizer z.
+def _sampen_value(b_count: int, a_count: int) -> float:
+    """-log(A/B) from ordered match counts: math.inf when A = 0, nan (undefined) when B = 0.
 
-    bootstrap._sorted_finite_values reads replicate values straight off
-    count arrays by this rule (finite iff A > 0, value -log(A/B)); a change
-    here must be made there too.
+    The one value rule: sampen's results and the bootstrap replicate
+    values (_replicate_values) both come from it.
     """
+    if b_count == 0:
+        return math.nan
+    if a_count == 0:
+        return math.inf
+    return -math.log(a_count / b_count)
+
+
+def _sampen_from_counts(b_count: int, a_count: int, z: int) -> SampEnResult:
+    """SampEn result from ordered match counts and the shared normalizer z."""
     bm = b_count / z
     am = a_count / z
     if b_count == 0:
         return SampEnResult(bm=bm, am=am, cp=None, value=None)
-    cp = a_count / b_count
-    if a_count == 0:
-        return SampEnResult(bm=bm, am=am, cp=cp, value=math.inf)
-    return SampEnResult(bm=bm, am=am, cp=cp, value=-math.log(cp))
+    return SampEnResult(bm=bm, am=am, cp=a_count / b_count, value=_sampen_value(b_count, a_count))
+
+
+def _replicate_values(x: np.ndarray, idx: np.ndarray, m: int, r: float) -> np.ndarray:
+    """SampEn of every resampled signal x[idx[b]], as a read-only float64 (B,) array.
+
+    Entry b is sampen's value on x[idx[b]] bit for bit, with nan where it is
+    undefined: the counts of _replicate_counts go through _sampen_value as
+    Python ints, so each value takes math.log, not np.log, whose vector loop
+    can differ from libm in the last bit.
+    """
+    b_counts, a_counts = _replicate_counts(x, idx, m, r).T.tolist()
+    vals = np.array(list(map(_sampen_value, b_counts, a_counts)), dtype=np.float64)
+    vals.setflags(write=False)
+    return vals
 
 
 def sampen(x: Signal, p: SampEnParams) -> SampEnResult:

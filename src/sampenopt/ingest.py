@@ -93,10 +93,15 @@ def read_signals(path: str | Path) -> tuple[SignalSet, str]:
     """Read a signal set; returns (set, detected format 'long' or 'wide')."""
     path = Path(path)
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        # e.g. a field over csv's field size limit
+        raise IngestionError(f"{path}: unreadable CSV: {exc}") from exc
     if not rows:
         raise IngestionError(f"{path}: empty file")
     if [c.strip() for c in rows[0]] == LONG_HEADER:
@@ -108,7 +113,7 @@ def write_signals(path: str | Path, s: SignalSet, fmt: str = "long") -> None:
     """Write a signal set as long (default) or wide CSV."""
     if fmt not in ("long", "wide"):
         raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         if fmt == "long":
             w.writerow(LONG_HEADER)

@@ -7,12 +7,8 @@ or too many non-finite bootstrap replicates) score +inf and are never
 selected. The driver runs T_init uniform random trials, then TPE proposals
 until the trial budget is exhausted.
 
-A trial scores each signal with bootstrap._trial_moments: it scores the
-original with sampen, draws and counts the B replicates in one pass
-(bootstrap._bootstrap_counts) and reads the MSE, variance and bias off
-the count array, with no per-replicate object, or reports the signal
-infeasible. The numbers are those of bootstrap_sampen with
-mse/variance/bias, bit for bit.
+A trial scores each signal with bootstrap_sampen and reads mse, variance
+and bias off the estimate set, as every other caller of the bootstrap does.
 
 RNG streams: signal i of trial t bootstraps with the seed
 child_seed(seed, 0, t, i), so all B of its replicates draw from the one
@@ -28,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, _trial_moments
+from .bootstrap import BootstrapConfig, bias, bootstrap_sampen, mse, variance
 from .entropy import SampEnParams
-from .errors import AllTrialsInfeasible
+from .errors import AllTrialsInfeasible, SignalTooShort
 from .rng import child_seed, generator
 from .signal import Signal, SignalSet
 from .tpe import ParamDomain, ParamVector, Trial, _clamp_open, propose
@@ -94,12 +90,16 @@ def _objective(
     params = SampEnParams(m=psi.m, r=psi.r)
     scored = []  # (original, MSE, variance, bias) per signal
     for i, x in enumerate(signals):
-        moments = _trial_moments(x, params, BootstrapConfig(q=psi.q, b=b, seed=child_seed(seed, 0, trial_index, i)))
-        if moments is None:
+        cfg = BootstrapConfig(q=psi.q, b=b, seed=child_seed(seed, 0, trial_index, i))
+        try:
+            est = bootstrap_sampen(x, params, cfg)
+        except SignalTooShort:
             return Trial(psi=psi, y=math.inf)
-        scored.append(moments)
-    entropy, mse, variance, bias = (float(np.mean(col)) for col in zip(*scored))
-    return Trial(psi=psi, y=mse + lam * math.sqrt(psi.r), entropy=entropy, variance=variance, bias=bias)
+        if not est.feasible:
+            return Trial(psi=psi, y=math.inf)
+        scored.append((est.original.value, mse(est), variance(est), bias(est)))
+    entropy, mean_mse, mean_variance, mean_bias = (float(np.mean(col)) for col in zip(*scored))
+    return Trial(psi=psi, y=mean_mse + lam * math.sqrt(psi.r), entropy=entropy, variance=mean_variance, bias=mean_bias)
 
 
 def objective_single(

@@ -15,9 +15,9 @@ Conventions used by the optimizer and harnesses:
 
 so results are identical whether per-signal work runs sequentially or in
 parallel. The optimizer collapses (seed, 0, trial, signal) to one 64-bit
-seed with child_seed, and bootstrap._bootstrap_counts, which both a trial
-and bootstrap_sampen call, draws every replicate's blocks from
-generator(that seed) and counts them; there is no per-replicate level.
+seed with child_seed, and bootstrap_sampen, the one bootstrap path, draws
+every replicate's blocks from generator(that seed); there is no
+per-replicate level.
 """
 
 from __future__ import annotations

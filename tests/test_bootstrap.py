@@ -31,7 +31,9 @@ def _result(value) -> SampEnResult:
 
 
 def _estimates(original, replicates) -> BootstrapEstimates:
-    return BootstrapEstimates(original=_result(original), replicates=tuple(_result(v) for v in replicates))
+    # nan stands in for an undefined (None) replicate value
+    vals = np.array([math.nan if v is None else v for v in replicates], dtype=np.float64)
+    return BootstrapEstimates(original=_result(original), replicates=vals)
 
 
 def _block_indices_reference(starts, lengths, n):
@@ -52,6 +54,15 @@ def _replicate_oracle(x, starts, lengths):
 
 def _fields(res: SampEnResult):
     return res.bm, res.am, res.cp, res.value
+
+
+def _value_hex(res: SampEnResult) -> str:
+    """A sampen value in hex as a replicate array holds it, nan for undefined."""
+    return float(math.nan if res.value is None else res.value).hex()
+
+
+def _hex(values: np.ndarray) -> list[str]:
+    return [v.hex() for v in values.tolist()]
 
 
 @st.composite
@@ -136,7 +147,9 @@ class TestBootstrapSampen:
         x = Signal("c", np.full(30, 2.0))
         est = bootstrap_sampen(x, SampEnParams(1, 0.2), BootstrapConfig(q=0.5, b=20, seed=1))
         assert est.feasible
-        assert all(r.value == 0.0 for r in est.replicates)
+        # every replicate is x itself: value -log(1), as sampen scores it
+        assert _hex(est.replicates) == [_value_hex(sampen(x, SampEnParams(1, 0.2)))] * 20
+        assert (est.replicates == 0.0).all()
         assert variance(est) == 0.0 and mse(est) == 0.0
 
     def test_tiny_radius_infeasible(self):
@@ -176,10 +189,10 @@ class TestBootstrapSampen:
         for p, est, idx in zip(ps, ests, seen):
             # B replicates of length n whose values come from x, scored as sampen scores them
             assert idx.shape == (b, n) and idx.min() >= 0 and idx.max() < n
-            assert [_fields(r) for r in est.replicates] == [_fields(sampen(x.with_values(x.values[i]), p)) for i in idx]
+            assert _hex(est.replicates) == [_value_hex(sampen(x.with_values(x.values[i]), p)) for i in idx]
         # the same cfg gives the same replicates (the repeated first call), and
         # the block draws do not depend on (m, r)
-        assert [_fields(r) for r in ests[0].replicates] == [_fields(r) for r in ests[-1].replicates]
+        assert _hex(ests[0].replicates) == _hex(ests[-1].replicates)
         assert all(np.array_equal(idx, seen[0]) for idx in seen)
 
     @pytest.mark.parametrize("b", [1, 7, 100])
@@ -229,7 +242,7 @@ class TestBootstrapOracle:
             assert np.array_equal(stationary_bootstrap(x, cfg.q, rng).values, xb.values)
             assert rng.bit_generator.state == ref.bit_generator.state
             assert _fields(est.original) == _fields(sampen(x, p))
-            assert [_fields(r) for r in est.replicates] == [_fields(r) for r in want], f"case {case}"
+            assert _hex(est.replicates) == [_value_hex(r) for r in want], f"case {case}"
             undefined += sum(r.value is None for r in want)
             infinite += sum(r.value == math.inf for r in want)
         assert undefined and infinite and too_short

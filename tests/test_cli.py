@@ -250,6 +250,19 @@ class TestErrorsAndExitCodes:
         code, _ = run(["estimate", "--input", str(bad)], tmp_path)
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"signal_id,label,t,value\n\xe9,,0,1.0\n", b"a," + b"1" * 200_000 + b"\n"],
+        ids=["not-utf8", "field-over-the-csv-limit"],
+    )
+    def test_unreadable_input_is_data_error_naming_the_file(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        code, env = run(["estimate", "--input", str(bad)], tmp_path)
+        assert code == 3 and env is None
+        err = capsys.readouterr().err
+        assert err.startswith(f"sampenopt: data error: {bad}: ") and err.count("\n") == 1
+
     def test_unknown_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--input", "x.csv", "--definitely-not-a-flag"])
@@ -278,7 +291,7 @@ class TestErrorsAndExitCodes:
         ids=["compare-methods", "optimize"],
     )
     def test_signals_too_short_for_any_m_exit_4_before_search(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setattr("sampenopt.bootstrap._bootstrap_counts", lambda *a, **k: pytest.fail("trial started"))
+        monkeypatch.setattr("sampenopt.optimizer.bootstrap_sampen", lambda *a, **k: pytest.fail("trial started"))
         code, env = run(command(tmp_path), tmp_path)
         assert code == 4 and env is None
         err = capsys.readouterr().err
@@ -316,6 +329,29 @@ class TestErrorsAndExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("sampenopt: computation error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2 with one config-error line naming it."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            lambda csv: ["synth", "white-noise", "--n", "2", "--len", "20", "--out", "nodir/x.csv"],
+            lambda csv: ["preprocess", "--input", csv, "--out", "nodir/x.csv"],
+            lambda csv: ["varbench", "--len", "40", "--n-population", "20", "--n-subsample", "5", "--repeats", "1",
+                         "--B", "5", "--csv", "nodir/x.csv"],
+            lambda csv: ["compare-methods", "--n", "3", "--len", "40", "--T", "3", "--T-init", "2", "--B", "5",
+                         "--gaussian-draws", "100", "--csv", "nodir/x.csv"],
+            lambda csv: ["estimate", "--input", csv, "--output", "nodir/x.csv"],
+        ],
+        ids=["synth-out", "preprocess-out", "varbench-csv", "compare-methods-csv", "output"],
+    )
+    def test_missing_directory_exits_2(self, noise_csv, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        assert main(command(noise_csv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sampenopt: config error: cannot write nodir/x.csv: ") and err.count("\n") == 1
 
 
 class TestConfigFile:

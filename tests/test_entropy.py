@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,22 @@ class TestCountMatches:
     def test_radius_must_be_positive_and_finite(self, r):
         with pytest.raises(ValueError):
             SampEnParams(1, r)
+
+
+class TestPointMatches:
+    def test_one_float_temporary(self):
+        # the (N, N) float64 gaps (8N^2 bytes) and the boolean result (N^2);
+        # a second float temporary for the absolute value would add 8N^2
+        n = 1000
+        x = np.random.default_rng(8).standard_normal(n)
+        tracemalloc.start()
+        try:
+            g = _point_matches(x, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * n * n
+        assert np.array_equal(g, np.abs(x[:, None] - x[None, :]) <= 0.2)
 
 
 class TestReplicateCounts:

@@ -1,3 +1,8 @@
+import csv
+import os
+import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -73,6 +78,40 @@ def test_conflicting_label(tmp_path):
     path.write_text("signal_id,label,t,value\na,x,0,1.0\na,y,1,2.0\n")
     with pytest.raises(IngestionError, match="conflicting label"):
         read_signals(path)
+
+
+def test_non_utf8_file_names_the_path(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("signal_id,label,t,value\n\u00e9,,0,1.0\n".encode("latin-1"))
+    with pytest.raises(IngestionError, match=re.escape(f"{path}: not UTF-8 text")):
+        read_signals(path)
+
+
+def test_field_over_the_csv_limit_names_the_path(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("a," + "1" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(IngestionError, match=re.escape(f"{path}: unreadable CSV")):
+        read_signals(path)
+
+
+def test_utf8_under_an_ascii_locale(tmp_path):
+    # without UTF-8 mode, the C locale makes open()'s default encoding ASCII;
+    # the script spells its text with chr() since argv is decoded as ASCII too
+    path = tmp_path / "u.csv"
+    script = (
+        "import sys\n"
+        "from sampenopt.ingest import read_signals, write_signals\n"
+        "from sampenopt.signal import Signal, SignalSet\n"
+        "sid, label = chr(0xE9), chr(0xFC)\n"
+        "write_signals(sys.argv[1], SignalSet((Signal(sid, [1.0, 2.0], label=label),)))\n"
+        "s, _ = read_signals(sys.argv[1])\n"
+        "assert (s[0].id, s[0].label) == (sid, label)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True, timeout=60)
+    assert path.read_bytes().decode("utf-8").splitlines()[1] == "\u00e9,\u00fc,0,1.0"
 
 
 def test_interleaved_long_rows(tmp_path):

@@ -108,7 +108,7 @@ def _bits(trial):
 
 
 class TestObjectiveOracle:
-    """_objective scores from count arrays; bootstrap_sampen with mse/variance/bias gives the same bits."""
+    """_objective gives the bits of the public composition: bootstrap_sampen, then mse/variance/bias."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -143,6 +143,44 @@ class TestObjectiveOracle:
         want, reason = objective_oracle(signals, psi, 0.2, b, seed, t)
         event(reason)
         assert _bits(_objective(signals, psi, 0.2, b, seed, t)) == _bits(want)
+
+
+class TestOneBootstrapPath:
+    """Trials score their signals through bootstrap_sampen, the path every other caller takes."""
+
+    def test_one_call_per_trial_and_signal_until_the_first_infeasible(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        # m = 4 is too long for the 5-point signal, so some trials stop before the last signal
+        signals = (
+            Signal("a", rng.standard_normal(60)),
+            Signal("short", rng.standard_normal(5)),
+            Signal("b", rng.standard_normal(50)),
+        )
+        calls = []
+
+        def spy(x, p, cfg):
+            calls.append((x.id, p, cfg))
+            return bootstrap_sampen(x, p, cfg)
+
+        monkeypatch.setattr("sampenopt.optimizer.bootstrap_sampen", spy)
+        cfg = small_cfg(b=20, t_tilde=30, domain=ParamDomain(u=4, r_bounds=(0.2, 1.0), fixed_q=0.5), seed=22)
+        res = optimize_set(SignalSet(signals), cfg)
+        want, stopped = [], set()
+        for t, rec in enumerate(res.records, start=1):
+            params = SampEnParams(rec.psi.m, rec.psi.r)
+            for i, x in enumerate(signals):
+                bcfg = BootstrapConfig(q=rec.psi.q, b=cfg.b, seed=child_seed(cfg.seed, 0, t, i))
+                want.append((x.id, params, bcfg))
+                try:
+                    feasible = bootstrap_sampen(x, params, bcfg).feasible
+                except SignalTooShort:
+                    feasible = False
+                if not feasible:
+                    stopped.add(x.id)
+                    break
+            assert rec.feasible == feasible
+        assert calls == want
+        assert "short" in stopped and any(rec.feasible for rec in res.records)
 
 
 class TestConfig:
@@ -221,7 +259,7 @@ class TestOptimize:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("entry", ["single", "set"])
     def test_signal_too_short_for_any_m_raises_before_the_first_trial(self, white100, monkeypatch, n, entry):
-        monkeypatch.setattr("sampenopt.bootstrap._bootstrap_counts", lambda *a, **k: pytest.fail("trial started"))
+        monkeypatch.setattr("sampenopt.optimizer.bootstrap_sampen", lambda *a, **k: pytest.fail("trial started"))
         tiny = Signal("tiny", np.arange(float(n)))
         with pytest.raises(AllTrialsInfeasible, match=f"'tiny' has N={n}"):
             if entry == "single":
@@ -237,7 +275,7 @@ class TestOptimize:
         def started(*args, **kwargs):
             raise TrialStarted
 
-        monkeypatch.setattr("sampenopt.bootstrap._bootstrap_counts", started)
+        monkeypatch.setattr("sampenopt.optimizer.bootstrap_sampen", started)
         with pytest.raises(TrialStarted):
             optimize_single(Signal("three", np.array([0.0, 1.0, 0.0])), small_cfg())
 

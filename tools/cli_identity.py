@@ -11,6 +11,8 @@ test. One line is printed per run:
 
     name  exit=CODE  env=SHA  csv:FILE=SHA ...  | last stderr line
 
+An exception that escapes the CLI is printed as ``exit=uncaught:TYPE``.
+
 ``env`` hashes the envelope without ``started_at``, ``finished_at``,
 ``timings`` and the payload's ``csv_path``; each CSV the run writes is
 hashed too, the compare-methods table without its ``seconds`` column. Run
@@ -70,6 +72,8 @@ def _inputs() -> None:
     Path("cfg.txt").write_text("# key=value config\nm = 1\nr = 0.25\nq = 0.7\nb = 10\n")
     Path("alt.cfg").write_text("alternative = bogus\n")
     Path("typo.json").write_text(json.dumps({"lamda": 0.1}))
+    Path("latin1.csv").write_bytes("signal_id,label,t,value\n\u00e9,,0,1.0\n".encode("latin-1"))
+    Path("long.csv").write_text("a," + "1" * 200_000 + "\n")  # over csv's field size limit
 
 
 OPT = ["--T", "8", "--T-init", "4", "--B", "15", "--seed", "9"]
@@ -120,7 +124,12 @@ RUNS = {
     "reject-2-config-choice": ["compare", "--input", "two.csv", "--optimize", *OPT, "--config", "alt.cfg"],
     "reject-2-phi": ["synth", "ar1", "--n", "2", "--len", "30", "--phi", "1.5", "--out", "phi.csv"],
     "reject-2-varbench-len": ["varbench", "--len", "3", "--m", "2", "--n-population", "40", "--n-subsample", "10"],
+    "reject-2-out-missing-dir": ["synth", "white-noise", "--n", "2", "--len", "20", "--out", "nodir/s.csv"],
+    "reject-2-csv-missing-dir": ["varbench", "--len", "40", "--n-population", "20", "--n-subsample", "5",
+                                 "--repeats", "1", "--B", "5", "--csv", "nodir/vb.csv"],
     "reject-3-missing-file": ["estimate", "--input", "missing.csv"],
+    "reject-3-not-utf8": ["estimate", "--input", "latin1.csv"],
+    "reject-3-long-field": ["estimate", "--input", "long.csv"],
     "reject-3-short-signal": ["estimate", "--input", "short.csv", "--m", "2"],
     "reject-4-short-optimize": ["optimize", "--input", "short.csv", "--no-preprocess", *OPT],
     "varbench-m2-len50": ["varbench", "--len", "50", "--m", "2", "--r", "0.2", "--B", "30",
@@ -149,6 +158,8 @@ def _run(main, name: str, argv: list[str]) -> str:
             code = main(argv + ["--output", str(out)])
         except SystemExit as exc:  # argparse rejections
             code = exc.code
+        except Exception as exc:  # a crash is a result to compare, not a reason to stop
+            code = f"uncaught:{type(exc).__name__}"
     parts = [name, f"exit={code}"]
     if out.exists():
         env = json.loads(out.read_text())
