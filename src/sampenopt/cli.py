@@ -5,7 +5,7 @@ varbench, compare-methods. Every run emits a JSON envelope (schema_version,
 resolved config, timestamps, payload) to --output (default stdout); some
 commands additionally write CSV files. Exit codes: 0 success, 2 usage or
 config error (an output path that cannot be written among them), 3 data
-error, 4 computation infeasible.
+error, 4 computation infeasible or out of memory.
 
 All stochastic commands take --seed (default 0) and are deterministic
 given (input bytes, flags, seed); only the envelope timestamps and the
@@ -47,7 +47,7 @@ from .ingest import read_signals, write_signals
 from .optimizer import OptimizerConfig, optimize_set
 from .rng import child_seed
 from .signal import SignalSet, gen_signal_set, normalize
-from .stats import mann_whitney_u, stationarity_pipeline, two_class_split
+from .stats import _require_alpha, mann_whitney_u, stationarity_pipeline, two_class_split
 from .tpe import ParamDomain
 
 SCHEMA_VERSION = "1.0"
@@ -128,10 +128,17 @@ def _record(x, value: float | None, **fields) -> dict:
     return {"id": x.id, "label": x.label, "entropy": _entropy_state(value), **fields}
 
 
-def _bootstrap_records(s, params: SampEnParams, q: float, b: int, seed: int, tag: int) -> list[dict]:
-    """Per-signal entropy with bootstrap SE/MSE; signal i draws from the stream (seed, tag, i)."""
+def _entropy_records(s, params: SampEnParams, q: float | None, b: int, seed: int, tag: int) -> list[dict]:
+    """Per-signal SampEn with its match counts, or with bootstrap SE/MSE when q is set.
+
+    With q set, signal i draws its replicates from the stream (seed, tag, i).
+    """
     out = []
     for i, x in enumerate(s):
+        if q is None:
+            res = sampen(x, params)
+            out.append(_record(x, res.value, bm=res.bm, am=res.am, cp=res.cp))
+            continue
         est = bootstrap_sampen(x, params, BootstrapConfig(q=q, b=b, seed=child_seed(seed, tag, i)))
         ok = est.feasible
         out.append(_record(x, est.original.value, bootstrap_se=bootstrap_se(est) if ok else None,
@@ -196,18 +203,16 @@ def _cmd_estimate(args) -> tuple[dict, dict]:
         records = [_record(x, fuzzen(x, args.m, args.r, args.eta)) for x in s]
         payload = {"measure": "fuzzen", "m": args.m, "r": args.r, "eta": args.eta, "signals": records}
         return payload, {}
-    if args.q is None:
-        results = [(x, sampen(x, params)) for x in s]
-        records = [_record(x, res.value, bm=res.bm, am=res.am, cp=res.cp) for x, res in results]
-    else:
-        records = _bootstrap_records(s, params, args.q, args.b, args.seed, 0)
+    records = _entropy_records(s, params, args.q, args.b, args.seed, 0)
     payload = {"measure": "sampen", "m": args.m, "r": args.r, "q": args.q, "signals": records}
     return payload, {}
 
 
 def _cmd_optimize(args) -> tuple[dict, dict]:
-    s, _ = read_signals(args.input)
+    # every listed option is checked before the input is read, with or without the screen
     cfg = _optimizer_config(args)
+    _require_alpha(args.alpha)
+    s, _ = read_signals(args.input)
     preprocess_records = None
     if args.preprocess:
         report = stationarity_pipeline(s, args.alpha)
@@ -226,7 +231,7 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
         "best_y": result.best_y,
         "n_trials": len(result.records),
         "history": history,
-        "signals": _bootstrap_records(s, SampEnParams(m=best.m, r=best.r), best.q, args.b, args.seed, 3),
+        "signals": _entropy_records(s, SampEnParams(m=best.m, r=best.r), best.q, args.b, args.seed, 3),
     }
     if preprocess_records is not None:
         payload["preprocess"] = preprocess_records
@@ -247,30 +252,19 @@ def _cmd_compare(args) -> tuple[dict, dict]:
         m, r, q = result.best_psi.m, result.best_psi.r, result.best_psi.q
         optimized = {"best_psi": _psi_dict(result.best_psi), "best_y": result.best_y}
         params = SampEnParams(m=m, r=r)
-
-    def class_values(group, tag):
-        if q is None:
-            recs = [_record(x, sampen(x, params).value) for x in group]
-        else:
-            recs = _bootstrap_records(group, params, q, args.b, args.seed, tag)
-        vals = [rec["entropy"]["value"] for rec in recs if rec["entropy"]["state"] == "finite"]
-        return vals, [rec["bootstrap_se"] for rec in recs if rec.get("bootstrap_se") is not None]
-
-    vals_a, ses_a = class_values(group_a, 0)
-    vals_b, ses_b = class_values(group_b, 1)
-    comparison = mann_whitney_u(vals_a, vals_b, args.alternative)
+    records = [_entropy_records(g, params, q, args.b, args.seed, tag) for tag, g in enumerate((group_a, group_b))]
+    vals = [[rec["entropy"]["value"] for rec in recs if rec["entropy"]["state"] == "finite"] for recs in records]
+    ses = [[rec["bootstrap_se"] for rec in recs if rec.get("bootstrap_se") is not None] for recs in records]
+    comparison = mann_whitney_u(*vals, args.alternative)
     payload = {
         "m": m,
         "r": r,
         "q": q,
         "classes": [label_a, label_b],
-        "n_finite": [len(vals_a), len(vals_b)],
-        "entropies": {label_a: vals_a, label_b: vals_b},
+        "n_finite": [len(v) for v in vals],
+        "entropies": {label_a: vals[0], label_b: vals[1]},
         "medians": list(comparison.medians),
-        "median_bootstrap_se": [
-            _median_or_none(ses_a),
-            _median_or_none(ses_b),
-        ],
+        "median_bootstrap_se": [float(np.median(se)) if se else None for se in ses],
         "u_statistic": comparison.u_statistic,
         "p_value": comparison.p_value,
         "alternative": args.alternative,
@@ -280,11 +274,8 @@ def _cmd_compare(args) -> tuple[dict, dict]:
     return payload, {}
 
 
-def _median_or_none(vals: list[float]) -> float | None:
-    return float(np.median(vals)) if vals else None
-
-
 def _cmd_preprocess(args) -> tuple[dict, dict]:
+    _require_alpha(args.alpha)
     s, fmt = read_signals(args.input)
     report = stationarity_pipeline(s, args.alpha)
     retained = report.retained_or_raise()
@@ -362,8 +353,7 @@ def _cmd_varbench(args) -> tuple[dict, dict]:
         _write_csv(
             args.csv,
             ["signal_type", "N", "r", "mean_reduction", "interval_lo", "interval_hi"],
-            [[cfg.signal_type, cfg.n, cfg.r, repr(res.mean_reduction), repr(res.reduction_interval[0]),
-              repr(res.reduction_interval[1])]],
+            [[cfg.signal_type, cfg.n, cfg.r, res.mean_reduction, *res.reduction_interval]],
         )
         payload["csv_path"] = str(args.csv)
     return payload, {}
@@ -396,12 +386,8 @@ def _cmd_compare_methods(args) -> tuple[dict, dict]:
         _write_csv(
             args.csv,
             ["signal_type", "method", "objective", "m_star", "r_star", "entropy_mean", "entropy_std", "seconds"],
-            (
-                [cfg.signal_type, r.method, repr(r.objective), r.m_star, repr(r.r_star),
-                 "" if r.entropy_mean is None else repr(r.entropy_mean),
-                 "" if r.entropy_std is None else repr(r.entropy_std), repr(r.seconds)]
-                for r in rows
-            ),
+            ([cfg.signal_type, r.method, r.objective, r.m_star, r.r_star, r.entropy_mean, r.entropy_std, r.seconds]
+             for r in rows),
         )
         payload["csv_path"] = str(args.csv)
     return payload, timings
@@ -491,7 +477,7 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     converts or rejects it like a flag; an option with no type takes only
     text, and one with choices only those. Null is kept only where the
     option's default is None, and a switch takes only true or false. Any
-    other value becomes a ValueError default, which main raises only if the
+    other value becomes a ValueError default, which _run raises only if the
     command reads that option.
     """
     read = set()
@@ -559,31 +545,25 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _check_outputs(args) -> None:
+    """Reject an output path whose directory is missing before any work; _writing still guards each write."""
+    for path in (getattr(args, "out", None), getattr(args, "csv", None), args.output):
+        if path not in (None, "-"):
+            with _writing(path):
+                Path(path).parent.stat()
+
+
+def _run(argv: list[str]) -> None:
+    """Parse argv, run its command and write the envelope; every failure is raised for main to report."""
     # the config file must be read before defaults are bound; the pre-parser
     # accepts both --config FILE and --config=FILE
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     pre.add_argument("--config")
-    try:
-        parser = build_parser(_load_config_file(pre.parse_known_args(argv)[0].config))
-    except (argparse.ArgumentError, OSError, ValueError) as exc:
-        print(f"sampenopt: config error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
-    args = parser.parse_args(argv)
+    args = build_parser(_load_config_file(pre.parse_known_args(argv)[0].config)).parse_args(argv)
     started = datetime.now(timezone.utc).isoformat()
-    try:
-        _check_parsed(args)
-        payload, timings = args.fn(args)
-    except DataError as exc:
-        print(f"sampenopt: data error: {exc}", file=sys.stderr)
-        return _DATA_EXIT
-    except ComputationError as exc:
-        print(f"sampenopt: computation error: {exc}", file=sys.stderr)
-        return _COMPUTE_EXIT
-    except ValueError as exc:
-        print(f"sampenopt: config error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
+    _check_parsed(args)
+    _check_outputs(args)
+    payload, timings = args.fn(args)
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
@@ -595,19 +575,27 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         text = json.dumps(envelope, indent=2, allow_nan=False, sort_keys=True)
-    except ValueError as exc:
-        print(f"sampenopt: computation error: {exc}", file=sys.stderr)
-        return _COMPUTE_EXIT
+    except ValueError as exc:  # a NaN or infinity in the payload
+        raise ComputationError(str(exc)) from exc
     if args.output == "-":
         print(text)
-        return 0
+        return
+    with _writing(args.output):
+        Path(args.output).write_text(text + "\n")
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        with _writing(args.output):
-            Path(args.output).write_text(text + "\n")
-    except ValueError as exc:
-        print(f"sampenopt: config error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
-    return 0
+        _run(list(sys.argv[1:] if argv is None else argv))
+        return 0
+    except DataError as exc:
+        kind, code, error = "data", _DATA_EXIT, exc
+    except (ComputationError, MemoryError) as exc:
+        kind, code, error = "computation", _COMPUTE_EXIT, exc
+    except (ValueError, OSError, argparse.ArgumentError) as exc:
+        kind, code, error = "config", _USAGE_EXIT, exc
+    print(f"sampenopt: {kind} error: {str(error) or type(error).__name__}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

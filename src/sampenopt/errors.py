@@ -25,6 +25,10 @@ class ZeroVariance(DataError):
     """Signal has zero sample variance and cannot be normalized."""
 
 
+class VarianceOverflow(DataError):
+    """Signal's sample standard deviation overflows float64, so it cannot be normalized."""
+
+
 class TooShort(DataError):
     """Signal is too short for the requested operation."""
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonStationaryConfig, TooShort, ZeroVariance
+from .errors import NonStationaryConfig, TooShort, VarianceOverflow, ZeroVariance
 from .rng import child_seed, generator
 
 
@@ -85,13 +86,18 @@ class Ar1Config:
 def normalize(x: Signal) -> Signal:
     """Rescale to zero sample mean and unit sample (n-1) standard deviation.
 
-    Raises ZeroVariance for constant signals. Idempotent to within 1e-12.
+    Raises ZeroVariance for constant signals and VarianceOverflow when the
+    sample SD is not finite in float64 (values past about 1e154 in size; an
+    overflowing mean makes the SD non-finite too). Idempotent to within 1e-12.
     """
     if x.n < 2:
         raise TooShort(f"signal {x.id!r}: need at least 2 samples to normalize")
-    sd = float(np.std(x.values, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned
+        sd = float(np.std(x.values, ddof=1))
     if sd == 0.0:
         raise ZeroVariance(f"signal {x.id!r}: constant signal cannot be normalized")
+    if not math.isfinite(sd):
+        raise VarianceOverflow(f"signal {x.id!r}: sample standard deviation overflows float64, cannot normalize")
     return x.with_values((x.values - np.mean(x.values)) / sd)
 
 

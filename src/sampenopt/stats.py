@@ -22,6 +22,7 @@ from .errors import (
     NotTwoClasses,
     SingularDesign,
     TooShort,
+    VarianceOverflow,
     ZeroVariance,
 )
 from .signal import Signal, SignalSet, difference, normalize
@@ -239,25 +240,31 @@ class StationarityReport:
         return self.retained
 
 
+def _require_alpha(alpha: float) -> None:
+    """stationarity_pipeline's rule on the ADF screen level."""
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError("alpha must lie in (0, 1]")
+
+
 def stationarity_pipeline(s: SignalSet, alpha: float) -> StationarityReport:
     """Difference, normalize and ADF-screen a signal set.
 
     Each signal is first-differenced and normalized; signals that become
-    constant under differencing, or too short or rank deficient for the ADF
-    regression, are dropped with a recorded reason rather than failing the
-    set. ADF p-values are Holm-Sidak adjusted across the tested signals and
-    anything with adjusted p > alpha is dropped. The surviving signals come
-    back differenced and normalized.
+    constant under differencing, whose spread overflows float64, or that are
+    too short or rank deficient for the ADF regression, are dropped with a
+    recorded reason rather than failing the set. ADF p-values are
+    Holm-Sidak adjusted across the tested signals and anything with
+    adjusted p > alpha is dropped. The surviving signals come back
+    differenced and normalized.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
+    _require_alpha(alpha)
     prepared: list[tuple[int, Signal, float]] = []
     records: list[StationarityRecord | None] = [None] * s.n
     for i, x in enumerate(s):
         try:
             y = normalize(difference(x))
             res = adf_test(y)
-        except (ZeroVariance, TooShort, SingularDesign) as exc:
+        except (ZeroVariance, VarianceOverflow, TooShort, SingularDesign) as exc:
             records[i] = StationarityRecord(x.id, None, None, False, type(exc).__name__)
             continue
         prepared.append((i, y, res.p_value))

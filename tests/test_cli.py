@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sampenopt.cli import build_parser, main
+from sampenopt.errors import IngestionError, NonStationaryConfig, UndefinedEntropy
 from sampenopt.ingest import read_signals, write_signals
 from sampenopt.signal import Signal, SignalSet
 
@@ -330,6 +331,39 @@ class TestErrorsAndExitCodes:
         assert err.startswith("sampenopt: computation error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "error, code, line",
+        [
+            (IngestionError("row 3: bad"), 3, "data error: row 3: bad"),
+            (UndefinedEntropy("no matches"), 4, "computation error: no matches"),
+            (MemoryError(), 4, "computation error: MemoryError"),
+            (ValueError("bad value"), 2, "config error: bad value"),
+            (NonStationaryConfig("|phi| must be < 1"), 2, "config error: |phi| must be < 1"),
+        ],
+        ids=["data", "computation", "out-of-memory", "config", "config-and-package-error"],
+    )
+    def test_each_failure_exits_with_its_code_and_one_line(self, noise_csv, tmp_path, capsys, monkeypatch, error,
+                                                           code, line):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr("sampenopt.cli._cmd_estimate", fail)
+        got, env = run(["estimate", "--input", noise_csv], tmp_path)
+        assert got == code and env is None
+        assert capsys.readouterr().err == f"sampenopt: {line}\n"
+
+    @pytest.mark.parametrize("command", [["estimate"], ["baseline", "--method", "standard"]])
+    @pytest.mark.parametrize(
+        "values",
+        [1e200 * np.sin(np.arange(40.0)), 1.7e308 - 1e305 * np.arange(40.0)],
+        ids=["scaled-by-1e200", "near-the-largest-float"],
+    )
+    def test_signal_too_large_to_normalize_exits_3(self, tmp_path, capsys, command, values):
+        code, env = run(command + ["--input", _csv(tmp_path, {"big": values})], tmp_path)
+        assert code == 3 and env is None
+        err = capsys.readouterr().err
+        assert err.startswith("sampenopt: data error: signal 'big': ") and err.count("\n") == 1
+
 
 class TestUnwritableOutput:
     """An output path that cannot be written exits 2 with one config-error line naming it."""
@@ -352,6 +386,23 @@ class TestUnwritableOutput:
         assert main(command(noise_csv)) == 2
         err = capsys.readouterr().err
         assert err.startswith("sampenopt: config error: cannot write nodir/x.csv: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, work",
+        [
+            (lambda csv: ["compare-methods", "--n", "4", "--len", "100", "--T", "30", "--B", "30",
+                          "--csv", "nodir/x.csv"], "method_comparison"),
+            (lambda csv: ["optimize", "--input", csv, "--output", "nodir/x.json"], "optimize_set"),
+        ],
+        ids=["compare-methods-csv", "optimize-output"],
+    )
+    def test_rejected_before_the_work(self, noise_csv, tmp_path, capsys, monkeypatch, command, work):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(f"sampenopt.cli.{work}", lambda *a, **k: pytest.fail("work started"))
+        assert main(command(noise_csv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sampenopt: config error: cannot write nodir/x.") and err.count("\n") == 1
+        assert not (tmp_path / "nodir").exists()
 
 
 class TestConfigFile:
@@ -633,6 +684,9 @@ class TestConfigCheckedBeforeWork:
             ["baseline", "--method", "standard", "--p-max", "0"],
             ["baseline", "--method", "standard", "--m", "0"],
             ["baseline", "--method", "fuzzen", "--m", "0"],
+            ["optimize", "--B", "0"],
+            ["optimize", "--alpha", "2"],
+            ["preprocess", "--alpha", "0", "--out", "o.csv"],
         ],
     )
     def test_option_the_mode_ignores_before_the_input_is_read(self, tmp_path, capsys, monkeypatch, args):

@@ -8,7 +8,7 @@ import pytest
 
 import sampenopt
 
-from sampenopt.errors import NonStationaryConfig, TooShort, ZeroVariance
+from sampenopt.errors import NonStationaryConfig, TooShort, VarianceOverflow, ZeroVariance
 from sampenopt.rng import child_seed, generator
 from sampenopt.signal import (
     Ar1Config,
@@ -76,6 +76,16 @@ class TestNormalize:
     def test_too_short(self):
         with pytest.raises(TooShort):
             normalize(Signal("s", [1.0]))
+
+    @pytest.mark.parametrize(
+        "values",
+        [1e200 * np.sin(np.arange(40.0)), 1.7e308 - 1e305 * np.arange(40.0)],
+        ids=["sd-overflows", "mean-overflows"],
+    )
+    def test_non_finite_sd_raises_naming_the_signal(self, values):
+        # the SD of the first is inf (once all zeros came back); the mean of the second is inf
+        with pytest.raises(VarianceOverflow, match="signal 'big'"):
+            normalize(Signal("big", values))
 
 
 class TestDifference:

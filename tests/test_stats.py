@@ -221,6 +221,14 @@ class TestPipeline:
         assert rec["bad"].p_value is None and rec["bad"].adjusted_p is None
         assert [x.id for x in report.retained] == ["wn0", "wn1", "wn2"]
 
+    def test_signal_too_large_to_normalize_dropped_with_reason(self):
+        noise = [gen_white_noise(100, 1.0, seed=i, id=f"wn{i}") for i in range(3)]
+        big = Signal("big", 1e200 * gen_white_noise(100, 1.0, seed=9).values)
+        report = stationarity_pipeline(SignalSet((*noise, big)), alpha=0.05)
+        rec = {r.signal_id: r for r in report.records}
+        assert rec["big"].retained is False and rec["big"].reason == "VarianceOverflow"
+        assert [x.id for x in report.retained] == ["wn0", "wn1", "wn2"]
+
     def test_records_cover_all_inputs(self):
         s = make_ar_set(8, 120, seed=900)
         report = stationarity_pipeline(s, alpha=0.05)

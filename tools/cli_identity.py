@@ -74,6 +74,7 @@ def _inputs() -> None:
     Path("typo.json").write_text(json.dumps({"lamda": 0.1}))
     Path("latin1.csv").write_bytes("signal_id,label,t,value\n\u00e9,,0,1.0\n".encode("latin-1"))
     Path("long.csv").write_text("a," + "1" * 200_000 + "\n")  # over csv's field size limit
+    _write_long("big.csv", {"big": ("", 1e200 * np.sin(np.arange(40)))})  # its sample SD overflows float64
 
 
 OPT = ["--T", "8", "--T-init", "4", "--B", "15", "--seed", "9"]
@@ -125,12 +126,14 @@ RUNS = {
     "reject-2-phi": ["synth", "ar1", "--n", "2", "--len", "30", "--phi", "1.5", "--out", "phi.csv"],
     "reject-2-varbench-len": ["varbench", "--len", "3", "--m", "2", "--n-population", "40", "--n-subsample", "10"],
     "reject-2-out-missing-dir": ["synth", "white-noise", "--n", "2", "--len", "20", "--out", "nodir/s.csv"],
+    "reject-2-optimize-B-before-input": ["optimize", "--input", "missing.csv", "--B", "0"],
     "reject-2-csv-missing-dir": ["varbench", "--len", "40", "--n-population", "20", "--n-subsample", "5",
                                  "--repeats", "1", "--B", "5", "--csv", "nodir/vb.csv"],
     "reject-3-missing-file": ["estimate", "--input", "missing.csv"],
     "reject-3-not-utf8": ["estimate", "--input", "latin1.csv"],
     "reject-3-long-field": ["estimate", "--input", "long.csv"],
     "reject-3-short-signal": ["estimate", "--input", "short.csv", "--m", "2"],
+    "reject-3-overflow": ["estimate", "--input", "big.csv"],
     "reject-4-short-optimize": ["optimize", "--input", "short.csv", "--no-preprocess", *OPT],
     "varbench-m2-len50": ["varbench", "--len", "50", "--m", "2", "--r", "0.2", "--B", "30",
                            "--n-population", "200", "--n-subsample", "40", "--repeats", "2", "--seed", "3"],
