@@ -53,7 +53,8 @@ class BaselineResult:
 
     curve holds the (radius, aggregated criterion) pairs actually used for
     the selection (fine grid for the search-based methods). entropies and
-    ses are per-signal at (m*, r*); entries are None where undefined.
+    ses are per-signal at (m*, r*); an entropy is None where it is not
+    finite, a counting SE where it is undefined.
     """
 
     method: str
@@ -113,17 +114,16 @@ def _median_curve(s: SignalSet, m: int, per_signal) -> tuple[np.ndarray, np.ndar
     return np.asarray(radii), np.asarray(meds)
 
 
+def _finite_sampens(s: SignalSet, p: SampEnParams) -> tuple[float | None, ...]:
+    """Each signal's SampEn at p, or None where it is not finite."""
+    return tuple(res.value if res.finite else None for res in (sampen(x, p) for x in s))
+
+
 def _per_signal_outputs(s: SignalSet, m: int, r: float) -> tuple[tuple, tuple]:
-    entropies, ses = [], []
     p = SampEnParams(m=m, r=r)
-    for x in s:
-        res = sampen(x, p)
-        entropies.append(res.value if res.finite else None)
-        try:
-            ses.append(counting_se(x, p))
-        except UndefinedEntropy:
-            ses.append(None)
-    return tuple(entropies), tuple(ses)
+    entropies = _finite_sampens(s, p)
+    # the counting SE is defined exactly where the entropy is finite: A > 0 and B > 0
+    return entropies, tuple(None if e is None else counting_se(x, p) for x, e in zip(s, entropies))
 
 
 def _grid_select(method: str, s: SignalSet, m: int, per_signal, pick) -> BaselineResult:
@@ -240,14 +240,16 @@ def gaussian_mse_approx(s: SignalSet, m: int, r: float, d: int, lam: float, rng:
     """
     if d < 1:
         raise ValueError("draw count D must be >= 1")
-    p = SampEnParams(m=m, r=r)
+    return _gaussian_mse(s, m, r, *_per_signal_outputs(s, m, r), d, lam, rng)
+
+
+def _gaussian_mse(s: SignalSet, m: int, r: float, entropies, ses, d: int, lam: float, rng) -> float:
+    """gaussian_mse_approx from the per-signal entropies and counting SEs already computed at (m, r)."""
     eps = []
-    for x in s:
-        res = sampen(x, p)
-        if not res.finite:
+    for x, e, se in zip(s, entropies, ses):
+        if e is None:
             raise UndefinedEntropy(f"signal {x.id!r}: entropy not finite at (m={m}, r={r})")
-        draws = counting_se(x, p) * rng.standard_normal(d)
-        eps.append(float(np.mean(draws**2)))
+        eps.append(float(np.mean((se * rng.standard_normal(d)) ** 2)))
     return float(np.mean(eps)) + lam * math.sqrt(r)
 
 

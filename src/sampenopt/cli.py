@@ -41,7 +41,7 @@ from .baselines import (
 )
 from .bootstrap import BootstrapConfig, bootstrap_sampen, bootstrap_se, mse as bootstrap_mse
 from .entropy import SampEnParams, _fuzzen_params, fuzzen, sampen
-from .errors import ComputationError, DataError
+from .errors import ComputationError, DataError, UndefinedEntropy
 from .experiments import MethodComparisonConfig, VarBenchConfig, estimator_error, method_comparison
 from .ingest import read_signals, write_signals
 from .optimizer import OptimizerConfig, optimize_set
@@ -255,6 +255,9 @@ def _cmd_compare(args) -> tuple[dict, dict]:
     records = [_entropy_records(g, params, q, args.b, args.seed, tag) for tag, g in enumerate((group_a, group_b))]
     vals = [[rec["entropy"]["value"] for rec in recs if rec["entropy"]["state"] == "finite"] for recs in records]
     ses = [[rec["bootstrap_se"] for rec in recs if rec.get("bootstrap_se") is not None] for recs in records]
+    for label, v in zip((label_a, label_b), vals):
+        if not v:
+            raise UndefinedEntropy(f"class {label!r}: no signal has a finite SampEn at (m={m}, r={r})")
     comparison = mann_whitney_u(*vals, args.alternative)
     payload = {
         "m": m,
@@ -306,6 +309,9 @@ def _cmd_baseline(args) -> tuple[dict, dict]:
             res = sampeneff_select(s, m)
         else:
             res = convergence_select(s, m)
+    # entropies hold None for an infinite SampEn too; sampen tells it from an undefined one
+    p = SampEnParams(m=res.m_star, r=res.r_star)
+    values = res.entropies if res.method == "fuzzen" else [sampen(x, p).value for x in s]
     payload = {
         "method": res.method,
         "m_star": res.m_star,
@@ -313,7 +319,7 @@ def _cmd_baseline(args) -> tuple[dict, dict]:
         "criterion": res.criterion,
         "auto_m": args.method in ("sampeneff", "convergence") and args.m is None,
         "curve": [[r, v] for r, v in res.curve],
-        "signals": [_record(x, e, counting_se=se) for x, e, se in zip(s, res.entropies, res.ses)],
+        "signals": [_record(x, e, counting_se=se) for x, e, se in zip(s, values, res.ses)],
     }
     return payload, {}
 

@@ -26,7 +26,7 @@ class ZeroVariance(DataError):
 
 
 class VarianceOverflow(DataError):
-    """Signal's sample standard deviation overflows float64, so it cannot be normalized."""
+    """Signal's spread overflows float64: its sample standard deviation or a first difference is not finite."""
 
 
 class TooShort(DataError):

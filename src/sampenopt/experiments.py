@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import convergence_select, gaussian_mse_approx, sampeneff_select, standard_params_eval
+from .baselines import _finite_sampens, _gaussian_mse, convergence_select, sampeneff_select, standard_params_eval
 from .bootstrap import BootstrapConfig, bootstrap_sampen, variance
-from .entropy import SampEnParams, counting_se, sampen
+from .entropy import SampEnParams, counting_se
 from .errors import Infeasible, InsufficientDefined, UndefinedEntropy
 from .optimizer import OptimizerConfig, optimize_set
 from .rng import child_seed, generator
@@ -89,8 +89,7 @@ class VarBenchResult:
 
 def true_variance(s_pop: SignalSet, m: int, r: float) -> float:
     """(n-1)-divisor cross-signal variance of the defined SampEn estimates."""
-    p = SampEnParams(m=m, r=r)
-    vals = [res.value for res in (sampen(x, p) for x in s_pop) if res.finite]
+    vals = [v for v in _finite_sampens(s_pop, SampEnParams(m=m, r=r)) if v is not None]
     if len(vals) < 2:
         raise InsufficientDefined("need at least two defined SampEn estimates")
     return float(np.var(vals, ddof=1))
@@ -214,8 +213,8 @@ def method_comparison(cfg: MethodComparisonConfig) -> list[MethodRow]:
 
     The TPE-optimized method is scored by its native bootstrap objective;
     the baselines are scored by the Gaussian-approximation regularized MSE
-    at their selected (m*, r*). Wall-clock per method is reported, not
-    asserted.
+    from the per-signal entropies and counting SEs each selection already
+    holds at its (m*, r*). Wall-clock per method is reported, not asserted.
     """
     s = gen_signal_set(cfg.signal_type, cfg.n_signals, cfg.n, seed=child_seed(cfg.seed, 0))
     lam = cfg.lam_value
@@ -223,8 +222,7 @@ def method_comparison(cfg: MethodComparisonConfig) -> list[MethodRow]:
 
     t0 = time.perf_counter()
     opt = optimize_set(s, cfg.optimizer_config())
-    p = SampEnParams(m=opt.best_psi.m, r=opt.best_psi.r)
-    mean_e, std_e = _entropy_stats(res.value for res in (sampen(x, p) for x in s) if res.finite)
+    mean_e, std_e = _entropy_stats(_finite_sampens(s, SampEnParams(m=opt.best_psi.m, r=opt.best_psi.r)))
     rows.append(
         MethodRow(
             method="ours",
@@ -238,26 +236,24 @@ def method_comparison(cfg: MethodComparisonConfig) -> list[MethodRow]:
         )
     )
 
-    def gauss_score(m: int, r: float, tag: int) -> float:
-        return gaussian_mse_approx(s, m, r, cfg.gaussian_draws, lam, generator(cfg.seed, 2, tag))
-
     selectors = [
-        ("sampeneff", lambda: sampeneff_select(s, cfg.baseline_m), 0),
-        ("convergence", lambda: convergence_select(s, cfg.baseline_m), 1),
-        ("standard", lambda: standard_params_eval(s), 2),
+        lambda: sampeneff_select(s, cfg.baseline_m),
+        lambda: convergence_select(s, cfg.baseline_m),
+        lambda: standard_params_eval(s),
     ]
-    for name, select, tag in selectors:
+    for tag, select in enumerate(selectors):
         t0 = time.perf_counter()
         res = select()
         seconds = time.perf_counter() - t0
         mean_e, std_e = _entropy_stats(res.entropies)
         rows.append(
             MethodRow(
-                method=name,
+                method=res.method,
                 m_star=res.m_star,
                 r_star=res.r_star,
                 q_star=None,
-                objective=gauss_score(res.m_star, res.r_star, tag),
+                objective=_gaussian_mse(s, res.m_star, res.r_star, res.entropies, res.ses, cfg.gaussian_draws, lam,
+                                        generator(cfg.seed, 2, tag)),
                 entropy_mean=mean_e,
                 entropy_std=std_e,
                 seconds=seconds,

@@ -102,10 +102,18 @@ def normalize(x: Signal) -> Signal:
 
 
 def difference(x: Signal) -> Signal:
-    """First difference: out[t] = x[t+1] - x[t]; length drops by one."""
+    """First difference: out[t] = x[t+1] - x[t]; length drops by one.
+
+    Raises VarianceOverflow when a difference overflows float64 (two values
+    of opposite sign past about 9e307 in size).
+    """
     if x.n < 3:
         raise TooShort(f"signal {x.id!r}: need at least 3 samples to difference")
-    return x.with_values(np.diff(x.values))
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned
+        d = np.diff(x.values)
+    if not np.all(np.isfinite(d)):
+        raise VarianceOverflow(f"signal {x.id!r}: first difference overflows float64")
+    return x.with_values(d)
 
 
 def gen_white_noise(n: int, sigma: float, seed: int, id: str = "wn", label: str | None = None) -> Signal:

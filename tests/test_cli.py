@@ -135,6 +135,19 @@ class TestCompare:
         code, _ = run(["compare", "--input", noise_csv, "--m", "1", "--r", "0.2"], tmp_path)
         assert code == 3
 
+    def test_class_without_a_finite_sampen_exits_4_naming_it(self, tmp_path, capsys):
+        # at (3, 0.3) no 12-point signal of class "short" has a finite SampEn; two of "long" have
+        short = make_noise_set(3, 12, seed=1, label="short")
+        long = make_noise_set(3, 100, seed=11, label="long")
+        src = tmp_path / "two.csv"
+        write_signals(src, SignalSet(tuple(Signal(f"{x.label}{i}", x.values, x.label)
+                                           for i, x in enumerate([*short, *long]))), fmt="long")
+        code, env = run(["compare", "--input", str(src), "--m", "3", "--r", "0.3"], tmp_path)
+        assert code == 4 and env is None
+        assert capsys.readouterr().err == (
+            "sampenopt: computation error: class 'short': no signal has a finite SampEn at (m=3, r=0.3)\n"
+        )
+
 
 class TestPreprocess:
     def test_writes_retained_set(self, tmp_path):
@@ -207,6 +220,17 @@ class TestBaseline:
         code, env = run(["baseline", "--input", noise_csv, "--method", "fuzzen"], tmp_path)
         assert code == 0
         assert env["payload"]["method"] == "fuzzen"
+
+    def test_infinite_sampen_has_the_state_estimate_gives(self, tmp_path):
+        # at (2, 0.2) this signal has template matches (bm > 0) but no extended ones (am = 0)
+        values = np.random.default_rng(0).standard_normal(20)
+        src = _csv(tmp_path, {"g": (values - values.mean()) / values.std(ddof=1)})
+        code_e, env_e = run(["estimate", "--input", src, "--m", "2", "--r", "0.2"], tmp_path, "e.json")
+        code_b, env_b = run(["baseline", "--input", src, "--method", "standard"], tmp_path, "b.json")
+        assert code_e == code_b == 0
+        want = env_e["payload"]["signals"][0]
+        assert want["bm"] > 0 and want["am"] == 0
+        assert env_b["payload"]["signals"][0]["entropy"] == want["entropy"] == {"state": "infinite", "value": None}
 
 
 class TestVarbench:

@@ -172,6 +172,36 @@ class TestMethodComparison:
         assert std.m_star == 2 and std.r_star == pytest.approx(0.20)
 
 
+class TestMethodComparisonScoresEachSelectionOnce:
+    def test_cp_sigma_calls_are_those_of_the_selections(self, monkeypatch):
+        # each baseline is scored from the SEs its selection already computed, so
+        # scoring adds no cp_sigma call; the TPE search makes none either
+        import sampenopt.baselines
+        import sampenopt.entropy
+        from sampenopt.baselines import convergence_select, sampeneff_select, standard_params_eval
+        from sampenopt.rng import child_seed
+        from sampenopt.signal import gen_signal_set
+
+        calls = []
+        original = sampenopt.entropy.cp_sigma
+
+        def spy(x, p):
+            calls.append((x.id, p.m, p.r))
+            return original(x, p)
+
+        monkeypatch.setattr(sampenopt.entropy, "cp_sigma", spy)
+        monkeypatch.setattr(sampenopt.baselines, "cp_sigma", spy)
+        cfg = MethodComparisonConfig(n_signals=4, n=80, b=10, t_tilde=6, t_init=3, gaussian_draws=50, seed=5)
+        s = gen_signal_set(cfg.signal_type, cfg.n_signals, cfg.n, seed=child_seed(cfg.seed, 0))
+        sampeneff_select(s, cfg.baseline_m)
+        convergence_select(s, cfg.baseline_m)
+        standard_params_eval(s)
+        selections = list(calls)
+        calls.clear()
+        method_comparison(cfg)
+        assert selections and calls == selections
+
+
 class TestVarBenchConfig:
     @pytest.mark.parametrize("n_population, n_subsample", [(40, 0), (40, -1), (1, 1), (0, 0)])
     def test_impossible_sizes_rejected(self, n_population, n_subsample):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,14 @@ class TestDifference:
     def test_too_short(self):
         with pytest.raises(TooShort):
             difference(Signal("s", [1.0, 2.0]))
+
+    def test_overflowing_difference_raises_without_a_warning(self):
+        values = 1.5e308 * (2.0 * np.random.default_rng(3).random(40) - 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(VarianceOverflow, match="signal 'mix': first difference overflows"):
+                difference(Signal("mix", values))
+        assert caught == []
 
 
 class TestGenerators:

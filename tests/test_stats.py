@@ -229,6 +229,14 @@ class TestPipeline:
         assert rec["big"].retained is False and rec["big"].reason == "VarianceOverflow"
         assert [x.id for x in report.retained] == ["wn0", "wn1", "wn2"]
 
+    def test_signal_whose_difference_overflows_dropped_with_reason(self):
+        noise = [gen_white_noise(100, 1.0, seed=i, id=f"wn{i}") for i in range(3)]
+        mix = Signal("mix", 1.5e308 * (2.0 * np.random.default_rng(3).random(40) - 1.0))
+        report = stationarity_pipeline(SignalSet((*noise, mix)), alpha=0.05)
+        rec = {r.signal_id: r for r in report.records}
+        assert rec["mix"].retained is False and rec["mix"].reason == "VarianceOverflow"
+        assert [x.id for x in report.retained] == ["wn0", "wn1", "wn2"]
+
     def test_records_cover_all_inputs(self):
         s = make_ar_set(8, 120, seed=900)
         report = stationarity_pipeline(s, alpha=0.05)

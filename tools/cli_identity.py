@@ -75,6 +75,18 @@ def _inputs() -> None:
     Path("latin1.csv").write_bytes("signal_id,label,t,value\n\u00e9,,0,1.0\n".encode("latin-1"))
     Path("long.csv").write_text("a," + "1" * 200_000 + "\n")  # over csv's field size limit
     _write_long("big.csv", {"big": ("", 1e200 * np.sin(np.arange(40)))})  # its sample SD overflows float64
+    # at (2, 0.2) this signal has template matches but no extended ones: an infinite SampEn
+    _write_long("inf.csv", {"g": ("", _z(np.random.default_rng(0).standard_normal(20)))})
+    # at (3, 0.3) no 12-point signal of class "y" has a finite SampEn
+    rng = np.random.default_rng(1)
+    cls = {f"x{i}": ("x", _z(rng.standard_normal(100))) for i in range(3)}
+    cls.update({f"y{i}": ("y", _z(rng.standard_normal(12))) for i in range(3)})
+    _write_long("cls.csv", cls)
+    # the first difference of "mix" overflows float64
+    rng = np.random.default_rng(2)
+    ovf = {f"wn{i}": ("", rng.standard_normal(60)) for i in range(3)}
+    ovf["mix"] = ("", 1.5e308 * (2 * rng.random(40) - 1))
+    _write_long("ovf.csv", ovf)
 
 
 OPT = ["--T", "8", "--T-init", "4", "--B", "15", "--seed", "9"]
@@ -110,6 +122,7 @@ RUNS = {
     "baseline-sampeneff": ["baseline", "--input", "in.csv", "--method", "sampeneff"],
     "baseline-convergence": ["baseline", "--input", "in.csv", "--method", "convergence", "--m", "1"],
     "baseline-fuzzen": ["baseline", "--input", "in.csv", "--method", "fuzzen"],
+    "baseline-infinite-entropy": ["baseline", "--input", "inf.csv", "--method", "standard"],
     "varbench-ar1": ["varbench", "--signal-type", "ar1", "--len", "60", "--n-population", "40", "--n-subsample",
                      "10", "--repeats", "2", "--B", "15", "--seed", "4"],
     # config files
@@ -118,6 +131,8 @@ RUNS = {
     # no stationary survivor
     "preprocess-no-survivor": ["preprocess", "--input", "i2.csv", "--out", "none.csv"],
     "optimize-no-survivor": ["optimize", "--input", "i2.csv", *OPT],
+    # one signal is dropped because its first difference overflows
+    "preprocess-overflowing-difference": ["preprocess", "--input", "ovf.csv", "--out", "ovf-ret.csv"],
     # rejections
     "reject-2-bad-B": ["estimate", "--input", "in.csv", "--q", "0.5", "--B", "0"],
     "reject-2-unknown-key": ["estimate", "--input", "in.csv", "--config", "typo.json"],
@@ -135,6 +150,7 @@ RUNS = {
     "reject-3-short-signal": ["estimate", "--input", "short.csv", "--m", "2"],
     "reject-3-overflow": ["estimate", "--input", "big.csv"],
     "reject-4-short-optimize": ["optimize", "--input", "short.csv", "--no-preprocess", *OPT],
+    "reject-4-class-without-finite-sampen": ["compare", "--input", "cls.csv", "--m", "3", "--r", "0.3"],
     "varbench-m2-len50": ["varbench", "--len", "50", "--m", "2", "--r", "0.2", "--B", "30",
                            "--n-population", "200", "--n-subsample", "40", "--repeats", "2", "--seed", "3"],
 }
