@@ -6,11 +6,12 @@ expected length 1/q), wrap around the end of the signal, and the final
 block is truncated so the replicate has exactly the original length.
 
 bootstrap_sampen is the one bootstrap path: estimate, compare, varbench,
-the CLI's per-signal records and every optimizer trial call it. It scores
-the original with sampen, draws all B replicates' blocks from
-generator(cfg.seed) and scores them in one batched pass
-(entropy._replicate_values); BootstrapEstimates holds the replicate values
-as a float array that mse/variance/bias read.
+the CLI's per-signal records and every optimizer trial call it. It
+thresholds the signal's point gaps once, scores the original from that
+matrix as sampen does, draws all B replicates' blocks from
+generator(cfg.seed) and scores them from the same matrix in one batched
+pass (entropy._replicate_values); BootstrapEstimates holds the replicate
+values as a float array that mse/variance/bias read.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .entropy import SampEnParams, SampEnResult, _replicate_values, sampen
+from .entropy import SampEnParams, SampEnResult, _counts_and_matches, _replicate_values, _sampen_from_counts
 from .errors import Infeasible
 from .rng import generator
 from .signal import Signal
@@ -136,20 +137,22 @@ def bootstrap_sampen(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> Bootst
     starts, then (B, n) Geom(q) lengths, row b being replicate b. The draws
     depend only on (x.n, cfg), not on (m, r) or on execution order.
 
-    A replicate's point gaps are gaps of x, so all B replicates are counted
-    in one batched pass (entropy._replicate_counts) from x's point-match
-    matrix, thresholded once. That matrix, read in x's sorted order, gives
-    each point the rank interval of the points within r of it, so a point
-    pair of a replicate matches when the partner's rank falls in the
+    A replicate's point gaps are gaps of x, so the original and all B
+    replicates are counted from x's point-match matrix, thresholded once:
+    the original as sampen counts it, the replicates in one batched pass
+    (entropy._replicate_counts). That matrix, read in x's sorted order,
+    gives each point the rank interval of the points within r of it, so a
+    point pair of a replicate matches when the partner's rank falls in the
     interval. Only half of the ordered pairs are tested: the partners at
     circular offsets d = 1..n//2, each unordered template pair once, and
     every count is doubled. Each replicate value equals sampen's on that
     replicate exactly.
     """
-    original = sampen(x, p)
+    counts, g = _counts_and_matches(x, p)
     n = x.n
     starts, lengths = _draw_blocks(n, cfg.q, generator(cfg.seed), (cfg.b, n))
-    return BootstrapEstimates(original, _replicate_values(x.values, _block_indices(starts, lengths, n), p.m, p.r))
+    replicates = _replicate_values(x.values, g, _block_indices(starts, lengths, n), p.m)
+    return BootstrapEstimates(_sampen_from_counts(counts), replicates)
 
 
 def _require_feasible(est: BootstrapEstimates) -> np.ndarray:

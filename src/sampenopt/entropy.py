@@ -123,16 +123,16 @@ _CHUNK_PAIRS = 2**17  # point pairs tested per chunk of replicates, about 1 MB o
 _NARROW_RANKS_BELOW = 2**15  # signals shorter than this rank in int16 (faster than int32)
 
 
-def _replicate_counts(x: np.ndarray, idx: np.ndarray, m: int, r: float) -> np.ndarray:
+def _replicate_counts(x: np.ndarray, g: np.ndarray, idx: np.ndarray, m: int) -> np.ndarray:
     """Ordered (B, A) match counts of every resampled signal x[idx[b]], as a (B, 2) array.
 
-    Row b equals _ordered_counts(_point_matches(x, r)[i][:, i], m) for
-    i = idx[b], without gathering any (N, N) block. The float gap test
-    rounds monotonically, so the points within r of x_i form one
-    contiguous run of x's stable sort order: ranks lo_i .. lo_i + width_i,
-    both read from _point_matches (ties included). A point pair (s, t) of
-    a resample then matches iff rank[t] - lo[s], viewed as unsigned, is
-    <= width[s].
+    g is x's point-match matrix _point_matches(x, r). Row b equals
+    _ordered_counts(g[i][:, i], m) for i = idx[b], without gathering any
+    (N, N) block. The float gap test rounds monotonically, so the points
+    within r of x_i form one contiguous run of x's stable sort order:
+    ranks lo_i .. lo_i + width_i, both read from g (ties included). A
+    point pair (s, t) of a resample then matches iff rank[t] - lo[s],
+    viewed as unsigned, is <= width[s].
 
     Pairs (s, (s + d) mod N) for d = 1..N//2 cover every unordered pair
     once (row d = N/2 of an even N twice, so its wrapped half is masked),
@@ -148,7 +148,7 @@ def _replicate_counts(x: np.ndarray, idx: np.ndarray, m: int, r: float) -> np.nd
     order = np.argsort(x, kind="stable")
     rank = np.empty(n, dtype=rank_t)
     rank[order] = np.arange(n, dtype=rank_t)
-    g = _point_matches(x, r)[:, order]
+    g = g[:, order]
     lo = np.argmax(g, axis=1).astype(rank_t)[idx][:, None, :]
     width = (np.count_nonzero(g, axis=1) - 1).astype(width_t)[idx][:, None, :]
     ranks = rank[idx]
@@ -187,12 +187,18 @@ def _require_length(x: Signal, m: int) -> None:
         raise SignalTooShort(f"signal {x.id!r}: need N >= m + 2 = {m + 2}, got N = {x.n}")
 
 
+def _counts_and_matches(x: Signal, p: SampEnParams) -> tuple[MatchCounts, np.ndarray]:
+    """count_matches(x, p) and the point-match matrix it counted on, for a caller that reuses it."""
+    _require_length(x, p.m)
+    g = _point_matches(x.values, p.r)
+    nt = x.n - p.m
+    b_count, a_count = _ordered_counts(g, p.m)
+    return MatchCounts(b_count=b_count, a_count=a_count, z=nt * (nt - 1)), g
+
+
 def count_matches(x: Signal, p: SampEnParams) -> MatchCounts:
     """Count ordered template-pair matches at lengths m and m+1 (needs N >= m + 2)."""
-    _require_length(x, p.m)
-    nt = x.n - p.m
-    b_count, a_count = _ordered_counts(_point_matches(x.values, p.r), p.m)
-    return MatchCounts(b_count=b_count, a_count=a_count, z=nt * (nt - 1))
+    return _counts_and_matches(x, p)[0]
 
 
 def _sampen_value(b_count: int, a_count: int) -> float:
@@ -208,16 +214,16 @@ def _sampen_value(b_count: int, a_count: int) -> float:
     return -math.log(a_count / b_count)
 
 
-def _sampen_from_counts(b_count: int, a_count: int, z: int) -> SampEnResult:
-    """SampEn result from ordered match counts and the shared normalizer z."""
-    bm = b_count / z
-    am = a_count / z
-    if b_count == 0:
+def _sampen_from_counts(c: MatchCounts) -> SampEnResult:
+    """SampEn result from ordered match counts and their shared normalizer z."""
+    bm = c.b_count / c.z
+    am = c.a_count / c.z
+    if c.b_count == 0:
         return SampEnResult(bm=bm, am=am, cp=None, value=None)
-    return SampEnResult(bm=bm, am=am, cp=a_count / b_count, value=_sampen_value(b_count, a_count))
+    return SampEnResult(bm=bm, am=am, cp=c.a_count / c.b_count, value=_sampen_value(c.b_count, c.a_count))
 
 
-def _replicate_values(x: np.ndarray, idx: np.ndarray, m: int, r: float) -> np.ndarray:
+def _replicate_values(x: np.ndarray, g: np.ndarray, idx: np.ndarray, m: int) -> np.ndarray:
     """SampEn of every resampled signal x[idx[b]], as a read-only float64 (B,) array.
 
     Entry b is sampen's value on x[idx[b]] bit for bit, with nan where it is
@@ -225,7 +231,7 @@ def _replicate_values(x: np.ndarray, idx: np.ndarray, m: int, r: float) -> np.nd
     Python ints, so each value takes math.log, not np.log, whose vector loop
     can differ from libm in the last bit.
     """
-    b_counts, a_counts = _replicate_counts(x, idx, m, r).T.tolist()
+    b_counts, a_counts = _replicate_counts(x, g, idx, m).T.tolist()
     vals = np.array(list(map(_sampen_value, b_counts, a_counts)), dtype=np.float64)
     vals.setflags(write=False)
     return vals
@@ -233,8 +239,7 @@ def _replicate_values(x: np.ndarray, idx: np.ndarray, m: int, r: float) -> np.nd
 
 def sampen(x: Signal, p: SampEnParams) -> SampEnResult:
     """Sample entropy estimate -log(A/B) with explicit undefined/infinite states."""
-    c = count_matches(x, p)
-    return _sampen_from_counts(c.b_count, c.a_count, c.z)
+    return _sampen_from_counts(count_matches(x, p))
 
 
 def _fuzzy_log_phi(x: np.ndarray, k: int, nt: int, r: float, eta: float) -> float:
@@ -276,43 +281,95 @@ def fuzzen(x: Signal, m: int, r: float, eta: float = 2.0) -> float:
     return _fuzzy_log_phi(x.values, m, nt, r, eta) - _fuzzy_log_phi(x.values, m + 1, nt, r, eta)
 
 
-def _overlap_counts(match_b: np.ndarray, match_a: np.ndarray, m: int) -> tuple[int, int]:
+# every int32 value in _pair_counts counts matching pairs, at most
+# nt (nt - 1) / 2 < (N + 1)**2, so the counts are exact while (N + 1)**2 < 2**31
+_INT32_PREFIX_MAX_N = math.isqrt(2**31 - 1) - 1
+
+
+def _pair_counts(match_m: np.ndarray, match_m1: np.ndarray, m: int) -> tuple[int, int]:
     """Ordered counts of overlapping distinct pairs-of-pairs (K_B, K_A).
 
-    match_b: boolean (nt, nt) strictly upper-triangular incidence of the
-    unordered matching m-template pairs (i < j); match_a: its subset that
-    also matches at length m+1. Two pairs p = (i, j) and q = (k, l)
-    overlap when any of their four (m+1)-point template windows [s, s+m]
-    intersect, i.e. when k or l lies in U = W(i) | W(j) with
-    W(c) = [c-m, c+m] clipped to [0, nt-1]. For each p, inclusion-exclusion
-    gives the overlapping q != p as rows(U) + cols(U) - M(U x U) - 1, with
-    U split into the disjoint intervals [a1, b1) = W(i) and
-    [a2, b2) = W(j) minus W(i). Row and column sums come from 1-D prefix
-    sums and M(U x U) from rectangle sums over one 2-D prefix sum, so each
-    count costs O(nt^2 + K) integer operations and equals the all-pairs
-    O(K^2) comparison exactly.
+    match_m, match_m1: the symmetric (nt, nt) match matrices of
+    _match_matrices (diagonal true, match_m1 within match_m). Each one's M,
+    its strict upper triangle, holds the unordered matching pairs (i < j).
+    K_B and K_A count, in M of match_m and of match_m1, the ordered pairs
+    p != q of matching pairs that overlap, i.e. some (m+1)-point windows
+    [s, s+m] of p = (i, j) and q = (k, l) intersect: k or l lies in
+    U = W(i) | W(j), with W(c) = [c-m, c+m] clipped to [0, nt).
+
+    Both M go into one stacked int32 2-D prefix sum, padded with m zero
+    rows and columns on each side so that every W(c) is a plain slice and
+    every count below a box sum. Let deg[c] be the number of matching pairs
+    containing c, S[c] the sum of deg over W(c) and X[i, j] the matches
+    with row in W(i) and column in W(j), all dense. When the windows of p
+    are disjoint (j - i > 2m), inclusion-exclusion gives p
+
+        S[i] + S[j] - X[i, i] - X[j, j] - X[i, j] - X[j, i] - 1
+
+    overlapping pairs (X[j, i] = 0 there). Summed over M, with G the
+    symmetric match matrix, that is sum(deg (S - diag X)) -
+    sum_{i != j} G X - |M|. A pair with j - i <= 2m overlaps
+    M(I x I) - M(I x (j+m, nt)) - M([0, i-m) x I) pairs more, with
+    I = W(i) & W(j) (the rest of I x ~U and ~U x I lies below the
+    diagonal). These ten prefix sums are read for every near cell
+    (i, i + d), 1 <= d <= 2m, from strided views that slide along the
+    diagonal, and masked by M. The cost is O(nt^2 + m nt) whatever the
+    number of matches, and the counts equal the all-pairs comparison
+    exactly.
     """
-    nt = match_b.shape[0]
-    counts = []
-    for match in (match_b, match_a):
-        ps = np.zeros((nt + 1, nt + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(match, axis=0, dtype=np.int64), axis=1, out=ps[1:, 1:])
-        i, j = np.nonzero(match)
-        a1 = np.maximum(i - m, 0)
-        b1 = np.minimum(i + m + 1, nt)
-        b2 = np.minimum(j + m + 1, nt)
-        a2 = np.minimum(np.maximum(j - m, b1), b2)
-        # matches with a row in U, plus those with a column in U (row and
-        # column prefix sums are the last column and row of ps)
-        touching = sum(pre[b1] - pre[a1] + pre[b2] - pre[a2] for pre in (ps[:, nt], ps[nt, :]))
-        # M(U x U): M is strictly upper-triangular and every row of [a2, b2)
-        # lies past every column of [a1, b1), so that fourth block is 0
-        inside = sum(
-            ps[r1, c1] - ps[r0, c1] - ps[r1, c0] + ps[r0, c0]
-            for r0, r1, c0, c1 in ((a1, b1, a1, b1), (a1, b1, a2, b2), (a2, b2, a2, b2))
-        )
-        counts.append(int((touching - inside - 1).sum()))
-    return counts[0], counts[1]
+    nt = match_m.shape[0]
+    w, side = 2 * m + 1, nt + 2 * m + 1
+    # both padded layers, then 2m slack cells that the views below reach
+    flat = np.zeros(2 * side * side + 2 * m, dtype=np.int32)
+    prefix = flat[:2 * side * side].reshape(2, side, side)
+    lower = np.tri(nt, dtype=bool)
+    for layer, match in zip(prefix, (match_m, match_m1)):
+        # match & ~lower, as 0/1
+        np.greater(match, lower, out=layer[m + 1:m + 1 + nt, m + 1:m + 1 + nt])
+    del lower
+    # on[s, i, u, v] is layer s at (i + u, i + v), and on_last[s, i, u] at
+    # (i + u, side - 1). A near cell past the matrix end (i + d >= nt)
+    # reads the padding, the next layer or the slack (numpy checks that
+    # the views fit in flat), but its M entry lands in zero padding, so
+    # its correction drops out.
+    item = flat.itemsize
+    layer_bytes = side * side * item
+    on = np.ndarray((2, nt, w + 1, 2 * w), np.int32, flat, 0, (layer_bytes, (side + 1) * item, side * item, item))
+    on_last = np.ndarray((2, nt, w + 1), np.int32, flat, (side - 1) * item, (layer_bytes, side * item, side * item))
+    # M[i, i + d] sits at padded (i + m + 1, i + m + 1 + d); copied before the prefix sums overwrite it
+    hit = on[:, :, m + 1, m + 2:m + 1 + w].copy()
+    np.cumsum(prefix, axis=1, out=prefix)
+    np.cumsum(prefix, axis=2, out=prefix)
+    # the near cells' corrections, column d - 1 for (i, i + d), from padded
+    # corners a = i + d, b = i + w, u0 = i, u1 = i + d + w and e = side - 1:
+    # M(I x I) = (b, b) - (a, b) - (b, a) + (a, a) with I = [a, b),
+    # M(I x [u1, e)) = (b, e) - (a, e) - (b, u1) + (a, u1) and
+    # M([0, u0) x I) = (u0, b) - (u0, a)
+    corr = np.add(on[:, :, 0, 1:w], on[:, :, w, w + 1:], dtype=np.int64)  # (u0, a) + (b, u1)
+    corr -= on[:, :, 1:w, w]  # (a, b)
+    corr -= on[:, :, w, 1:w]  # (b, a)
+    corr += on.diagonal(0, 2, 3)[:, :, 1:w]  # (a, a)
+    corr -= on.diagonal(w, 2, 3)[:, :, 1:w]  # (a, u1)
+    corr += on_last[:, :, 1:w]  # (a, e)
+    corr += (on[:, :, w, w] - on[:, :, 0, w] - on_last[:, :, w])[:, :, None]  # (b, b) - (u0, b) - (b, e)
+    near = np.einsum("sid,sid->s", corr, hit)
+    # G X: the box sums of every window pair W(i) x W(j) where G is true;
+    # the diagonal X[c, c] stays whole, G's diagonal being true
+    box = np.empty((2, nt, nt), dtype=np.int32)
+    cols = np.empty((side, nt), dtype=np.int32)
+    for layer, match, out in zip(prefix, (match_m, match_m1), box):
+        np.subtract(layer[:, w:], layer[:, :nt], out=cols)
+        np.subtract(cols[w:], cols[:nt], out=out)
+        out *= match
+    x_diag = box.diagonal(axis1=1, axis2=2).astype(np.int64)
+    # deg summed over [0, c): row sums plus column sums, from the last column and row
+    deg_before = prefix[:, :, -1].astype(np.int64) + prefix[:, -1, :]
+    deg = np.diff(deg_before[:, m:m + nt + 1])
+    spread = deg_before[:, w:w + nt] - deg_before[:, :nt] - x_diag
+    total = prefix[:, -1, -1].astype(np.int64)
+    k = np.einsum("sc,sc->s", deg, spread) - (box.sum(axis=(1, 2), dtype=np.int64) - x_diag.sum(axis=1))
+    k += near - total
+    return int(k[0]), int(k[1])
 
 
 def cp_sigma(x: Signal, p: SampEnParams) -> tuple[float, float]:
@@ -327,25 +384,29 @@ def cp_sigma(x: Signal, p: SampEnParams) -> tuple[float, float]:
     where K_B counts ordered distinct overlapping pairs of matching
     m-pairs and K_A the same among pairs that also match at length m+1
     (E[X_p X_q] for overlapping pairs is estimated by K_A/K_B). Negative
-    corrected variance is clamped to zero. K_B and K_A are exact integer
-    counts from the window-union identity in _overlap_counts, at
-    O(N^2 + K) cost for K matching pairs, so no pair of pairs is
-    enumerated.
+    corrected variance is clamped to zero. B and A are counted on the
+    match matrices, so an undefined or zero CP raises before any overlap
+    is counted. K_B and K_A are exact integer counts read from one int32
+    prefix sum by _pair_counts, at O(N^2) cost whatever the number of
+    matches, so neither a pair of pairs nor a matching pair is enumerated.
 
-    Raises UndefinedEntropy when CP is undefined (B = 0) or zero (A = 0).
+    Raises UndefinedEntropy when CP is undefined (B = 0) or zero (A = 0),
+    and MemoryError when (N + 1)^2 >= 2^31, past the int32 prefix sums.
     """
     _require_length(x, p.m)
+    if x.n > _INT32_PREFIX_MAX_N:
+        raise MemoryError(f"signal {x.id!r}: cp_sigma needs N <= {_INT32_PREFIX_MAX_N}, got N = {x.n}")
     match_m, match_m1 = _match_matrices(_point_matches(x.values, p.r), p.m)
-    match_b = np.triu(match_m, 1)
-    b_un = int(np.count_nonzero(match_b))
+    # unordered counts: both matrices are symmetric, with a true diagonal
+    nt = x.n - p.m
+    b_un = (int(np.count_nonzero(match_m)) - nt) // 2
     if b_un == 0:
         raise UndefinedEntropy(f"signal {x.id!r}: no template matches at (m={p.m}, r={p.r})")
-    match_a = match_b & match_m1
-    a_un = int(np.count_nonzero(match_a))
+    a_un = (int(np.count_nonzero(match_m1)) - nt) // 2
     cp = a_un / b_un
     if a_un == 0:
         raise UndefinedEntropy(f"signal {x.id!r}: CP = 0 at (m={p.m}, r={p.r}); entropy infinite")
-    kb, ka = _overlap_counts(match_b, match_a, p.m)
+    kb, ka = _pair_counts(match_m, match_m1, p.m)
     var_cp = cp * (1.0 - cp) / b_un + (ka - kb * cp * cp) / (b_un * b_un)
     return cp, math.sqrt(max(var_cp, 0.0))
 

@@ -16,7 +16,7 @@ from sampenopt.bootstrap import (
     stationary_bootstrap,
     variance,
 )
-from sampenopt.entropy import SampEnParams, SampEnResult, sampen
+from sampenopt.entropy import SampEnParams, SampEnResult, _point_matches, sampen
 from sampenopt.errors import Infeasible, SignalTooShort
 from sampenopt.rng import generator
 from sampenopt.signal import Signal, gen_white_noise
@@ -208,6 +208,20 @@ class TestBootstrapSampen:
         est = bootstrap_sampen(x, SampEnParams(1, 0.3), BootstrapConfig(q=0.5, b=b, seed=4))
         assert len(est.replicates) == b
         assert made == [(4,)]
+
+    def test_one_point_match_matrix_per_call(self, monkeypatch):
+        # the original and all B replicates are counted from one thresholded matrix
+        built = []
+
+        def counting(x, r):
+            built.append(r)
+            return _point_matches(x, r)
+
+        monkeypatch.setattr("sampenopt.entropy._point_matches", counting)
+        x = gen_white_noise(50, 1.0, seed=11)
+        est = bootstrap_sampen(x, SampEnParams(2, 0.3), BootstrapConfig(q=0.5, b=20, seed=5))
+        assert len(est.replicates) == 20
+        assert built == [0.3]
 
 
 class TestBootstrapOracle:

@@ -7,11 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sampenopt.entropy import (
+    _INT32_PREFIX_MAX_N,
     MatchCounts,
     SampEnParams,
     _match_matrices,
     _ordered_counts,
-    _overlap_counts,
+    _pair_counts,
     _point_matches,
     _replicate_counts,
     count_matches,
@@ -143,7 +144,7 @@ def overlap_counts_both(x, m, r):
     match_b = np.triu(match_m, 1)
     match_a = match_b & match_m1
     i, j = np.nonzero(match_b)
-    got = _overlap_counts(match_b, match_a, m)
+    got = _pair_counts(match_m, match_m1, m)
     want = _overlap_counts_oracle(np.column_stack((i, j)), match_a[i, j], m)
     return got, want, j
 
@@ -289,7 +290,7 @@ class TestReplicateCounts:
             mp.setattr("sampenopt.entropy._CHUNK_PAIRS", chunk_pairs)
             if not narrow:
                 mp.setattr("sampenopt.entropy._NARROW_RANKS_BELOW", 0)
-            got = _replicate_counts(x, idx, m, r)
+            got = _replicate_counts(x, _point_matches(x, r), idx, m)
         assert got.shape == (b, 2)
         assert np.array_equal(got, replicate_counts_oracle(x, idx, m, r))
 
@@ -412,7 +413,7 @@ class TestCountingSe:
         rng = np.random.default_rng(2024)
         near_end = 0
         for case in range(60):
-            m = int(rng.integers(1, 5))
+            m = int(rng.integers(1, 6))
             n = int(rng.integers(m + 3, 201))
             r = float(rng.uniform(0.05, 1.5))
             x = rng.standard_normal(n)
@@ -424,7 +425,7 @@ class TestCountingSe:
         # windows W(j) clipped at the last start index n-m-1 were exercised
         assert near_end >= 40
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_overlap_counts_near_boundary(self, m):
         # the signal's tail repeats its head, so pairs (i, j) with j at the
         # last start index N-m-1 match and W(j) is clipped on the right
@@ -434,7 +435,7 @@ class TestCountingSe:
         assert int(j.max()) == x.size - m - 1
         assert got == want
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_overlap_counts_constant_signal(self, m):
         # every pair matches at both lengths, so K_B == K_A
         got, want, j = overlap_counts_both(np.zeros(80), m, 0.1)
@@ -444,12 +445,64 @@ class TestCountingSe:
     @settings(max_examples=60, deadline=None)
     @given(
         x=st.lists(st.one_of(st.integers(-2, 2).map(float), st.floats(-2.0, 2.0)), min_size=6, max_size=60),
-        m=st.integers(1, 4),
+        m=st.integers(1, 5),
         r=st.floats(0.05, 1.5),
     )
     def test_overlap_counts_equal_oracle_property(self, x, m, r):
         got, want, _ = overlap_counts_both(x, m, r)
         assert got == want
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_exhaustive_oracle_exactly(self, m):
+        # the counts are exact integers and the variance formula is the
+        # oracle's, so (cp, sigma) agree to the last bit
+        rng = np.random.default_rng(40 + m)
+        checked = 0
+        for _ in range(30):
+            x = rng.standard_normal(int(rng.integers(m + 8, 30)))
+            r = float(rng.uniform(0.3, 1.0))
+            try:
+                want = naive_cp_sigma(x, m, r)
+            except UndefinedEntropy:
+                continue
+            assert cp_sigma(Signal("t", x), SampEnParams(m, r)) == want
+            checked += 1
+        assert checked >= 10
+
+    def test_pair_counts_memory_independent_of_matches(self):
+        # every array has a size fixed by (nt, m): no match peaks as high as
+        # all 44850 of them, up to Python scalars (one int64 per match would
+        # add 350 KiB)
+        nt, m = 300, 2
+        peaks = []
+        for match in (np.eye(nt, dtype=bool), np.ones((nt, nt), dtype=bool)):
+            tracemalloc.start()
+            try:
+                _pair_counts(match, match, m)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[0] - peaks[1]) < 4096
+
+    def test_int32_prefix_bound(self, white100, monkeypatch):
+        # int32 prefix sums are exact while (N + 1)^2 < 2^31; longer signals are refused
+        assert (_INT32_PREFIX_MAX_N + 1) ** 2 < 2**31 <= (_INT32_PREFIX_MAX_N + 2) ** 2
+        monkeypatch.setattr("sampenopt.entropy._INT32_PREFIX_MAX_N", white100.n - 1)
+        with pytest.raises(MemoryError):
+            cp_sigma(white100, SampEnParams(1, 0.5))
+
+    @pytest.mark.parametrize(
+        "values, message", [([0.0, 10.0, 20.0, 30.0, 40.0], "no template matches"), ([0.0, 0.0, 10.0, 20.0, 30.0], "CP = 0")]
+    )
+    def test_undefined_raises_before_counting_overlaps(self, values, message, monkeypatch):
+        # B and A come from the match matrices, so an undefined or zero CP
+        # costs no overlap count
+        def refuse(*args):
+            raise AssertionError("overlaps counted for an undefined CP")
+
+        monkeypatch.setattr("sampenopt.entropy._pair_counts", refuse)
+        with pytest.raises(UndefinedEntropy, match=message):
+            cp_sigma(Signal("g", values), SampEnParams(1, 0.5))
 
     def test_se_decreases_with_length(self):
         p = SampEnParams(1, 0.2)
