@@ -10,12 +10,13 @@ score methods that carry no native uncertainty estimate.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import SampEnParams, counting_se, cp_sigma, fuzzen, sampen
+from .entropy import SampEnParams, cp_sigma, fuzzen
 from .errors import NoFeasibleRadius, NoKnee, TooShort, UndefinedEntropy
 from .signal import SignalSet
 
@@ -67,95 +68,23 @@ class BaselineResult:
 
 
 def efficiency_criterion(cp: float, sigma: float) -> float:
-    """max(sigma/cp, sigma/(-log(cp) * cp)) for 0 < cp < 1; zero when sigma is."""
+    """max(sigma/cp, sigma/(-log(cp) * cp)) for 0 < cp < 1, zero when sigma is; UndefinedEntropy at CP = 1."""
+    if cp >= 1.0:
+        raise UndefinedEntropy(f"CP = 1, so -log(CP) = 0: efficiency criterion singular (sigma = {sigma})")
     if sigma == 0.0:
         return 0.0
     return max(sigma / cp, sigma / (-math.log(cp) * cp))
 
 
 def sampeneff(x, m: int, r: float) -> float:
-    """Efficiency criterion max(sigma_CP/CP, sigma_CP/(-log(CP) * CP)).
-
-    Undefined when CP is undefined, zero, or exactly one (the log term
-    vanishes).
-    """
-    cp, sigma = cp_sigma(x, SampEnParams(m=m, r=r))
-    if cp >= 1.0:
-        raise UndefinedEntropy(f"signal {x.id!r}: CP = 1 at (m={m}, r={r}); criterion singular")
-    return efficiency_criterion(cp, sigma)
+    """Efficiency criterion of x at (m, r); undefined when CP is undefined, zero, or one (-log(CP) = 0)."""
+    return efficiency_criterion(*cp_sigma(x, SampEnParams(m=m, r=r)))
 
 
 def _interp_fine(grid: RadiusGrid, radii: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linear interpolation of (radii, values) onto the fine grid between them."""
     fine_r = grid.fine(float(radii[0]), float(radii[-1]))
     return fine_r, np.interp(fine_r, radii, values)
-
-
-def _median_curve(s: SignalSet, m: int, per_signal) -> tuple[np.ndarray, np.ndarray]:
-    """Median of per_signal(x, r) across the set at each usable coarse radius.
-
-    A coarse point is dropped when the quantity is undefined for any signal
-    there; fewer than 3 usable points is NoFeasibleRadius.
-    """
-    radii, meds = [], []
-    for r in RadiusGrid.coarse:
-        vals = []
-        for x in s:
-            try:
-                vals.append(per_signal(x, m, r))
-            except UndefinedEntropy:
-                vals = None
-                break
-        if vals is not None:
-            radii.append(r)
-            meds.append(float(np.median(vals)))
-    if len(radii) < 3:
-        raise NoFeasibleRadius(f"only {len(radii)} usable grid points at m={m}")
-    return np.asarray(radii), np.asarray(meds)
-
-
-def _finite_sampens(s: SignalSet, p: SampEnParams) -> tuple[float | None, ...]:
-    """Each signal's SampEn at p, or None where it is not finite."""
-    return tuple(res.value if res.finite else None for res in (sampen(x, p) for x in s))
-
-
-def _per_signal_outputs(s: SignalSet, m: int, r: float) -> tuple[tuple, tuple]:
-    p = SampEnParams(m=m, r=r)
-    entropies = _finite_sampens(s, p)
-    # the counting SE is defined exactly where the entropy is finite: A > 0 and B > 0
-    return entropies, tuple(None if e is None else counting_se(x, p) for x, e in zip(s, entropies))
-
-
-def _grid_select(method: str, s: SignalSet, m: int, per_signal, pick) -> BaselineResult:
-    """Radius picked by pick(fine radii, fine values) on the interpolated median curve."""
-    radii, meds = _median_curve(s, m, per_signal)
-    fine_r, fine_v = _interp_fine(RadiusGrid(), radii, meds)
-    idx = int(pick(fine_r, fine_v))
-    r_star = float(fine_r[idx])
-    entropies, ses = _per_signal_outputs(s, m, r_star)
-    return BaselineResult(
-        method=method,
-        m_star=m,
-        r_star=r_star,
-        criterion=float(fine_v[idx]),
-        entropies=entropies,
-        ses=ses,
-        curve=tuple(zip(fine_r.tolist(), fine_v.tolist())),
-    )
-
-
-def sampeneff_select(s: SignalSet, m: int) -> BaselineResult:
-    """Radius minimizing the median efficiency criterion on the fine grid."""
-    return _grid_select("sampeneff", s, m, sampeneff, lambda radii, values: np.argmin(values))
-
-
-def _counting_variance(x, m: int, r: float) -> float:
-    return counting_se(x, SampEnParams(m=m, r=r)) ** 2
-
-
-def convergence_select(s: SignalSet, m: int) -> BaselineResult:
-    """Radius at the knee of the median counting-variance-versus-radius curve."""
-    return _grid_select("convergence", s, m, _counting_variance, knee_point)
 
 
 def knee_point(xs, ys) -> int:
@@ -190,6 +119,74 @@ def knee_point(xs, ys) -> int:
         if np.any(d[i + 1 : stop] < threshold):
             return i
     raise NoKnee("no local maximum cleared the sensitivity threshold")
+
+
+def _counting_grid(s: SignalSet, m: int) -> list[tuple[float, list[tuple[float, float]]]]:
+    """(r, each signal's cp_sigma at (m, r)) at every RadiusGrid.coarse radius: the counting selectors' table.
+
+    A radius is dropped at the first signal whose cp_sigma raises UndefinedEntropy.
+    """
+    grid = []
+    for r in RadiusGrid.coarse:
+        with contextlib.suppress(UndefinedEntropy):
+            grid.append((r, [cp_sigma(x, SampEnParams(m=m, r=r)) for x in s]))
+    return grid
+
+
+# method: (per-signal criterion of (cp, sigma), pick(fine radii, fine values) -> index)
+_COUNTING_METHODS = {
+    "sampeneff": (efficiency_criterion, lambda radii, values: np.argmin(values)),
+    "convergence": (lambda cp, sigma: (sigma / cp) ** 2, knee_point),
+}
+
+
+def _per_signal_outputs(s: SignalSet, m: int, r: float) -> tuple[tuple, tuple]:
+    """Each signal's SampEn -log(CP) and counting SE sigma/CP from one cp_sigma at (m, r).
+
+    Both are None where cp_sigma raises, i.e. where the entropy is undefined
+    or infinite. They equal sampen(...).value and counting_se bit for bit:
+    CP = A/B of the unordered counts rounds as the doubled ordered ones do.
+    """
+    p = SampEnParams(m=m, r=r)
+    outputs = []
+    for x in s:
+        try:
+            cp, sigma = cp_sigma(x, p)
+        except UndefinedEntropy:
+            outputs.append((None, None))
+        else:
+            outputs.append((-math.log(cp), sigma / cp))
+    return tuple(zip(*outputs))
+
+
+def _counting_select(method: str, s: SignalSet, m: int, grid) -> BaselineResult:
+    """Radius picked on the fine-grid median curve of method's criterion over a _counting_grid table.
+
+    A radius is also dropped where the criterion raises UndefinedEntropy; fewer than 3 left is NoFeasibleRadius.
+    """
+    criterion, pick = _COUNTING_METHODS[method]
+    curve = []
+    for r, pairs in grid:
+        with contextlib.suppress(UndefinedEntropy):
+            curve.append((r, float(np.median([criterion(cp, sigma) for cp, sigma in pairs]))))
+    if len(curve) < 3:
+        raise NoFeasibleRadius(f"only {len(curve)} usable grid points at m={m}")
+    fine_r, fine_v = _interp_fine(RadiusGrid(), *np.asarray(curve).T)
+    idx = int(pick(fine_r, fine_v))
+    r_star = float(fine_r[idx])
+    entropies, ses = _per_signal_outputs(s, m, r_star)
+    return BaselineResult(method=method, m_star=m, r_star=r_star, criterion=float(fine_v[idx]), entropies=entropies,
+                          ses=ses, curve=tuple(zip(fine_r.tolist(), fine_v.tolist())))
+
+
+def sampeneff_select(s: SignalSet, m: int) -> BaselineResult:
+    """Radius minimizing the median efficiency criterion on the fine grid."""
+    return _counting_select("sampeneff", s, m, _counting_grid(s, m))
+
+
+def convergence_select(s: SignalSet, m: int) -> BaselineResult:
+    """Radius at the knee of the median counting-variance-versus-radius curve."""
+    return _counting_select("convergence", s, m, _counting_grid(s, m))
 
 
 def _require_p_max(p_max: int) -> None:
@@ -264,12 +261,9 @@ def standard_params_eval(s: SignalSet, fuzzy: bool = False, eta: float = 2.0) ->
     """
     m, r = _STANDARD_M, _STANDARD_R
     if fuzzy:
-        entropies = tuple(fuzzen(x, m, r, eta) for x in s)
-        ses: tuple = (None,) * s.n
-        return BaselineResult(
-            method="fuzzen", m_star=m, r_star=r, criterion=None, entropies=entropies, ses=ses
-        )
-    entropies, ses = _per_signal_outputs(s, m, r)
+        entropies, ses = tuple(fuzzen(x, m, r, eta) for x in s), (None,) * s.n
+    else:
+        entropies, ses = _per_signal_outputs(s, m, r)
     return BaselineResult(
-        method="standard", m_star=m, r_star=r, criterion=None, entropies=entropies, ses=ses
+        method="fuzzen" if fuzzy else "standard", m_star=m, r_star=r, criterion=None, entropies=entropies, ses=ses
     )

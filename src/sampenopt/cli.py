@@ -305,13 +305,10 @@ def _cmd_baseline(args) -> tuple[dict, dict]:
         res = standard_params_eval(s, fuzzy=args.method == "fuzzen", eta=args.eta)
     else:
         m = args.m if args.m is not None else ar_order_m(s, args.p_max)
-        if args.method == "sampeneff":
-            res = sampeneff_select(s, m)
-        else:
-            res = convergence_select(s, m)
+        res = (sampeneff_select if args.method == "sampeneff" else convergence_select)(s, m)
     # entropies hold None for an infinite SampEn too; sampen tells it from an undefined one
     p = SampEnParams(m=res.m_star, r=res.r_star)
-    values = res.entropies if res.method == "fuzzen" else [sampen(x, p).value for x in s]
+    values = [sampen(x, p).value if e is None else e for x, e in zip(s, res.entropies)]
     payload = {
         "method": res.method,
         "m_star": res.m_star,

@@ -112,11 +112,15 @@ def _match_matrices(g: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return match_m, match_m & g[m:, m:]
 
 
+def _matrix_counts(match_m: np.ndarray, match_m1: np.ndarray) -> tuple[int, int]:
+    """Ordered matches (B, A) on the match matrices of _match_matrices, self-matches (the diagonal) excluded."""
+    nt = match_m.shape[0]
+    return int(np.count_nonzero(match_m)) - nt, int(np.count_nonzero(match_m1)) - nt
+
+
 def _ordered_counts(g: np.ndarray, m: int) -> tuple[int, int]:
     """Ordered template-pair matches (B, A) at lengths m and m+1, self-matches excluded."""
-    nt = g.shape[0] - m
-    match_m, match_m1 = _match_matrices(g, m)
-    return int(np.count_nonzero(match_m)) - nt, int(np.count_nonzero(match_m1)) - nt
+    return _matrix_counts(*_match_matrices(g, m))
 
 
 _CHUNK_PAIRS = 2**17  # point pairs tested per chunk of replicates, about 1 MB of temporaries
@@ -397,12 +401,10 @@ def cp_sigma(x: Signal, p: SampEnParams) -> tuple[float, float]:
     if x.n > _INT32_PREFIX_MAX_N:
         raise MemoryError(f"signal {x.id!r}: cp_sigma needs N <= {_INT32_PREFIX_MAX_N}, got N = {x.n}")
     match_m, match_m1 = _match_matrices(_point_matches(x.values, p.r), p.m)
-    # unordered counts: both matrices are symmetric, with a true diagonal
-    nt = x.n - p.m
-    b_un = (int(np.count_nonzero(match_m)) - nt) // 2
+    # unordered counts: both matrices are symmetric, so each match is counted twice
+    b_un, a_un = (count // 2 for count in _matrix_counts(match_m, match_m1))
     if b_un == 0:
         raise UndefinedEntropy(f"signal {x.id!r}: no template matches at (m={p.m}, r={p.r})")
-    a_un = (int(np.count_nonzero(match_m1)) - nt) // 2
     cp = a_un / b_un
     if a_un == 0:
         raise UndefinedEntropy(f"signal {x.id!r}: CP = 0 at (m={p.m}, r={p.r}); entropy infinite")

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import _finite_sampens, _gaussian_mse, convergence_select, sampeneff_select, standard_params_eval
+from .baselines import _counting_grid, _counting_select, _gaussian_mse, standard_params_eval
 from .bootstrap import BootstrapConfig, bootstrap_sampen, variance
-from .entropy import SampEnParams, counting_se
+from .entropy import SampEnParams, counting_se, sampen
 from .errors import Infeasible, InsufficientDefined, UndefinedEntropy
-from .optimizer import OptimizerConfig, optimize_set
+from .optimizer import OptimizerConfig, _require_searchable, optimize_set
 from .rng import child_seed, generator
 from .signal import SignalSet, gen_signal_set
 from .tpe import ParamDomain
@@ -85,6 +85,11 @@ class VarBenchResult:
     reductions: tuple[float, ...]
     mean_reduction: float
     reduction_interval: tuple[float, float]
+
+
+def _finite_sampens(s: SignalSet, p: SampEnParams) -> tuple[float | None, ...]:
+    """Each signal's SampEn at p, or None where it is not finite."""
+    return tuple(res.value if res.finite else None for res in (sampen(x, p) for x in s))
 
 
 def true_variance(s_pop: SignalSet, m: int, r: float) -> float:
@@ -214,49 +219,46 @@ def method_comparison(cfg: MethodComparisonConfig) -> list[MethodRow]:
     The TPE-optimized method is scored by its native bootstrap objective;
     the baselines are scored by the Gaussian-approximation regularized MSE
     from the per-signal entropies and counting SEs each selection already
-    holds at its (m*, r*). Wall-clock per method is reported, not asserted.
+    holds at its (m*, r*). Both counting baselines read one (CP, sigma)
+    radius-grid table, and each of their rows' seconds includes its build
+    time. The baselines, whose draws do not depend on the search, are
+    scored first, so one that cannot be scored fails before the first
+    trial. Wall-clock per method is reported, not asserted.
     """
     s = gen_signal_set(cfg.signal_type, cfg.n_signals, cfg.n, seed=child_seed(cfg.seed, 0))
-    lam = cfg.lam_value
-    rows: list[MethodRow] = []
-
+    _require_searchable(s.signals)  # too-short signals fail as the search's AllTrialsInfeasible, not SignalTooShort
     t0 = time.perf_counter()
-    opt = optimize_set(s, cfg.optimizer_config())
-    mean_e, std_e = _entropy_stats(_finite_sampens(s, SampEnParams(m=opt.best_psi.m, r=opt.best_psi.r)))
-    rows.append(
-        MethodRow(
-            method="ours",
-            m_star=opt.best_psi.m,
-            r_star=opt.best_psi.r,
-            q_star=opt.best_psi.q,
-            objective=opt.best_y,
-            entropy_mean=mean_e,
-            entropy_std=std_e,
-            seconds=time.perf_counter() - t0,
-        )
-    )
-
+    grid = _counting_grid(s, cfg.baseline_m)
+    grid_seconds = time.perf_counter() - t0
     selectors = [
-        lambda: sampeneff_select(s, cfg.baseline_m),
-        lambda: convergence_select(s, cfg.baseline_m),
-        lambda: standard_params_eval(s),
+        (lambda: _counting_select("sampeneff", s, cfg.baseline_m, grid), grid_seconds),
+        (lambda: _counting_select("convergence", s, cfg.baseline_m, grid), grid_seconds),
+        (lambda: standard_params_eval(s), 0.0),
     ]
-    for tag, select in enumerate(selectors):
+    baseline_rows = []
+    for tag, (select, seconds) in enumerate(selectors):
         t0 = time.perf_counter()
         res = select()
-        seconds = time.perf_counter() - t0
+        seconds += time.perf_counter() - t0
         mean_e, std_e = _entropy_stats(res.entropies)
-        rows.append(
+        baseline_rows.append(
             MethodRow(
                 method=res.method,
                 m_star=res.m_star,
                 r_star=res.r_star,
                 q_star=None,
-                objective=_gaussian_mse(s, res.m_star, res.r_star, res.entropies, res.ses, cfg.gaussian_draws, lam,
-                                        generator(cfg.seed, 2, tag)),
+                objective=_gaussian_mse(s, res.m_star, res.r_star, res.entropies, res.ses, cfg.gaussian_draws,
+                                        cfg.lam_value, generator(cfg.seed, 2, tag)),
                 entropy_mean=mean_e,
                 entropy_std=std_e,
                 seconds=seconds,
             )
         )
-    return rows
+
+    t0 = time.perf_counter()
+    opt = optimize_set(s, cfg.optimizer_config())
+    psi = opt.best_psi
+    mean_e, std_e = _entropy_stats(_finite_sampens(s, SampEnParams(m=psi.m, r=psi.r)))
+    ours = MethodRow(method="ours", m_star=psi.m, r_star=psi.r, q_star=psi.q, objective=opt.best_y,
+                     entropy_mean=mean_e, entropy_std=std_e, seconds=time.perf_counter() - t0)
+    return [ours, *baseline_rows]

@@ -123,11 +123,15 @@ def _random_psi(domain: ParamDomain, rng: np.random.Generator) -> ParamVector:
     return ParamVector(m=m, r=r, q=q)
 
 
-def _optimize(signals: tuple[Signal, ...], cfg: OptimizerConfig) -> OptResult:
+def _require_searchable(signals: tuple[Signal, ...]) -> None:
+    """AllTrialsInfeasible, before any trial, when a signal is too short for every m >= 1 (N < m + 2 = 3)."""
     shortest = min(signals, key=lambda x: x.n)
     if shortest.n < 3:
-        # m >= 1 needs N >= m + 2 >= 3, so every trial would score +inf
         raise AllTrialsInfeasible(f"signal {shortest.id!r} has N={shortest.n}; every m needs N >= m + 2 >= 3")
+
+
+def _optimize(signals: tuple[Signal, ...], cfg: OptimizerConfig) -> OptResult:
+    _require_searchable(signals)
     history: list[Trial] = []
     for t in range(1, cfg.t_tilde + 1):
         rng = generator(cfg.seed, 1, t)

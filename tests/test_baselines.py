@@ -13,9 +13,11 @@ from sampenopt.baselines import (
     sampeneff,
     sampeneff_select,
     standard_params_eval,
+    _counting_grid,
     _interp_fine,
+    _per_signal_outputs,
 )
-from sampenopt.entropy import SampEnParams, cp_sigma, sampen
+from sampenopt.entropy import SampEnParams, counting_se, cp_sigma, sampen
 from sampenopt.errors import NoKnee, TooShort, UndefinedEntropy
 from sampenopt.signal import Signal, SignalSet
 
@@ -47,6 +49,52 @@ class TestSampeneff:
         x = Signal("g", [0.0, 10.0, 20.0, 30.0, 40.0])
         with pytest.raises(UndefinedEntropy):
             sampeneff(x, 1, 0.5)
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.0])
+    def test_criterion_at_cp_one_is_undefined(self, sigma):
+        # the log term vanishes at CP = 1; a zero sigma does not make it defined
+        with pytest.raises(UndefinedEntropy):
+            efficiency_criterion(1.0, sigma)
+
+
+class TestPerSignalOutputs:
+    def test_equal_to_sampen_and_counting_se_or_none(self):
+        # random lengths, m = 1..3, every third set rounded to ties, short
+        # signals and small radii for undefined and infinite entropies
+        rng = np.random.default_rng(17)
+        states = set()
+        for k in range(120):
+            m = int(rng.integers(1, 4))
+            r = float(rng.choice([0.05, 0.1, 0.2, 0.3, 0.6]))
+            signals = []
+            for i in range(5):
+                v = rng.standard_normal(int(rng.integers(m + 3, 141)))
+                signals.append(Signal(f"s{i}", np.round(v, 1) if k % 3 == 0 else v))
+            s = SignalSet(tuple(signals))
+            entropies, ses = _per_signal_outputs(s, m, r)
+            p = SampEnParams(m, r)
+            for x, e, se in zip(s, entropies, ses):
+                res = sampen(x, p)
+                states.add("finite" if res.finite else "undefined" if res.value is None else "infinite")
+                if res.finite:
+                    assert e == res.value and se == counting_se(x, p)
+                else:
+                    assert e is None and se is None
+        assert states == {"finite", "undefined", "infinite"}
+
+    def test_no_sampen_or_counting_se_call(self, monkeypatch):
+        import sampenopt.baselines
+        import sampenopt.entropy
+
+        def forbidden(*args):
+            raise AssertionError("called")
+
+        # count_matches is what sampen counts through
+        for module in (sampenopt.entropy, sampenopt.baselines):
+            for name in ("sampen", "counting_se", "count_matches"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        entropies, ses = _per_signal_outputs(make_noise_set(4, 60, seed=3), 2, 0.2)
+        assert len(entropies) == len(ses) == 4
 
 
 class TestGridInterpolation:
@@ -199,6 +247,17 @@ class TestSelectors:
 
     def test_convergence_selects_smaller_radius(self, conv_result, eff_result):
         assert conv_result.r_star < eff_result.r_star
+
+    def test_grid_drops_a_radius_at_the_first_undefined_cp(self):
+        # at m = 3 a 30-point signal has no template match at the smallest radii
+        s = make_noise_set(3, 30, seed=5)
+        grid = _counting_grid(s, 3)
+        kept = [r for r, _ in grid]
+        assert 0 < len(kept) < len(RadiusGrid.coarse)
+        for r in RadiusGrid.coarse:
+            p = SampEnParams(3, r)
+            defined = all(sampen(x, p).finite for x in s)
+            assert (r in kept) == defined
 
     def test_per_signal_outputs_aligned(self, noise_set, conv_result):
         assert len(conv_result.entropies) == noise_set.n == len(conv_result.ses)

@@ -232,6 +232,28 @@ class TestBaseline:
         assert want["bm"] > 0 and want["am"] == 0
         assert env_b["payload"]["signals"][0]["entropy"] == want["entropy"] == {"state": "infinite", "value": None}
 
+    def test_sampen_only_for_signals_without_a_finite_entropy(self, tmp_path, monkeypatch):
+        import sampenopt.cli
+
+        values = np.random.default_rng(0).standard_normal(20)
+        signals = {"g": (values - values.mean()) / values.std(ddof=1), "far": 10.0 * np.arange(6)}
+        signals.update({x.id: x.values for x in make_noise_set(3, 80, seed=4)})
+        src = _csv(tmp_path, signals)
+        called = []
+        original = sampenopt.cli.sampen
+
+        def spy(x, p):
+            called.append(x.id)
+            return original(x, p)
+
+        monkeypatch.setattr(sampenopt.cli, "sampen", spy)
+        code, env = run(["baseline", "--input", src, "--method", "standard"], tmp_path)
+        assert code == 0
+        states = {rec["id"]: rec["entropy"]["state"] for rec in env["payload"]["signals"]}
+        assert states["g"] == "infinite" and states["far"] == "undefined"
+        assert "finite" in states.values()
+        assert sorted(called) == sorted(sid for sid, state in states.items() if state != "finite")
+
 
 class TestVarbench:
     def test_tiny_run_with_csv(self, tmp_path):

@@ -84,19 +84,21 @@ def tiny_cfg():
     )
 
 
+_COMPARISON_CFG = MethodComparisonConfig(
+    signal_type="white_noise",
+    n_signals=8,
+    n=80,
+    b=30,
+    t_tilde=15,
+    t_init=5,
+    gaussian_draws=2000,
+    seed=9,
+)
+
+
 @pytest.fixture(scope="module")
 def comparison_rows():
-    cfg = MethodComparisonConfig(
-        signal_type="white_noise",
-        n_signals=8,
-        n=80,
-        b=30,
-        t_tilde=15,
-        t_init=5,
-        gaussian_draws=2000,
-        seed=9,
-    )
-    return method_comparison(cfg)
+    return method_comparison(_COMPARISON_CFG)
 
 
 class TestEstimatorError:
@@ -174,11 +176,15 @@ class TestMethodComparison:
 
 class TestMethodComparisonScoresEachSelectionOnce:
     def test_cp_sigma_calls_are_those_of_the_selections(self, monkeypatch):
-        # each baseline is scored from the SEs its selection already computed, so
-        # scoring adds no cp_sigma call; the TPE search makes none either
+        # both counting rows read one (cp, sigma) grid, and each baseline is scored
+        # from the SEs its selection already computed, so the comparison makes one
+        # grid's worth of cp_sigma calls fewer than the three selectors run apart;
+        # the TPE search makes none
+        from collections import Counter
+
         import sampenopt.baselines
         import sampenopt.entropy
-        from sampenopt.baselines import convergence_select, sampeneff_select, standard_params_eval
+        from sampenopt.baselines import RadiusGrid, convergence_select, sampeneff_select, standard_params_eval
         from sampenopt.rng import child_seed
         from sampenopt.signal import gen_signal_set
 
@@ -196,10 +202,43 @@ class TestMethodComparisonScoresEachSelectionOnce:
         sampeneff_select(s, cfg.baseline_m)
         convergence_select(s, cfg.baseline_m)
         standard_params_eval(s)
-        selections = list(calls)
+        apart = Counter(calls)
         calls.clear()
         method_comparison(cfg)
-        assert selections and calls == selections
+        assert sum(apart.values()) - len(calls) == len(RadiusGrid.coarse) * cfg.n_signals
+        # the calls left out are exactly one grid's: every (signal, m, r) at the coarse radii
+        assert apart - Counter(calls) == Counter((x.id, cfg.baseline_m, r) for r in RadiusGrid.coarse for x in s)
+
+
+class TestMethodComparisonScoresBaselinesFirst:
+    def test_undefined_standard_entropy_fails_before_the_search(self, monkeypatch):
+        # 30-point signals have no finite SampEn at the standard (2, 0.20) for
+        # some signal; the search is never started
+        import sampenopt.experiments
+        from sampenopt.errors import UndefinedEntropy
+
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(sampenopt.experiments, "optimize_set", no_search)
+        cfg = MethodComparisonConfig(n_signals=20, n=30, t_tilde=40, gaussian_draws=50, seed=0)
+        with pytest.raises(UndefinedEntropy, match=r"entropy not finite at \(m=2, r=0.2\)"):
+            method_comparison(cfg)
+
+    def test_rows_keep_their_order_and_values(self, comparison_rows):
+        from sampenopt.baselines import _gaussian_mse, convergence_select, sampeneff_select, standard_params_eval
+        from sampenopt.rng import child_seed, generator
+        from sampenopt.signal import gen_signal_set
+
+        cfg = _COMPARISON_CFG
+        s = gen_signal_set(cfg.signal_type, cfg.n_signals, cfg.n, seed=child_seed(cfg.seed, 0))
+        results = [sampeneff_select(s, cfg.baseline_m), convergence_select(s, cfg.baseline_m), standard_params_eval(s)]
+        for tag, (row, res) in enumerate(zip(comparison_rows[1:], results)):
+            assert (row.method, row.m_star, row.r_star) == (res.method, res.m_star, res.r_star)
+            rng = generator(cfg.seed, 2, tag)
+            want = _gaussian_mse(s, res.m_star, res.r_star, res.entropies, res.ses, cfg.gaussian_draws, cfg.lam_value,
+                                 rng)
+            assert row.objective == want
 
 
 class TestVarBenchConfig:

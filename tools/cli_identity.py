@@ -153,6 +153,11 @@ RUNS = {
     "reject-4-class-without-finite-sampen": ["compare", "--input", "cls.csv", "--m", "3", "--r", "0.3"],
     "varbench-m2-len50": ["varbench", "--len", "50", "--m", "2", "--r", "0.2", "--B", "30",
                            "--n-population", "200", "--n-subsample", "40", "--repeats", "2", "--seed", "3"],
+    # at m = 3 the radii 0.10-0.30 are dropped from the grid, and a radius is still selected
+    "baseline-sampeneff-m3": ["baseline", "--input", "in.csv", "--method", "sampeneff", "--m", "3"],
+    # 30-point signals: the standard (2, 0.20) row has an infinite or undefined SampEn
+    "reject-4-compare-methods-standard-row": ["compare-methods", "--n", "4", "--len", "30", "--T", "8", "--T-init",
+                                              "4", "--B", "12", "--gaussian-draws", "200", "--seed", "9"],
 }
 
 
