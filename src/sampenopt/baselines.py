@@ -4,8 +4,8 @@ Implements the efficiency-criterion radius search (Lake et al. 2002), the
 convergence ("elbow") selection over the radius-versus-variance curve with
 Kneedle knee detection (Satopaa et al. 2011), the standard-parameter
 baseline (m = 2, r = 0.20), the AR-order/BIC heuristic for the embedding
-dimension, and the Gaussian approximation of the regularized MSE used to
-score methods that carry no native uncertainty estimate.
+dimension, and the closed-form Gaussian approximation of the regularized MSE
+used to score methods that carry no native uncertainty estimate.
 """
 
 from __future__ import annotations
@@ -227,27 +227,24 @@ def ar_order_m(s: SignalSet, p_max: int) -> int:
     return max(1, int(math.floor(med + 0.5)))
 
 
-def gaussian_mse_approx(s: SignalSet, m: int, r: float, d: int, lam: float, rng: np.random.Generator) -> float:
-    """Regularized MSE via the Gaussian uncertainty approximation.
+def gaussian_mse_approx(s: SignalSet, m: int, r: float, lam: float) -> float:
+    """Regularized MSE via the Gaussian uncertainty approximation, in closed form.
 
-    Per signal, draws d values from N(theta_hat, s_i) with s_i the counting
-    standard error and averages the squared deviations from theta_hat; the
-    set mean plus lambda*sqrt(r) comes back. Requires a finite entropy (and
-    defined counting SE) for every signal.
+    With theta_i ~ N(theta_hat_i, s_i^2), s_i = sigma_CP / CP the counting
+    standard error, the expected squared deviation from theta_hat_i is
+    s_i^2, so the value is mean(s_i^2) + lambda*sqrt(r), exactly and with no
+    draws. Requires a finite entropy (and defined counting SE) for every
+    signal.
     """
-    if d < 1:
-        raise ValueError("draw count D must be >= 1")
-    return _gaussian_mse(s, m, r, *_per_signal_outputs(s, m, r), d, lam, rng)
+    return _gaussian_mse(s, m, r, *_per_signal_outputs(s, m, r), lam)
 
 
-def _gaussian_mse(s: SignalSet, m: int, r: float, entropies, ses, d: int, lam: float, rng) -> float:
+def _gaussian_mse(s: SignalSet, m: int, r: float, entropies, ses, lam: float) -> float:
     """gaussian_mse_approx from the per-signal entropies and counting SEs already computed at (m, r)."""
-    eps = []
-    for x, e, se in zip(s, entropies, ses):
+    for x, e in zip(s, entropies):
         if e is None:
             raise UndefinedEntropy(f"signal {x.id!r}: entropy not finite at (m={m}, r={r})")
-        eps.append(float(np.mean((se * rng.standard_normal(d)) ** 2)))
-    return float(np.mean(eps)) + lam * math.sqrt(r)
+    return float(np.mean(np.square(ses))) + lam * math.sqrt(r)
 
 
 _STANDARD_M, _STANDARD_R = 2, 0.20  # the standard parameters (m = 2, r = 0.20)

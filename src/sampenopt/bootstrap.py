@@ -92,14 +92,10 @@ def _draw_block_lengths(q: float, size: int | tuple[int, int], rng: np.random.Ge
 def _block_indices(starts: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
     """Source indices for concatenated blocks, wrapped mod n, truncated to n.
 
-    starts and lengths are (k,) for one replicate or (B, k) for B of them;
-    starts are 0-based, lengths are >= 1 and each row sums to at least n.
-    Each row's final block is shortened so exactly n indices come back,
-    in an array of shape (n,) or (B, n).
+    starts and lengths are (B, k), row b being replicate b; starts are
+    0-based, lengths are >= 1 and each row sums to at least n. Each row's
+    final block is shortened so exactly n indices come back, as (B, n).
     """
-    shape = np.shape(starts)
-    starts = np.reshape(starts, (-1, shape[-1]))
-    lengths = np.reshape(lengths, starts.shape)
     begin = np.cumsum(lengths, axis=1) - lengths
     # the blocks beginning before n, the last one cut at n, fill each row
     # with exactly n positions; position i of a block is start - begin + i
@@ -108,13 +104,11 @@ def _block_indices(starts: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarra
     idx += np.arange(n)
     # start < n and i - begin < n, so one subtraction wraps every index
     np.subtract(idx, n, out=idx, where=idx >= n)
-    return idx.reshape(shape[:-1] + (n,))
+    return idx
 
 
-def _draw_blocks(
-    n: int, q: float, rng: np.random.Generator, size: int | tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Start indices in [0, n), then Geom(q) lengths, each of shape n or (B, n)."""
+def _draw_blocks(n: int, q: float, rng: np.random.Generator, size: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Start indices in [0, n), then Geom(q) lengths, each of shape size = (B, n)."""
     return rng.integers(0, n, size=size), _draw_block_lengths(q, size, rng)
 
 
@@ -127,7 +121,7 @@ def stationary_bootstrap(x: Signal, q: float, rng: np.random.Generator) -> Signa
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0, 1)")
     n = x.n
-    return x.with_values(x.values[_block_indices(*_draw_blocks(n, q, rng, n), n)])
+    return x.with_values(x.values[_block_indices(*_draw_blocks(n, q, rng, (1, n)), n)[0]])
 
 
 def bootstrap_sampen(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> BootstrapEstimates:

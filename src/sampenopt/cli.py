@@ -60,7 +60,7 @@ _COMPUTE_EXIT = 4
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("{"):
         loaded = json.loads(text)
@@ -373,7 +373,6 @@ def _cmd_compare_methods(args) -> tuple[dict, dict]:
         t_init=args.t_init,
         u=args.u,
         baseline_m=args.baseline_m,
-        gaussian_draws=args.gaussian_draws,
         seed=args.seed,
     )
     rows = method_comparison(cfg)
@@ -444,7 +443,6 @@ _OPTIONS = {
     "n_subsample": ("--n-subsample", dict(type=int, default=100)),
     "repeats": ("--repeats", dict(type=int, default=5, help="full scale: 20")),
     "baseline_m": ("--baseline-m", dict(type=int, default=1)),
-    "gaussian_draws": ("--gaussian-draws", dict(type=int, default=10000)),
     "csv": ("--csv", dict(default=None, help="also write a summary CSV table")),
 }
 
@@ -469,7 +467,7 @@ _COMMANDS = {
                  {"m": {"default": 1}}),
     "compare-methods": ("four-way method comparison on synthetic sets",
                         ["signal_type", "n_signals", "length", "lam", "b", "t_tilde", "t_init", "u", "baseline_m",
-                         "gaussian_draws", "csv"], {"lam": {"default": None}}),
+                         "csv"], {"lam": {"default": None}}),
 }
 
 

@@ -165,14 +165,11 @@ class MethodComparisonConfig:
     t_init: int = 10
     u: int = 3
     baseline_m: int = 1
-    gaussian_draws: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
         if self.signal_type not in ("white_noise", "ar1"):
             raise ValueError(f"unknown signal type {self.signal_type!r}")
-        if self.gaussian_draws < 1:
-            raise ValueError("draw count D must be >= 1")
         SampEnParams(m=self.baseline_m, r=0.2)  # the baselines' m, checked as SampEn's m
         self.optimizer_config()
 
@@ -217,11 +214,11 @@ def method_comparison(cfg: MethodComparisonConfig) -> list[MethodRow]:
     """Run all four selection strategies on a common generated signal set.
 
     The TPE-optimized method is scored by its native bootstrap objective;
-    the baselines are scored by the Gaussian-approximation regularized MSE
-    from the per-signal entropies and counting SEs each selection already
-    holds at its (m*, r*). Both counting baselines read one (CP, sigma)
-    radius-grid table, and each of their rows' seconds includes its build
-    time. The baselines, whose draws do not depend on the search, are
+    the baselines by the Gaussian-approximation regularized MSE in closed
+    form, mean(s_i^2) + lambda*sqrt(r*), from the counting SEs s_i each
+    selection already holds at its (m*, r*). Both counting baselines read
+    one (CP, sigma) radius-grid table, and each of their rows' seconds
+    includes its build time. The baselines draw no random numbers and are
     scored first, so one that cannot be scored fails before the first
     trial. Wall-clock per method is reported, not asserted.
     """
@@ -236,7 +233,7 @@ def method_comparison(cfg: MethodComparisonConfig) -> list[MethodRow]:
         (lambda: standard_params_eval(s), 0.0),
     ]
     baseline_rows = []
-    for tag, (select, seconds) in enumerate(selectors):
+    for select, seconds in selectors:
         t0 = time.perf_counter()
         res = select()
         seconds += time.perf_counter() - t0
@@ -247,8 +244,7 @@ def method_comparison(cfg: MethodComparisonConfig) -> list[MethodRow]:
                 m_star=res.m_star,
                 r_star=res.r_star,
                 q_star=None,
-                objective=_gaussian_mse(s, res.m_star, res.r_star, res.entropies, res.ses, cfg.gaussian_draws,
-                                        cfg.lam_value, generator(cfg.seed, 2, tag)),
+                objective=_gaussian_mse(s, res.m_star, res.r_star, res.entropies, res.ses, cfg.lam_value),
                 entropy_mean=mean_e,
                 entropy_std=std_e,
                 seconds=seconds,

@@ -7,17 +7,21 @@ from a 64-bit master seed and an integer index path:
 
 ``SeedSequence`` hashes the tuple, so streams for distinct paths are
 independent and reproducible on any platform, under any execution order.
-Conventions used by the optimizer and harnesses:
+Every path in use, under the run's master seed:
 
-    child_seed(seed, 0, trial, signal)   bootstrap stream (all B replicates)
-    (seed, 1, trial)                     TPE proposal / random init draws
-    (seed, 2, ...)                       harness-local streams
+    (seed, i)                 gen_signal_set: signal i
+    (seed, 0, trial, signal)  optimizer: bootstrap stream (all B replicates)
+    (seed, 1, trial)          optimizer: TPE proposal / random init draws
+    (seed, tag, i)            CLI per-signal bootstrap records, signal i: tag 0
+                              estimate and compare's first class, tag 1
+                              compare's second class, tag 3 optimize's summary
+    (seed, 0), (seed, 1)      method_comparison: signal set, optimizer seed
+    (seed, 0), (seed, 1, rep), (seed, 2, rep, j)
+                              estimator_error: population, subsample of
+                              repeat rep, bootstrap of its j-th signal
 
-so results are identical whether per-signal work runs sequentially or in
-parallel. The optimizer collapses (seed, 0, trial, signal) to one 64-bit
-seed with child_seed, and bootstrap_sampen, the one bootstrap path, draws
-every replicate's blocks from generator(that seed); there is no
-per-replicate level.
+so results do not depend on execution order. A bootstrap draws all B
+replicates' blocks from generator(child_seed(path)), with no per-replicate level.
 """
 
 from __future__ import annotations

@@ -228,7 +228,7 @@ def test_criterion_7_optimizer_behavior():
         res = optimize_set(s, cfg)
         bsf = res.best_so_far()
         assert all(b <= a for a, b in zip(bsf, bsf[1:])), "best-so-far not monotone"
-        std_obj = gaussian_mse_approx(s, 2, 0.20, 100_000, lam, generator(720 + seed))
+        std_obj = gaussian_mse_approx(s, 2, 0.20, lam)
         if res.best_y < std_obj:
             beats_standard += 1
         if res.best_psi.m == 1 and 0.15 <= res.best_psi.r <= 0.35:
@@ -342,7 +342,7 @@ def test_criterion_11_cli_determinism(tmp_path):
         "baseline": ["baseline", "--input", str(d / "in.csv"), "--method", "standard"],
         "compare": ["compare", "--input", str(d / "two.csv"), "--m", "1", "--r", "0.3", "--q", "0.8", "--B", "15", "--seed", "9"],
         "varbench": ["varbench", "--len", "50", "--n-population", "40", "--n-subsample", "10", "--repeats", "2", "--B", "15", "--seed", "9"],
-        "compare-methods": ["compare-methods", "--n", "4", "--len", "100", "--T", "8", "--T-init", "4", "--B", "12", "--gaussian-draws", "200", "--seed", "9"],
+        "compare-methods": ["compare-methods", "--n", "4", "--len", "100", "--T", "8", "--T-init", "4", "--B", "12", "--seed", "9"],
     }
     failures = []
     for name, args in cases.items():

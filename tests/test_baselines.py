@@ -202,26 +202,21 @@ class TestGaussianMseApprox:
     def test_zero_se_gives_pure_penalty(self, constant):
         # constant signals have sigma_CP = 0, so only the penalty remains
         s = SignalSet((constant,))
-        rng = np.random.default_rng(0)
-        val = gaussian_mse_approx(s, 1, 0.36, 50, lam=0.5, rng=rng)
+        val = gaussian_mse_approx(s, 1, 0.36, lam=0.5)
         assert val == pytest.approx(0.5 * math.sqrt(0.36), abs=1e-15)
 
-    def test_concentrates_to_mean_squared_se(self):
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0 / 3.0, 2.5])
+    def test_equals_mean_squared_se_plus_penalty(self, lam):
         s = make_noise_set(8, 100, seed=2)
-        target = np.mean([(lambda t: (t[1] / t[0]) ** 2)(cp_sigma(x, SampEnParams(1, 0.3))) for x in s])
-        val = gaussian_mse_approx(s, 1, 0.3, 100_000, lam=0.0, rng=np.random.default_rng(3))
-        assert abs(val - target) / target <= 0.03
-
-    def test_single_draw_unbiased(self):
-        s = make_noise_set(4, 80, seed=4)
-        target = np.mean([(lambda t: (t[1] / t[0]) ** 2)(cp_sigma(x, SampEnParams(1, 0.3))) for x in s])
-        vals = [gaussian_mse_approx(s, 1, 0.3, 1, lam=0.0, rng=np.random.default_rng(s_)) for s_ in range(400)]
-        assert abs(np.mean(vals) - target) / target <= 0.2
+        m, r = 1, 0.3
+        pairs = [cp_sigma(x, SampEnParams(m, r)) for x in s]
+        want = float(np.mean(np.square([sigma / cp for cp, sigma in pairs]))) + lam * math.sqrt(r)
+        assert gaussian_mse_approx(s, m, r, lam) == want
 
     def test_undefined_propagates(self):
         bad = Signal("g", np.array([0.0, 10.0, 20.0, 30.0, 40.0]))
-        with pytest.raises(UndefinedEntropy):
-            gaussian_mse_approx(SignalSet((bad,)), 1, 0.5, 10, 0.1, np.random.default_rng(0))
+        with pytest.raises(UndefinedEntropy, match=r"signal 'g': entropy not finite at \(m=1, r=0.5\)"):
+            gaussian_mse_approx(SignalSet((bad,)), 1, 0.5, 0.1)
 
 
 @pytest.fixture(scope="module")

@@ -83,17 +83,17 @@ class TestBlockAssembly:
     def test_wrap_rule(self):
         # start at the last element with a 3-long block wraps to the front
         x = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
-        idx = _block_indices(np.array([4, 0]), np.array([3, 2]), 5)
-        assert np.array_equal(x[idx][:3], [50.0, 10.0, 20.0])
+        idx = _block_indices(np.array([[4, 0]]), np.array([[3, 2]]), 5)
+        assert np.array_equal(x[idx[0]][:3], [50.0, 10.0, 20.0])
 
     def test_truncates_to_exact_length(self):
-        idx = _block_indices(np.array([0, 2]), np.array([3, 7]), 5)
-        assert idx.size == 5
+        idx = _block_indices(np.array([[0, 2]]), np.array([[3, 7]]), 5)
+        assert idx.shape == (1, 5)
 
     def test_single_overlong_block(self):
-        idx = _block_indices(np.array([3]), np.array([12]), 6)
-        assert idx.size == 6
-        assert np.array_equal(idx, (3 + np.arange(6)) % 6)
+        idx = _block_indices(np.array([[3]]), np.array([[12]]), 6)
+        assert idx.shape == (1, 6)
+        assert np.array_equal(idx[0], (3 + np.arange(6)) % 6)
 
 
 class TestBatchedBlockIndices:

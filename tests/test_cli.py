@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,8 +282,7 @@ class TestCompareMethods:
         code, env = run(
             [
                 "compare-methods", "--signal-type", "white-noise", "--n", "6", "--len", "100",
-                "--T", "12", "--T-init", "5", "--B", "20", "--gaussian-draws", "500",
-                "--seed", "3", "--csv", str(table),
+                "--T", "12", "--T-init", "5", "--B", "20", "--seed", "3", "--csv", str(table),
             ],
             tmp_path,
         )
@@ -288,6 +291,22 @@ class TestCompareMethods:
         assert methods == ["ours", "sampeneff", "convergence", "standard"]
         assert set(env["timings"]) == set(methods)
         assert table.read_text().count("\n") == 5  # header + 4 rows
+
+    # the baselines are scored in closed form, so there is no draw count to set
+    def test_gaussian_draws_flag_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare-methods", "--n", "3", "--len", "60", "--gaussian-draws", "5",
+                  "--output", str(tmp_path / "o.json")])
+        assert exc.value.code == 2
+        assert "--gaussian-draws" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_gaussian_draws_config_key_exits_2_and_names_it(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"gaussian_draws": 5}')
+        code, env = run(["compare-methods", "--n", "3", "--len", "60", "--config", str(cfg)], tmp_path)
+        assert code == 2 and env is None
+        assert "'gaussian_draws'" in capsys.readouterr().err
 
 
 class TestErrorsAndExitCodes:
@@ -358,8 +377,7 @@ class TestErrorsAndExitCodes:
         "command",
         [
             lambda csv: ["optimize", "--input", csv, "--no-preprocess", "--T", "3", "--T-init", "2", "--B", "5"],
-            lambda csv: ["compare-methods", "--n", "3", "--len", "60", "--T", "3", "--T-init", "2", "--B", "5",
-                         "--gaussian-draws", "100"],
+            lambda csv: ["compare-methods", "--n", "3", "--len", "60", "--T", "3", "--T-init", "2", "--B", "5"],
         ],
         ids=["optimize", "compare-methods"],
     )
@@ -422,7 +440,7 @@ class TestUnwritableOutput:
             lambda csv: ["varbench", "--len", "40", "--n-population", "20", "--n-subsample", "5", "--repeats", "1",
                          "--B", "5", "--csv", "nodir/x.csv"],
             lambda csv: ["compare-methods", "--n", "3", "--len", "40", "--T", "3", "--T-init", "2", "--B", "5",
-                         "--gaussian-draws", "100", "--csv", "nodir/x.csv"],
+                         "--csv", "nodir/x.csv"],
             lambda csv: ["estimate", "--input", csv, "--output", "nodir/x.csv"],
         ],
         ids=["synth-out", "preprocess-out", "varbench-csv", "compare-methods-csv", "output"],
@@ -499,6 +517,20 @@ class TestConfigFile:
         cfg.write_text("m=1\nt_tilde=5\n")
         code, env = run(["estimate", "--input", noise_csv, "--config", str(cfg)], tmp_path)
         assert code == 0 and env["payload"]["m"] == 1
+
+    def test_utf8_config_under_an_ascii_locale(self, tmp_path):
+        # without UTF-8 mode, the C locale makes the default text encoding ASCII
+        (tmp_path / "cfg.txt").write_bytes("label = caf\u00e9\n".encode("utf-8"))
+        script = "import sys; from sampenopt.cli import main; raise SystemExit(main())"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": src}
+        argv = ["synth", "white-noise", "--n", "2", "--len", "5", "--config", "cfg.txt", "--out", "o.csv"]
+        proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env, capture_output=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        rows = (tmp_path / "o.csv").read_bytes().decode("utf-8").splitlines()
+        assert rows[1].split(",")[1] == "caf\u00e9"
 
     @pytest.mark.parametrize("path", ["absent.cfg", ""])
     def test_missing_config_file_exits_2(self, noise_csv, tmp_path, path):
@@ -654,7 +686,6 @@ class TestConfigCheckedBeforeWork:
     @pytest.mark.parametrize(
         "args",
         [
-            ["--gaussian-draws", "0"],
             ["--baseline-m", "0"],
             ["--lambda", "-1"],
             ["--B", "0"],
@@ -794,7 +825,7 @@ class TestParserShape:
         "compare-methods": (
             [],
             {"signal_type": "white-noise", "n_signals": 100, "length": 100, "lam": None, "b": 100, "t_tilde": 100,
-             "t_init": 10, "u": 3, "baseline_m": 1, "gaussian_draws": 10000, "csv": None},
+             "t_init": 10, "u": 3, "baseline_m": 1, "csv": None},
         ),
     }
 
@@ -844,7 +875,7 @@ class TestDeterminism:
         "baseline": lambda d: ["baseline", "--input", str(d / "in.csv"), "--method", "standard"],
         "compare": lambda d: ["compare", "--input", str(d / "two.csv"), "--m", "1", "--r", "0.3", "--q", "0.8", "--B", "15", "--seed", "9"],
         "varbench": lambda d: ["varbench", "--len", "50", "--n-population", "40", "--n-subsample", "10", "--repeats", "2", "--B", "15", "--seed", "9"],
-        "compare-methods": lambda d: ["compare-methods", "--n", "4", "--len", "100", "--T", "8", "--T-init", "4", "--B", "12", "--gaussian-draws", "200", "--seed", "9"],
+        "compare-methods": lambda d: ["compare-methods", "--n", "4", "--len", "100", "--T", "8", "--T-init", "4", "--B", "12", "--seed", "9"],
     }
 
     @pytest.mark.parametrize("command", sorted(CASES))

@@ -91,7 +91,6 @@ _COMPARISON_CFG = MethodComparisonConfig(
     b=30,
     t_tilde=15,
     t_init=5,
-    gaussian_draws=2000,
     seed=9,
 )
 
@@ -197,7 +196,7 @@ class TestMethodComparisonScoresEachSelectionOnce:
 
         monkeypatch.setattr(sampenopt.entropy, "cp_sigma", spy)
         monkeypatch.setattr(sampenopt.baselines, "cp_sigma", spy)
-        cfg = MethodComparisonConfig(n_signals=4, n=80, b=10, t_tilde=6, t_init=3, gaussian_draws=50, seed=5)
+        cfg = MethodComparisonConfig(n_signals=4, n=80, b=10, t_tilde=6, t_init=3, seed=5)
         s = gen_signal_set(cfg.signal_type, cfg.n_signals, cfg.n, seed=child_seed(cfg.seed, 0))
         sampeneff_select(s, cfg.baseline_m)
         convergence_select(s, cfg.baseline_m)
@@ -221,24 +220,21 @@ class TestMethodComparisonScoresBaselinesFirst:
             raise AssertionError("the search ran")
 
         monkeypatch.setattr(sampenopt.experiments, "optimize_set", no_search)
-        cfg = MethodComparisonConfig(n_signals=20, n=30, t_tilde=40, gaussian_draws=50, seed=0)
+        cfg = MethodComparisonConfig(n_signals=20, n=30, t_tilde=40, seed=0)
         with pytest.raises(UndefinedEntropy, match=r"entropy not finite at \(m=2, r=0.2\)"):
             method_comparison(cfg)
 
     def test_rows_keep_their_order_and_values(self, comparison_rows):
         from sampenopt.baselines import _gaussian_mse, convergence_select, sampeneff_select, standard_params_eval
-        from sampenopt.rng import child_seed, generator
+        from sampenopt.rng import child_seed
         from sampenopt.signal import gen_signal_set
 
         cfg = _COMPARISON_CFG
         s = gen_signal_set(cfg.signal_type, cfg.n_signals, cfg.n, seed=child_seed(cfg.seed, 0))
         results = [sampeneff_select(s, cfg.baseline_m), convergence_select(s, cfg.baseline_m), standard_params_eval(s)]
-        for tag, (row, res) in enumerate(zip(comparison_rows[1:], results)):
+        for row, res in zip(comparison_rows[1:], results):
             assert (row.method, row.m_star, row.r_star) == (res.method, res.m_star, res.r_star)
-            rng = generator(cfg.seed, 2, tag)
-            want = _gaussian_mse(s, res.m_star, res.r_star, res.entropies, res.ses, cfg.gaussian_draws, cfg.lam_value,
-                                 rng)
-            assert row.objective == want
+            assert row.objective == _gaussian_mse(s, res.m_star, res.r_star, res.entropies, res.ses, cfg.lam_value)
 
 
 class TestVarBenchConfig:
@@ -255,7 +251,7 @@ class TestVarBenchConfig:
 class TestMethodComparisonConfig:
     @pytest.mark.parametrize(
         "field",
-        [{"gaussian_draws": 0}, {"baseline_m": 0}, {"lam": -1.0}, {"b": 0}, {"t_init": 0}, {"t_tilde": 3}, {"u": 0}],
+        [{"baseline_m": 0}, {"lam": -1.0}, {"b": 0}, {"t_init": 0}, {"t_tilde": 3}, {"u": 0}],
     )
     def test_bad_field_rejected_on_construction(self, field):
         with pytest.raises(ValueError):

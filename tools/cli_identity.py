@@ -102,7 +102,7 @@ RUNS = {
     "varbench": ["varbench", "--len", "50", "--n-population", "40", "--n-subsample", "10", "--repeats", "2",
                  "--B", "15", "--seed", "9", "--csv", "vb.csv"],
     "compare-methods": ["compare-methods", "--n", "4", "--len", "100", "--T", "8", "--T-init", "4", "--B", "12",
-                        "--gaussian-draws", "200", "--seed", "9", "--csv", "cm.csv"],
+                        "--seed", "9", "--csv", "cm.csv"],
     # optimizer domains and preprocessing
     "optimize-preprocess": ["optimize", "--input", "ar.csv", *OPT],
     "optimize-narrow-r": ["optimize", "--input", "in.csv", "--no-preprocess", "--r-lo", "0.01", "--r-hi", "0.08",
@@ -157,7 +157,7 @@ RUNS = {
     "baseline-sampeneff-m3": ["baseline", "--input", "in.csv", "--method", "sampeneff", "--m", "3"],
     # 30-point signals: the standard (2, 0.20) row has an infinite or undefined SampEn
     "reject-4-compare-methods-standard-row": ["compare-methods", "--n", "4", "--len", "30", "--T", "8", "--T-init",
-                                              "4", "--B", "12", "--gaussian-draws", "200", "--seed", "9"],
+                                              "4", "--B", "12", "--seed", "9"],
 }
 
 
