@@ -189,13 +189,7 @@ def convergence_select(s: SignalSet, m: int) -> BaselineResult:
     return _counting_select("convergence", s, m, _counting_grid(s, m))
 
 
-def _require_p_max(p_max: int) -> None:
-    """ar_order_m's rule on the largest AR order it fits."""
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
-
-
-def ar_order_m(s: SignalSet, p_max: int) -> int:
+def ar_order_m(s: SignalSet, p_max: int = 5) -> int:
     """Median best AR order across the set, as a proxy embedding dimension.
 
     Each signal is fit by least squares for orders p = 1..p_max on the
@@ -204,7 +198,8 @@ def ar_order_m(s: SignalSet, p_max: int) -> int:
     lagged design carries no intercept. The median is rounded half-up and
     floored at 1.
     """
-    _require_p_max(p_max)
+    if p_max < 1:
+        raise ValueError("p_max must be >= 1")
     orders = []
     for x in s:
         v = x.values

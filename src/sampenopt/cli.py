@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -33,7 +34,6 @@ from . import __version__
 from .baselines import (
     _STANDARD_M,
     _STANDARD_R,
-    _require_p_max,
     ar_order_m,
     convergence_select,
     sampeneff_select,
@@ -44,7 +44,7 @@ from .entropy import SampEnParams, _fuzzen_params, fuzzen, sampen
 from .errors import ComputationError, DataError, UndefinedEntropy
 from .experiments import MethodComparisonConfig, VarBenchConfig, estimator_error, method_comparison
 from .ingest import read_signals, write_signals
-from .optimizer import OptimizerConfig, optimize_set
+from .optimizer import OptimizerConfig, _trial_seed, optimize_set
 from .rng import child_seed
 from .signal import SignalSet, gen_signal_set, normalize
 from .stats import _require_alpha, mann_whitney_u, stationarity_pipeline, two_class_split
@@ -128,10 +128,10 @@ def _record(x, value: float | None, **fields) -> dict:
     return {"id": x.id, "label": x.label, "entropy": _entropy_state(value), **fields}
 
 
-def _entropy_records(s, params: SampEnParams, q: float | None, b: int, seed: int, tag: int) -> list[dict]:
+def _entropy_records(s, params: SampEnParams, q: float | None, b: int, seeds) -> list[dict]:
     """Per-signal SampEn with its match counts, or with bootstrap SE/MSE when q is set.
 
-    With q set, signal i draws its replicates from the stream (seed, tag, i).
+    With q set, signal i draws its replicates with the seed seeds(i).
     """
     out = []
     for i, x in enumerate(s):
@@ -139,7 +139,7 @@ def _entropy_records(s, params: SampEnParams, q: float | None, b: int, seed: int
             res = sampen(x, params)
             out.append(_record(x, res.value, bm=res.bm, am=res.am, cp=res.cp))
             continue
-        est = bootstrap_sampen(x, params, BootstrapConfig(q=q, b=b, seed=child_seed(seed, tag, i)))
+        est = bootstrap_sampen(x, params, BootstrapConfig(q=q, b=b, seed=seeds(i)))
         ok = est.feasible
         out.append(_record(x, est.original.value, bootstrap_se=bootstrap_se(est) if ok else None,
                            bootstrap_mse=bootstrap_mse(est) if ok else None))
@@ -203,7 +203,7 @@ def _cmd_estimate(args) -> tuple[dict, dict]:
         records = [_record(x, fuzzen(x, args.m, args.r, args.eta)) for x in s]
         payload = {"measure": "fuzzen", "m": args.m, "r": args.r, "eta": args.eta, "signals": records}
         return payload, {}
-    records = _entropy_records(s, params, args.q, args.b, args.seed, 0)
+    records = _entropy_records(s, params, args.q, args.b, functools.partial(child_seed, args.seed, 0))
     payload = {"measure": "sampen", "m": args.m, "r": args.r, "q": args.q, "signals": records}
     return payload, {}
 
@@ -222,6 +222,9 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
         s = _normalized(s)
     result = optimize_set(s, cfg)
     best = result.best_psi
+    # the summary rereads the replicates that scored best_y, those of the first best trial
+    best_trial = 1 + [rec.y for rec in result.records].index(result.best_y)
+    seeds = functools.partial(_trial_seed, args.seed, best_trial)
     history = [
         {"psi": _psi_dict(rec.psi), "y": (rec.y if math.isfinite(rec.y) else None), "feasible": rec.feasible}
         for rec in result.records
@@ -231,7 +234,7 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
         "best_y": result.best_y,
         "n_trials": len(result.records),
         "history": history,
-        "signals": _entropy_records(s, SampEnParams(m=best.m, r=best.r), best.q, args.b, args.seed, 3),
+        "signals": _entropy_records(s, SampEnParams(m=best.m, r=best.r), best.q, args.b, seeds),
     }
     if preprocess_records is not None:
         payload["preprocess"] = preprocess_records
@@ -252,7 +255,8 @@ def _cmd_compare(args) -> tuple[dict, dict]:
         m, r, q = result.best_psi.m, result.best_psi.r, result.best_psi.q
         optimized = {"best_psi": _psi_dict(result.best_psi), "best_y": result.best_y}
         params = SampEnParams(m=m, r=r)
-    records = [_entropy_records(g, params, q, args.b, args.seed, tag) for tag, g in enumerate((group_a, group_b))]
+    records = [_entropy_records(g, params, q, args.b, functools.partial(child_seed, args.seed, tag))
+               for tag, g in enumerate((group_a, group_b))]
     vals = [[rec["entropy"]["value"] for rec in recs if rec["entropy"]["state"] == "finite"] for recs in records]
     ses = [[rec["bootstrap_se"] for rec in recs if rec.get("bootstrap_se") is not None] for recs in records]
     for label, v in zip((label_a, label_b), vals):
@@ -299,12 +303,11 @@ def _cmd_baseline(args) -> tuple[dict, dict]:
     # every listed option is checked before the input is read, whichever method
     # runs; the standard parameters stand in for an unset --m and for r
     _fuzzen_params(_STANDARD_M if args.m is None else args.m, _STANDARD_R, args.eta)
-    _require_p_max(args.p_max)
     s = _read_input(args)
     if args.method in ("standard", "fuzzen"):
         res = standard_params_eval(s, fuzzy=args.method == "fuzzen", eta=args.eta)
     else:
-        m = args.m if args.m is not None else ar_order_m(s, args.p_max)
+        m = args.m if args.m is not None else ar_order_m(s)
         res = (sampeneff_select if args.method == "sampeneff" else convergence_select)(s, m)
     # entropies hold None for an infinite SampEn too; sampen tells it from an undefined one
     p = SampEnParams(m=res.m_star, r=res.r_star)
@@ -372,7 +375,6 @@ def _cmd_compare_methods(args) -> tuple[dict, dict]:
         t_tilde=args.t_tilde,
         t_init=args.t_init,
         u=args.u,
-        baseline_m=args.baseline_m,
         seed=args.seed,
     )
     rows = method_comparison(cfg)
@@ -414,8 +416,8 @@ _OPTIONS = {
     "label": ("--label", dict(default=None)),
     "normalize": ("--normalize", dict(action="store_true", help="z-normalize each generated signal")),
     "no_normalize": ("--no-normalize", dict(dest="normalize", action="store_false", help="keep the input scale")),
-    "m": ("--m", dict(type=int, default=2, help="embedding dimension (baseline default: AR-order heuristic)")),
-    "p_max": ("--p-max", dict(type=int, default=5, help="max AR order for the heuristic")),
+    "m": ("--m", dict(type=int, default=2, help="embedding dimension (baseline default: AR-order heuristic, "
+                      "orders 1-5)")),
     "r": ("--r", dict(type=float, default=0.2, help="similarity radius")),
     "q": ("--q", dict(type=float, default=None, help="bootstrap success probability; enables bootstrap SE/MSE "
                       "(varbench default: 0.9 white noise, 0.5 AR(1))")),
@@ -442,7 +444,6 @@ _OPTIONS = {
     "n_population": ("--n-population", dict(type=int, default=2000, help="full scale: 10000")),
     "n_subsample": ("--n-subsample", dict(type=int, default=100)),
     "repeats": ("--repeats", dict(type=int, default=5, help="full scale: 20")),
-    "baseline_m": ("--baseline-m", dict(type=int, default=1)),
     "csv": ("--csv", dict(default=None, help="also write a summary CSV table")),
 }
 
@@ -461,13 +462,13 @@ _COMMANDS = {
                 ["input", "m", "r", "q", "optimize", "alternative", "no_normalize", *_OPTIMIZER_KEYS], {}),
     "preprocess": ("difference, normalize and ADF-screen a signal set", ["input", "alpha", "out"], {}),
     "baseline": ("run a baseline hyperparameter selection method",
-                 ["input", "method", "m", "p_max", "eta", "no_normalize"], {"m": {"default": None}}),
+                 ["input", "method", "m", "eta", "no_normalize"], {"m": {"default": None}}),
     "varbench": ("variance-estimator error benchmark",
                  ["signal_type", "length", "r", "m", "q", "b", "n_population", "n_subsample", "repeats", "csv"],
                  {"m": {"default": 1}}),
     "compare-methods": ("four-way method comparison on synthetic sets",
-                        ["signal_type", "n_signals", "length", "lam", "b", "t_tilde", "t_init", "u", "baseline_m",
-                         "csv"], {"lam": {"default": None}}),
+                        ["signal_type", "n_signals", "length", "lam", "b", "t_tilde", "t_init", "u", "csv"],
+                        {"lam": {"default": None}}),
 }
 
 

@@ -109,7 +109,9 @@ def estimator_error(cfg: VarBenchConfig, counting=None, bootstrap=None) -> VarBe
     estimator is undefined or infeasible (too few finite bootstrap
     replicates) are excluded from both averages (keeps the comparison
     like-to-like). Reports per-repeat errors plus the relative
-    reduction 100 * (eps_counting - eps_bootstrap) / eps_counting.
+    reduction 100 * (eps_counting - eps_bootstrap) / eps_counting; a
+    repeat whose eps_counting is 0 (as where every template matches)
+    raises InsufficientDefined.
 
     The counting/bootstrap callables are injectable for harness tests.
     """
@@ -138,6 +140,8 @@ def estimator_error(cfg: VarBenchConfig, counting=None, bootstrap=None) -> VarBe
         if not sq_c:
             raise InsufficientDefined(f"repeat {rep}: no usable subsampled signals")
         ec, eb = float(np.mean(sq_c)), float(np.mean(sq_b))
+        if ec == 0.0:
+            raise InsufficientDefined(f"repeat {rep}: the counting error is 0, so the relative reduction is undefined")
         eps_c.append(ec)
         eps_b.append(eb)
         reductions.append(100.0 * (ec - eb) / ec)
@@ -152,9 +156,12 @@ def estimator_error(cfg: VarBenchConfig, counting=None, bootstrap=None) -> VarBe
     )
 
 
+_BASELINE_M = 1  # the counting baselines' m: the protocol m, as VarBenchConfig.m
+
+
 @dataclass(frozen=True)
 class MethodComparisonConfig:
-    """Four-way method comparison settings (Table-2-style protocol)."""
+    """Four-way method comparison settings (Table-2-style protocol); the counting baselines run at m = _BASELINE_M."""
 
     signal_type: str = "white_noise"
     n_signals: int = 100
@@ -164,13 +171,11 @@ class MethodComparisonConfig:
     t_tilde: int = 100
     t_init: int = 10
     u: int = 3
-    baseline_m: int = 1
     seed: int = 0
 
     def __post_init__(self):
         if self.signal_type not in ("white_noise", "ar1"):
             raise ValueError(f"unknown signal type {self.signal_type!r}")
-        SampEnParams(m=self.baseline_m, r=0.2)  # the baselines' m, checked as SampEn's m
         self.optimizer_config()
 
     @property
@@ -216,20 +221,21 @@ def method_comparison(cfg: MethodComparisonConfig) -> list[MethodRow]:
     The TPE-optimized method is scored by its native bootstrap objective;
     the baselines by the Gaussian-approximation regularized MSE in closed
     form, mean(s_i^2) + lambda*sqrt(r*), from the counting SEs s_i each
-    selection already holds at its (m*, r*). Both counting baselines read
-    one (CP, sigma) radius-grid table, and each of their rows' seconds
-    includes its build time. The baselines draw no random numbers and are
-    scored first, so one that cannot be scored fails before the first
-    trial. Wall-clock per method is reported, not asserted.
+    selection already holds at its (m*, r*). Both counting baselines run
+    at m = _BASELINE_M = 1 and read one (CP, sigma) radius-grid table, and
+    each of their rows' seconds includes its build time. The baselines
+    draw no random numbers and are scored first, so one that cannot be
+    scored fails before the first trial. Wall-clock per method is
+    reported, not asserted.
     """
     s = gen_signal_set(cfg.signal_type, cfg.n_signals, cfg.n, seed=child_seed(cfg.seed, 0))
     _require_searchable(s.signals)  # too-short signals fail as the search's AllTrialsInfeasible, not SignalTooShort
     t0 = time.perf_counter()
-    grid = _counting_grid(s, cfg.baseline_m)
+    grid = _counting_grid(s, _BASELINE_M)
     grid_seconds = time.perf_counter() - t0
     selectors = [
-        (lambda: _counting_select("sampeneff", s, cfg.baseline_m, grid), grid_seconds),
-        (lambda: _counting_select("convergence", s, cfg.baseline_m, grid), grid_seconds),
+        (lambda: _counting_select("sampeneff", s, _BASELINE_M, grid), grid_seconds),
+        (lambda: _counting_select("convergence", s, _BASELINE_M, grid), grid_seconds),
         (lambda: standard_params_eval(s), 0.0),
     ]
     baseline_rows = []

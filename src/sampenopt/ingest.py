@@ -10,6 +10,7 @@ resampling happens here.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from pathlib import Path
 
@@ -110,16 +111,25 @@ def read_signals(path: str | Path) -> tuple[SignalSet, str]:
 
 
 def write_signals(path: str | Path, s: SignalSet, fmt: str = "long") -> None:
-    """Write a signal set as long (default) or wide CSV."""
+    """Write a signal set as long (default) or wide CSV.
+
+    The text is encoded before the file is opened: an id or label that
+    UTF-8 cannot encode raises ValueError and leaves path as it was.
+    """
     if fmt not in ("long", "wide"):
         raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        if fmt == "long":
-            w.writerow(LONG_HEADER)
-            for sig in s:
-                for t, v in enumerate(sig.values):
-                    w.writerow([sig.id, sig.label or "", t, repr(float(v))])
-        else:
-            for sig in s:
-                w.writerow([sig.id, *[repr(float(v)) for v in sig.values]])
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    if fmt == "long":
+        w.writerow(LONG_HEADER)
+        for sig in s:
+            for t, v in enumerate(sig.values):
+                w.writerow([sig.id, sig.label or "", t, repr(float(v))])
+    else:
+        for sig in s:
+            w.writerow([sig.id, *[repr(float(v)) for v in sig.values]])
+    try:
+        data = buf.getvalue().encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"cannot write {path}: an id or label is not UTF-8 text ({exc.reason})") from exc
+    Path(path).write_bytes(data)

@@ -11,10 +11,11 @@ A trial scores each signal with bootstrap_sampen and reads mse, variance
 and bias off the estimate set, as every other caller of the bootstrap does.
 
 RNG streams: signal i of trial t bootstraps with the seed
-child_seed(seed, 0, t, i), so all B of its replicates draw from the one
-stream generator(child_seed(seed, 0, t, i)); the TPE proposal (and
-random-init draw) for trial t uses (seed, 1, t). Signals are evaluated in
-order, and a trial stops at its first infeasible signal.
+_trial_seed(seed, t, i) = child_seed(seed, 0, t, i), so all B of its
+replicates draw from the one stream generator(child_seed(seed, 0, t, i));
+the TPE proposal (and random-init draw) for trial t uses (seed, 1, t).
+Signals are evaluated in order, and a trial stops at its first infeasible
+signal. Trials are numbered from 1, so records[k] is trial k + 1.
 """
 
 from __future__ import annotations
@@ -78,6 +79,11 @@ class OptResult:
         return out
 
 
+def _trial_seed(seed: int, trial_index: int, i: int) -> int:
+    """Seed of signal i's bootstrap in trial trial_index: the stream (seed, 0, trial_index, i)."""
+    return child_seed(seed, 0, trial_index, i)
+
+
 def _objective(
     signals: tuple[Signal, ...],
     psi: ParamVector,
@@ -90,7 +96,7 @@ def _objective(
     params = SampEnParams(m=psi.m, r=psi.r)
     scored = []  # (original, MSE, variance, bias) per signal
     for i, x in enumerate(signals):
-        cfg = BootstrapConfig(q=psi.q, b=b, seed=child_seed(seed, 0, trial_index, i))
+        cfg = BootstrapConfig(q=psi.q, b=b, seed=_trial_seed(seed, trial_index, i))
         try:
             est = bootstrap_sampen(x, params, cfg)
         except SignalTooShort:

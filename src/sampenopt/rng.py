@@ -10,11 +10,12 @@ independent and reproducible on any platform, under any execution order.
 Every path in use, under the run's master seed:
 
     (seed, i)                 gen_signal_set: signal i
-    (seed, 0, trial, signal)  optimizer: bootstrap stream (all B replicates)
+    (seed, 0, trial, signal)  optimizer: bootstrap stream (all B replicates);
+                              optimize's summary rereads the best trial's
     (seed, 1, trial)          optimizer: TPE proposal / random init draws
     (seed, tag, i)            CLI per-signal bootstrap records, signal i: tag 0
                               estimate and compare's first class, tag 1
-                              compare's second class, tag 3 optimize's summary
+                              compare's second class
     (seed, 0), (seed, 1)      method_comparison: signal set, optimizer seed
     (seed, 0), (seed, 1, rep), (seed, 2, rep, j)
                               estimator_error: population, subsample of

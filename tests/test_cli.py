@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from sampenopt.cli import build_parser, main
 from sampenopt.errors import IngestionError, NonStationaryConfig, UndefinedEntropy
 from sampenopt.ingest import read_signals, write_signals
-from sampenopt.signal import Signal, SignalSet
+from sampenopt.signal import Signal, SignalSet, gen_signal_set
 
 from conftest import make_ar_set, make_noise_set
 
@@ -76,6 +77,18 @@ class TestSynth:
         assert code == 0
         assert env["payload"]["ids"] == ["white_noise_00000", "white_noise_00001", "white_noise_00002"]
 
+    def test_unencodable_label_writes_no_file(self, tmp_path, capsys):
+        # what the C locale makes of "café" on the command line: a lone surrogate per byte
+        out, kept = tmp_path / "o.csv", tmp_path / "kept.csv"
+        kept.write_bytes(b"old bytes\r\n")
+        for target in (out, kept):
+            code, env = run(["synth", "white-noise", "--n", "2", "--len", "5", "--label", "caf\udcc3\udca9",
+                             "--out", str(target)], tmp_path)
+            assert code == 2 and env is None
+            assert capsys.readouterr().err.startswith(f"sampenopt: config error: cannot write {target}: ")
+        assert not out.exists()
+        assert kept.read_bytes() == b"old bytes\r\n"
+
 
 class TestEstimate:
     def test_sampen_records(self, noise_csv, tmp_path):
@@ -121,6 +134,21 @@ class TestOptimize:
         )
         assert code == 0
         assert len(env["payload"]["preprocess"]) == 8
+
+    @pytest.mark.parametrize("preprocess", [True, False], ids=["preprocess", "no-preprocess"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_summary_mses_average_to_best_y(self, tmp_path, seed, preprocess):
+        # the summary rereads the winning trial's replicates, so it reproduces best_y to the last bit
+        src = tmp_path / "ar.csv"
+        write_signals(src, gen_signal_set("ar1", 8, 100, seed=seed, sigma=0.1), fmt="long")
+        argv = ["optimize", "--input", str(src), "--T", "15", "--T-init", "5", "--B", "30", "--lambda", "0.1",
+                "--seed", str(seed)]
+        code, env = run(argv + ([] if preprocess else ["--no-preprocess"]), tmp_path)
+        assert code == 0
+        payload = env["payload"]
+        mses = [rec["bootstrap_mse"] for rec in payload["signals"]]
+        assert len(mses) == 8
+        assert float(np.mean(mses)) + 0.1 * math.sqrt(payload["best_psi"]["r"]) == payload["best_y"]
 
 
 class TestCompare:
@@ -275,6 +303,17 @@ class TestVarbench:
         header = table.read_text().splitlines()[0]
         assert header == "signal_type,N,r,mean_reduction,interval_lo,interval_hi"
 
+    def test_counting_error_of_0_exits_4(self, tmp_path, capsys):
+        # at r = 5 every template of a 4-point signal matches: every SampEn and every error is 0
+        table = tmp_path / "t.csv"
+        argv = ["varbench", "--len", "4", "--m", "2", "--n-population", "3", "--n-subsample", "3", "--repeats", "1",
+                "--r", "5", "--csv", str(table)]
+        code, env = run(argv, tmp_path)
+        assert code == 4 and env is None and not table.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["sampenopt: computation error: repeat 0: the counting error is 0, so the relative reduction "
+                       "is undefined"]
+
 
 class TestCompareMethods:
     def test_tiny_run(self, tmp_path):
@@ -307,6 +346,40 @@ class TestCompareMethods:
         code, env = run(["compare-methods", "--n", "3", "--len", "60", "--config", str(cfg)], tmp_path)
         assert code == 2 and env is None
         assert "'gaussian_draws'" in capsys.readouterr().err
+
+
+class TestRemovedBaselineSettings:
+    """compare-methods' baselines run at m = 1 and baseline's AR-order rule fits orders up to 5, with no option."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["compare-methods", "--n", "3", "--len", "60", "--baseline-m", "1"], "--baseline-m"),
+            (["baseline", "--input", "in.csv", "--method", "sampeneff", "--p-max", "5"], "--p-max"),
+        ],
+        ids=["compare-methods", "baseline"],
+    )
+    def test_flag_exits_2(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", str(tmp_path / "o.json")])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (lambda csv: ["compare-methods", "--n", "3", "--len", "60"], "baseline_m"),
+            (lambda csv: ["baseline", "--input", csv, "--method", "sampeneff"], "p_max"),
+        ],
+        ids=["compare-methods", "baseline"],
+    )
+    def test_config_key_exits_2_and_names_it(self, noise_csv, tmp_path, capsys, argv, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: 1}))
+        code, env = run(argv(noise_csv) + ["--config", str(cfg)], tmp_path)
+        assert code == 2 and env is None
+        assert f"unknown config key(s) {key!r}" in capsys.readouterr().err
 
 
 class TestErrorsAndExitCodes:
@@ -686,7 +759,6 @@ class TestConfigCheckedBeforeWork:
     @pytest.mark.parametrize(
         "args",
         [
-            ["--baseline-m", "0"],
             ["--lambda", "-1"],
             ["--B", "0"],
             ["--T-init", "0"],
@@ -758,7 +830,6 @@ class TestConfigCheckedBeforeWork:
             ["compare", "--U", "0"],
             ["compare", "--lambda", "-1"],
             ["baseline", "--method", "sampeneff", "--m", "1", "--eta", "-1"],
-            ["baseline", "--method", "standard", "--p-max", "0"],
             ["baseline", "--method", "standard", "--m", "0"],
             ["baseline", "--method", "fuzzen", "--m", "0"],
             ["optimize", "--B", "0"],
@@ -815,7 +886,7 @@ class TestParserShape:
         "preprocess": (["--input", "in.csv", "--out", "o.csv"], {"input": "in.csv", "alpha": 0.05, "out": "o.csv"}),
         "baseline": (
             ["--input", "in.csv", "--method", "standard"],
-            {"input": "in.csv", "method": "standard", "m": None, "p_max": 5, "eta": 2.0, "normalize": True},
+            {"input": "in.csv", "method": "standard", "m": None, "eta": 2.0, "normalize": True},
         ),
         "varbench": (
             [],
@@ -825,7 +896,7 @@ class TestParserShape:
         "compare-methods": (
             [],
             {"signal_type": "white-noise", "n_signals": 100, "length": 100, "lam": None, "b": 100, "t_tilde": 100,
-             "t_init": 10, "u": 3, "baseline_m": 1, "csv": None},
+             "t_init": 10, "u": 3, "csv": None},
         ),
     }
 

@@ -5,6 +5,7 @@ import pytest
 
 from sampenopt.errors import Infeasible, InsufficientDefined
 from sampenopt.experiments import (
+    _BASELINE_M,
     MethodComparisonConfig,
     VarBenchConfig,
     estimator_error,
@@ -127,6 +128,12 @@ class TestEstimatorError:
         res = estimator_error(tiny_cfg)
         assert res.mean_reduction > 0
 
+    def test_counting_error_of_0_is_insufficient(self):
+        # at r = 5 every template of a 4-point signal matches: CP = 1, so every SampEn and estimate is 0
+        cfg = VarBenchConfig(n=4, m=2, r=5.0, n_population=3, n_subsample=3, repeats=1)
+        with pytest.raises(InsufficientDefined, match="repeat 0: the counting error is 0"):
+            estimator_error(cfg)
+
 
 class TestEstimatorErrorInfeasible:
     """A signal whose bootstrap set is infeasible is left out, like an undefined one."""
@@ -198,15 +205,15 @@ class TestMethodComparisonScoresEachSelectionOnce:
         monkeypatch.setattr(sampenopt.baselines, "cp_sigma", spy)
         cfg = MethodComparisonConfig(n_signals=4, n=80, b=10, t_tilde=6, t_init=3, seed=5)
         s = gen_signal_set(cfg.signal_type, cfg.n_signals, cfg.n, seed=child_seed(cfg.seed, 0))
-        sampeneff_select(s, cfg.baseline_m)
-        convergence_select(s, cfg.baseline_m)
+        sampeneff_select(s, _BASELINE_M)
+        convergence_select(s, _BASELINE_M)
         standard_params_eval(s)
         apart = Counter(calls)
         calls.clear()
         method_comparison(cfg)
         assert sum(apart.values()) - len(calls) == len(RadiusGrid.coarse) * cfg.n_signals
         # the calls left out are exactly one grid's: every (signal, m, r) at the coarse radii
-        assert apart - Counter(calls) == Counter((x.id, cfg.baseline_m, r) for r in RadiusGrid.coarse for x in s)
+        assert apart - Counter(calls) == Counter((x.id, _BASELINE_M, r) for r in RadiusGrid.coarse for x in s)
 
 
 class TestMethodComparisonScoresBaselinesFirst:
@@ -231,7 +238,7 @@ class TestMethodComparisonScoresBaselinesFirst:
 
         cfg = _COMPARISON_CFG
         s = gen_signal_set(cfg.signal_type, cfg.n_signals, cfg.n, seed=child_seed(cfg.seed, 0))
-        results = [sampeneff_select(s, cfg.baseline_m), convergence_select(s, cfg.baseline_m), standard_params_eval(s)]
+        results = [sampeneff_select(s, _BASELINE_M), convergence_select(s, _BASELINE_M), standard_params_eval(s)]
         for row, res in zip(comparison_rows[1:], results):
             assert (row.method, row.m_star, row.r_star) == (res.method, res.m_star, res.r_star)
             assert row.objective == _gaussian_mse(s, res.m_star, res.r_star, res.entropies, res.ses, cfg.lam_value)
@@ -251,11 +258,17 @@ class TestVarBenchConfig:
 class TestMethodComparisonConfig:
     @pytest.mark.parametrize(
         "field",
-        [{"baseline_m": 0}, {"lam": -1.0}, {"b": 0}, {"t_init": 0}, {"t_tilde": 3}, {"u": 0}],
+        [{"lam": -1.0}, {"b": 0}, {"t_init": 0}, {"t_tilde": 3}, {"u": 0}],
     )
     def test_bad_field_rejected_on_construction(self, field):
         with pytest.raises(ValueError):
             MethodComparisonConfig(**field)
+
+    def test_has_no_baseline_m(self):
+        # the counting baselines run at the constant _BASELINE_M = 1
+        assert _BASELINE_M == 1
+        with pytest.raises(TypeError):
+            MethodComparisonConfig(baseline_m=1)
 
     def test_optimizer_config_carries_the_fields(self):
         cfg = MethodComparisonConfig(signal_type="ar1", b=7, t_tilde=9, t_init=4, u=2, seed=3).optimizer_config()

@@ -36,6 +36,24 @@ def test_long_round_trip(tmp_path):
         assert np.array_equal(orig.values, back.values)
 
 
+def test_long_bytes(tmp_path):
+    path = tmp_path / "x.csv"
+    write_signals(path, SignalSet((Signal("a", [1.0, 2.5], label="g\u00e9"),)), fmt="long")
+    assert path.read_bytes() == "signal_id,label,t,value\r\na,g\u00e9,0,1.0\r\na,g\u00e9,1,2.5\r\n".encode("utf-8")
+
+
+@pytest.mark.parametrize("field", ["id", "label"])
+def test_unencodable_text_leaves_no_file(tmp_path, field):
+    # a lone surrogate, as argv decoding leaves for a byte the locale cannot read
+    bad = Signal(**{"id": "a", "label": "g", field: "caf\udcc3"}, values=[1.0, 2.0])
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_bytes(b"kept")
+    for path in (new, old):
+        with pytest.raises(ValueError, match="an id or label is not UTF-8 text"):
+            write_signals(path, SignalSet((Signal("ok", [0.0, 1.0]), bad)), fmt="long")
+    assert not new.exists() and old.read_bytes() == b"kept"
+
+
 def test_wide_round_trip(tmp_path):
     path = tmp_path / "w.csv"
     write_signals(path, _set(), fmt="wide")

@@ -158,6 +158,12 @@ RUNS = {
     # 30-point signals: the standard (2, 0.20) row has an infinite or undefined SampEn
     "reject-4-compare-methods-standard-row": ["compare-methods", "--n", "4", "--len", "30", "--T", "8", "--T-init",
                                               "4", "--B", "12", "--seed", "9"],
+    # at r = 5 every template of a 4-point signal matches, so the counting error is 0
+    "varbench-all-match": ["varbench", "--len", "4", "--m", "2", "--n-population", "3", "--n-subsample", "3",
+                           "--repeats", "1", "--r", "5"],
+    # "café" as argv decoding leaves it under the C locale: UTF-8 cannot encode the lone surrogates
+    "reject-2-unencodable-label": ["synth", "white-noise", "--n", "2", "--len", "5", "--label", "caf\udcc3\udca9",
+                                   "--out", "label.csv"],
 }
 
 
