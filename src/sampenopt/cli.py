@@ -21,7 +21,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -44,7 +43,7 @@ from .entropy import SampEnParams, _fuzzen_params, fuzzen, sampen
 from .errors import ComputationError, DataError, UndefinedEntropy
 from .experiments import MethodComparisonConfig, VarBenchConfig, estimator_error, method_comparison
 from .ingest import read_signals, write_signals
-from .optimizer import OptimizerConfig, _trial_seed, optimize_set
+from .optimizer import OptimizerConfig, optimize_set
 from .rng import child_seed
 from .signal import SignalSet, gen_signal_set, normalize
 from .stats import _require_alpha, mann_whitney_u, stationarity_pipeline, two_class_split
@@ -60,7 +59,7 @@ _COMPUTE_EXIT = 4
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     stripped = text.lstrip()
     if stripped.startswith("{"):
         loaded = json.loads(text)
@@ -128,10 +127,16 @@ def _record(x, value: float | None, **fields) -> dict:
     return {"id": x.id, "label": x.label, "entropy": _entropy_state(value), **fields}
 
 
-def _entropy_records(s, params: SampEnParams, q: float | None, b: int, seeds) -> list[dict]:
+def _bootstrap_record(x, est) -> dict:
+    """x's record with the bootstrap SE and MSE of its estimate set est; None for both where est is infeasible."""
+    se, mse = (bootstrap_se(est), bootstrap_mse(est)) if est.feasible else (None, None)
+    return _record(x, est.original.value, bootstrap_se=se, bootstrap_mse=mse)
+
+
+def _entropy_records(s, params: SampEnParams, q: float | None, b: int, seed: int, tag: int) -> list[dict]:
     """Per-signal SampEn with its match counts, or with bootstrap SE/MSE when q is set.
 
-    With q set, signal i draws its replicates with the seed seeds(i).
+    With q set, signal i draws its replicates from the stream (seed, tag, i).
     """
     out = []
     for i, x in enumerate(s):
@@ -139,10 +144,8 @@ def _entropy_records(s, params: SampEnParams, q: float | None, b: int, seeds) ->
             res = sampen(x, params)
             out.append(_record(x, res.value, bm=res.bm, am=res.am, cp=res.cp))
             continue
-        est = bootstrap_sampen(x, params, BootstrapConfig(q=q, b=b, seed=seeds(i)))
-        ok = est.feasible
-        out.append(_record(x, est.original.value, bootstrap_se=bootstrap_se(est) if ok else None,
-                           bootstrap_mse=bootstrap_mse(est) if ok else None))
+        est = bootstrap_sampen(x, params, BootstrapConfig(q=q, b=b, seed=child_seed(seed, tag, i)))
+        out.append(_bootstrap_record(x, est))
     return out
 
 
@@ -203,7 +206,7 @@ def _cmd_estimate(args) -> tuple[dict, dict]:
         records = [_record(x, fuzzen(x, args.m, args.r, args.eta)) for x in s]
         payload = {"measure": "fuzzen", "m": args.m, "r": args.r, "eta": args.eta, "signals": records}
         return payload, {}
-    records = _entropy_records(s, params, args.q, args.b, functools.partial(child_seed, args.seed, 0))
+    records = _entropy_records(s, params, args.q, args.b, args.seed, 0)
     payload = {"measure": "sampen", "m": args.m, "r": args.r, "q": args.q, "signals": records}
     return payload, {}
 
@@ -221,20 +224,16 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
     else:
         s = _normalized(s)
     result = optimize_set(s, cfg)
-    best = result.best_psi
-    # the summary rereads the replicates that scored best_y, those of the first best trial
-    best_trial = 1 + [rec.y for rec in result.records].index(result.best_y)
-    seeds = functools.partial(_trial_seed, args.seed, best_trial)
     history = [
         {"psi": _psi_dict(rec.psi), "y": (rec.y if math.isfinite(rec.y) else None), "feasible": rec.feasible}
         for rec in result.records
     ]
     payload = {
-        "best_psi": _psi_dict(best),
+        "best_psi": _psi_dict(result.best_psi),
         "best_y": result.best_y,
         "n_trials": len(result.records),
         "history": history,
-        "signals": _entropy_records(s, SampEnParams(m=best.m, r=best.r), best.q, args.b, seeds),
+        "signals": [_bootstrap_record(x, est) for x, est in zip(s, result.estimates)],
     }
     if preprocess_records is not None:
         payload["preprocess"] = preprocess_records
@@ -255,8 +254,7 @@ def _cmd_compare(args) -> tuple[dict, dict]:
         m, r, q = result.best_psi.m, result.best_psi.r, result.best_psi.q
         optimized = {"best_psi": _psi_dict(result.best_psi), "best_y": result.best_y}
         params = SampEnParams(m=m, r=r)
-    records = [_entropy_records(g, params, q, args.b, functools.partial(child_seed, args.seed, tag))
-               for tag, g in enumerate((group_a, group_b))]
+    records = [_entropy_records(g, params, q, args.b, args.seed, tag) for tag, g in enumerate((group_a, group_b))]
     vals = [[rec["entropy"]["value"] for rec in recs if rec["entropy"]["state"] == "finite"] for recs in records]
     ses = [[rec["bootstrap_se"] for rec in recs if rec.get("bootstrap_se") is not None] for recs in records]
     for label, v in zip((label_a, label_b), vals):
@@ -548,9 +546,11 @@ def _config_echo(args) -> dict:
 
 
 def _check_outputs(args) -> None:
-    """Reject an output path whose directory is missing before any work; _writing still guards each write."""
+    """Reject an output path that is a directory or in a missing one before any work; _writing guards each write."""
     for path in (getattr(args, "out", None), getattr(args, "csv", None), args.output):
         if path not in (None, "-"):
+            if Path(path).is_dir():  # the write would fail with this message, but only after all the work
+                raise ValueError(f"cannot write {path}: Is a directory")
             with _writing(path):
                 Path(path).parent.stat()
 

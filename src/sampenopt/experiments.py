@@ -87,14 +87,10 @@ class VarBenchResult:
     reduction_interval: tuple[float, float]
 
 
-def _finite_sampens(s: SignalSet, p: SampEnParams) -> tuple[float | None, ...]:
-    """Each signal's SampEn at p, or None where it is not finite."""
-    return tuple(res.value if res.finite else None for res in (sampen(x, p) for x in s))
-
-
 def true_variance(s_pop: SignalSet, m: int, r: float) -> float:
     """(n-1)-divisor cross-signal variance of the defined SampEn estimates."""
-    vals = [v for v in _finite_sampens(s_pop, SampEnParams(m=m, r=r)) if v is not None]
+    p = SampEnParams(m=m, r=r)
+    vals = [res.value for res in (sampen(x, p) for x in s_pop) if res.finite]
     if len(vals) < 2:
         raise InsufficientDefined("need at least two defined SampEn estimates")
     return float(np.var(vals, ddof=1))
@@ -218,7 +214,8 @@ def _entropy_stats(entropies) -> tuple[float | None, float | None]:
 def method_comparison(cfg: MethodComparisonConfig) -> list[MethodRow]:
     """Run all four selection strategies on a common generated signal set.
 
-    The TPE-optimized method is scored by its native bootstrap objective;
+    The TPE-optimized method is scored by its native bootstrap objective,
+    and its entropy mean and std read the estimate sets that scored best_y;
     the baselines by the Gaussian-approximation regularized MSE in closed
     form, mean(s_i^2) + lambda*sqrt(r*), from the counting SEs s_i each
     selection already holds at its (m*, r*). Both counting baselines run
@@ -260,7 +257,7 @@ def method_comparison(cfg: MethodComparisonConfig) -> list[MethodRow]:
     t0 = time.perf_counter()
     opt = optimize_set(s, cfg.optimizer_config())
     psi = opt.best_psi
-    mean_e, std_e = _entropy_stats(_finite_sampens(s, SampEnParams(m=psi.m, r=psi.r)))
+    mean_e, std_e = _entropy_stats([est.original.value for est in opt.estimates])
     ours = MethodRow(method="ours", m_star=psi.m, r_star=psi.r, q_star=psi.q, objective=opt.best_y,
                      entropy_mean=mean_e, entropy_std=std_e, seconds=time.perf_counter() - t0)
     return [ours, *baseline_rows]

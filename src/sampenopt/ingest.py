@@ -94,7 +94,7 @@ def read_signals(path: str | Path) -> tuple[SignalSet, str]:
     """Read a signal set; returns (set, detected format 'long' or 'wide')."""
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc

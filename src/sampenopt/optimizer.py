@@ -10,12 +10,12 @@ until the trial budget is exhausted.
 A trial scores each signal with bootstrap_sampen and reads mse, variance
 and bias off the estimate set, as every other caller of the bootstrap does.
 
-RNG streams: signal i of trial t bootstraps with the seed
-_trial_seed(seed, t, i) = child_seed(seed, 0, t, i), so all B of its
-replicates draw from the one stream generator(child_seed(seed, 0, t, i));
-the TPE proposal (and random-init draw) for trial t uses (seed, 1, t).
-Signals are evaluated in order, and a trial stops at its first infeasible
-signal. Trials are numbered from 1, so records[k] is trial k + 1.
+RNG streams: signal i of trial t draws all B of its replicates from the
+one stream generator(child_seed(seed, 0, t, i)); the TPE proposal (and
+random-init draw) for trial t uses (seed, 1, t). Signals are evaluated in
+order, and a trial stops at its first infeasible signal. Trials are
+numbered from 1, so records[k] is trial k + 1. OptResult.estimates keeps
+the estimate sets that scored best_y, which optimize's summary reads.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, bias, bootstrap_sampen, mse, variance
+from .bootstrap import BootstrapConfig, BootstrapEstimates, bias, bootstrap_sampen, mse, variance
 from .entropy import SampEnParams
 from .errors import AllTrialsInfeasible, SignalTooShort
 from .rng import child_seed, generator
@@ -64,11 +64,16 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptResult:
-    """Best point, best objective and every trial in evaluation order."""
+    """Best point, best objective and every trial in evaluation order.
+
+    estimates holds one BootstrapEstimates per signal, in signal order: the
+    sets that scored best_y, those of the first trial with the lowest y.
+    """
 
     best_psi: ParamVector
     best_y: float
     records: tuple[Trial, ...]
+    estimates: tuple[BootstrapEstimates, ...] = field(repr=False, compare=False)
 
     def best_so_far(self) -> list[float]:
         out = []
@@ -79,11 +84,6 @@ class OptResult:
         return out
 
 
-def _trial_seed(seed: int, trial_index: int, i: int) -> int:
-    """Seed of signal i's bootstrap in trial trial_index: the stream (seed, 0, trial_index, i)."""
-    return child_seed(seed, 0, trial_index, i)
-
-
 def _objective(
     signals: tuple[Signal, ...],
     psi: ParamVector,
@@ -91,42 +91,43 @@ def _objective(
     b: int,
     seed: int,
     trial_index: int,
-) -> Trial:
-    """Mean bootstrap MSE + lambda*sqrt(r); +inf at the first infeasible signal."""
+) -> tuple[Trial, tuple[BootstrapEstimates, ...]]:
+    """Mean bootstrap MSE + lambda*sqrt(r) and the per-signal estimates; (+inf, ()) at the first infeasible signal."""
     params = SampEnParams(m=psi.m, r=psi.r)
-    scored = []  # (original, MSE, variance, bias) per signal
+    estimates = []
     for i, x in enumerate(signals):
-        cfg = BootstrapConfig(q=psi.q, b=b, seed=_trial_seed(seed, trial_index, i))
+        cfg = BootstrapConfig(q=psi.q, b=b, seed=child_seed(seed, 0, trial_index, i))
         try:
             est = bootstrap_sampen(x, params, cfg)
         except SignalTooShort:
-            return Trial(psi=psi, y=math.inf)
+            return Trial(psi=psi, y=math.inf), ()
         if not est.feasible:
-            return Trial(psi=psi, y=math.inf)
-        scored.append((est.original.value, mse(est), variance(est), bias(est)))
+            return Trial(psi=psi, y=math.inf), ()
+        estimates.append(est)
+    scored = [(est.original.value, mse(est), variance(est), bias(est)) for est in estimates]
     entropy, mean_mse, mean_variance, mean_bias = (float(np.mean(col)) for col in zip(*scored))
-    return Trial(psi=psi, y=mean_mse + lam * math.sqrt(psi.r), entropy=entropy, variance=mean_variance, bias=mean_bias)
+    return Trial(psi, mean_mse + lam * math.sqrt(psi.r), entropy, mean_variance, mean_bias), tuple(estimates)
 
 
 def objective_single(
     x: Signal, psi: ParamVector, lam: float, b: int, seed: int, trial_index: int = 0
 ) -> float:
     """Bootstrap-MSE objective for one signal; +inf when infeasible."""
-    return _objective((x,), psi, lam, b, seed, trial_index).y
+    return _objective((x,), psi, lam, b, seed, trial_index)[0].y
 
 
 def objective_set(
     s: SignalSet, psi: ParamVector, lam: float, b: int, seed: int, trial_index: int = 0
 ) -> float:
     """Mean per-signal bootstrap MSE + lambda*sqrt(r); +inf if any signal fails."""
-    return _objective(s.signals, psi, lam, b, seed, trial_index).y
+    return _objective(s.signals, psi, lam, b, seed, trial_index)[0].y
 
 
 def _random_psi(domain: ParamDomain, rng: np.random.Generator) -> ParamVector:
-    m = int(rng.integers(1, domain.u + 1))
-    r = float(_clamp_open(rng.uniform(*domain.r_bounds), *domain.r_bounds))
-    q = domain.fixed_q if domain.fixed_q is not None else float(_clamp_open(rng.uniform(*domain.q_bounds), *domain.q_bounds))
-    return ParamVector(m=m, r=r, q=q)
+    """A uniform draw in each searched dimension, in the domain's order: m in {1..U}, r and q in the open bounds."""
+    values = {name: rng.integers(1, domain.u + 1) if name == "m" else _clamp_open(rng.uniform(lo, hi), lo, hi)
+              for name, (lo, hi) in domain.dims.items()}
+    return domain.point(values)
 
 
 def _require_searchable(signals: tuple[Signal, ...]) -> None:
@@ -141,15 +142,14 @@ def _optimize(signals: tuple[Signal, ...], cfg: OptimizerConfig) -> OptResult:
     history: list[Trial] = []
     for t in range(1, cfg.t_tilde + 1):
         rng = generator(cfg.seed, 1, t)
-        if t <= cfg.t_init:
-            psi = _random_psi(cfg.domain, rng)
-        else:
-            psi = propose(history, cfg.domain, rng)
-        history.append(_objective(signals, psi, cfg.lam, cfg.b, cfg.seed, t))
-    best = min(history, key=lambda tr: tr.y)  # the first of the lowest
+        psi = _random_psi(cfg.domain, rng) if t <= cfg.t_init else propose(history, cfg.domain, rng)
+        trial, estimates = _objective(signals, psi, cfg.lam, cfg.b, cfg.seed, t)
+        if not history or trial.y < best.y:  # strict, so ties keep the first of the lowest
+            best, best_estimates = trial, estimates
+        history.append(trial)
     if not best.feasible:
         raise AllTrialsInfeasible("every trial scored +inf; widen the domain or shrink m/r demands")
-    return OptResult(best_psi=best.psi, best_y=best.y, records=tuple(history))
+    return OptResult(best_psi=best.psi, best_y=best.y, records=tuple(history), estimates=best_estimates)
 
 
 def optimize_single(x: Signal, cfg: OptimizerConfig) -> OptResult:

@@ -11,7 +11,7 @@ Every path in use, under the run's master seed:
 
     (seed, i)                 gen_signal_set: signal i
     (seed, 0, trial, signal)  optimizer: bootstrap stream (all B replicates);
-                              optimize's summary rereads the best trial's
+                              optimize's summary reads the kept estimates
     (seed, 1, trial)          optimizer: TPE proposal / random init draws
     (seed, tag, i)            CLI per-signal bootstrap records, signal i: tag 0
                               estimate and compare's first class, tag 1

@@ -47,8 +47,10 @@ _N_CANDIDATES = 24  # S, the candidates scored per proposal
 class ParamDomain:
     """Search domain: m in {1..u}, r and q in open unit subintervals.
 
-    fixed_q pins the bootstrap success probability and removes q from the
-    sampled/kernelized dimensions.
+    dims is the one table of searched dimensions, which random draws, the
+    surrogate densities and contains all read; fixed_q pins the bootstrap
+    success probability and leaves q out of it. point turns one drawn
+    value per searched dimension into a ParamVector.
     """
 
     u: int = 3
@@ -65,13 +67,23 @@ class ParamDomain:
         if self.fixed_q is not None and not (0.0 < self.fixed_q < 1.0):
             raise ValueError("fixed q must lie in (0, 1)")
 
-    def contains(self, psi: "ParamVector") -> bool:
-        ok = 1 <= psi.m <= self.u and self.r_bounds[0] <= psi.r <= self.r_bounds[1]
+    @property
+    def dims(self) -> dict[str, tuple[float, float]]:
+        """The searched dimensions in draw order, name -> (lo, hi): m, r, then q unless fixed_q pins it."""
+        dims = {"m": (1.0, float(self.u)), "r": self.r_bounds}
         if self.fixed_q is None:
-            ok = ok and self.q_bounds[0] <= psi.q <= self.q_bounds[1]
-        else:
-            ok = ok and psi.q == self.fixed_q
-        return ok
+            dims["q"] = self.q_bounds
+        return dims
+
+    def point(self, values: dict) -> "ParamVector":
+        """The decision point of one value per searched dimension; a pinned q is fixed_q."""
+        q = float(values["q"]) if self.fixed_q is None else self.fixed_q
+        return ParamVector(m=int(values["m"]), r=float(values["r"]), q=q)
+
+    def contains(self, psi: "ParamVector") -> bool:
+        """psi lies within the bounds of every searched dimension, and a pinned q is fixed_q."""
+        inside = all(lo <= getattr(psi, name) <= hi for name, (lo, hi) in self.dims.items())
+        return inside and self.point(vars(psi)).q == psi.q
 
 
 @dataclass(frozen=True)
@@ -234,18 +246,6 @@ class SurrogateDensity:
         return out
 
 
-def _param_vector(values: dict, i: int, fixed_q: float | None) -> ParamVector:
-    q = fixed_q if fixed_q is not None else float(values["q"][i])
-    return ParamVector(m=int(values["m"][i]), r=float(values["r"][i]), q=q)
-
-
-def _prior_params(domain: ParamDomain) -> dict:
-    # non-informative prior: mean ((U-1)/2, 1/2, 1/2), stds (U-1, 1, 1);
-    # the m std degenerates at U = 1 where any positive value gives mass 1
-    u = domain.u
-    return {"m": ((u - 1) / 2.0, float(u - 1) if u > 1 else 1.0), "r": (0.5, 1.0), "q": (0.5, 1.0)}
-
-
 def build_density(group: list[Trial], role: str, domain: ParamDomain, t_total: int) -> SurrogateDensity:
     """Kernel density for one partition group ("better" or "worse").
 
@@ -258,19 +258,17 @@ def build_density(group: list[Trial], role: str, domain: ParamDomain, t_total: i
         raise ValueError("role must be 'better' or 'worse'")
     k = len(group)
     weights = decay_weights(k, 0)[0] if role == "better" else decay_weights(0, k)[1]
-    prior = _prior_params(domain)
-    bounds = {"m": (1.0, float(domain.u)), "r": domain.r_bounds, "q": domain.q_bounds}
+    u, searched = domain.u, domain.dims
     dims = {}
-    names = ["m", "r"] + ([] if domain.fixed_q is not None else ["q"])
-    for name in names:
-        lo, hi = bounds[name]
-        pc, pb = prior[name]
-        centers, bws = [pc], [pb]
+    for name, (lo, hi) in searched.items():
+        # non-informative prior: mean (U-1)/2 and std U-1 for m, whose std degenerates
+        # at U = 1 where any positive value gives mass 1; mean 1/2 and std 1 for r and q
+        centers, bws = ([(u - 1) / 2.0], [float(u - 1) if u > 1 else 1.0]) if name == "m" else ([0.5], [1.0])
         if k > 0:
             # Scott term uses the full evaluation count T: bandwidths then
             # shrink as the search proceeds, which is what moves the
             # sampler from exploration into exploitation
-            b = scott_bandwidth(t_total, len(names), lo, hi, t_total)
+            b = scott_bandwidth(t_total, len(searched), lo, hi, t_total)
             centers.extend(float(getattr(tr.psi, name)) for tr in group)
             bws.extend([b] * k)
         dims[name] = _DimMixture(kind="discrete" if name == "m" else "continuous", lo=lo, hi=hi,
@@ -292,4 +290,5 @@ def propose(history: list[Trial], domain: ParamDomain, rng: np.random.Generator)
     cands = p_l.sample_batch(rng, _N_CANDIDATES)
     score = p_l.logpdf_batch(cands) - p_g.logpdf_batch(cands)
     # argmax takes the first maximum: ties go to the earliest candidate
-    return _param_vector(cands, int(np.argmax(score)), domain.fixed_q)
+    best = int(np.argmax(score))
+    return domain.point({name: values[best] for name, values in cands.items()})

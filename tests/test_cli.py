@@ -151,6 +151,38 @@ class TestOptimize:
         assert float(np.mean(mses)) + 0.1 * math.sqrt(payload["best_psi"]["r"]) == payload["best_y"]
 
 
+    @pytest.mark.parametrize("preprocess", [True, False], ids=["preprocess", "no-preprocess"])
+    def test_bootstraps_only_inside_the_search(self, tmp_path, monkeypatch, preprocess):
+        # the summary reads the estimate sets the search kept: the run makes exactly
+        # the bootstrap calls of optimize_set on the retained set with the same config
+        import sampenopt.cli
+        import sampenopt.optimizer
+        from sampenopt.optimizer import OptimizerConfig, optimize_set
+        from sampenopt.signal import normalize
+        from sampenopt.stats import stationarity_pipeline
+
+        calls = []
+        original = sampenopt.optimizer.bootstrap_sampen
+
+        def spy(x, params, cfg):
+            calls.append((x.id, params, cfg))
+            return original(x, params, cfg)
+
+        monkeypatch.setattr(sampenopt.optimizer, "bootstrap_sampen", spy)
+        monkeypatch.setattr(sampenopt.cli, "bootstrap_sampen", spy)
+        src = tmp_path / "ar.csv"
+        write_signals(src, gen_signal_set("ar1", 6, 100, seed=3, sigma=0.1), fmt="long")
+        argv = ["optimize", "--input", str(src), "--T", "8", "--T-init", "4", "--B", "15", "--seed", "3"]
+        code, env = run(argv + ([] if preprocess else ["--no-preprocess"]), tmp_path)
+        assert code == 0 and len(env["payload"]["signals"]) == 6
+        cli_calls = calls[:]
+        calls.clear()
+        s, _ = read_signals(src)
+        s = stationarity_pipeline(s, 0.05).retained_or_raise() if preprocess else SignalSet(tuple(map(normalize, s)))
+        optimize_set(s, OptimizerConfig(b=15, t_tilde=8, t_init=4, seed=3))
+        assert cli_calls == calls
+
+
 class TestCompare:
     def test_detects_known_difference(self, two_class_csv, tmp_path):
         code, env = run(
@@ -542,6 +574,25 @@ class TestUnwritableOutput:
         assert not (tmp_path / "nodir").exists()
 
 
+    @pytest.mark.parametrize(
+        "command, work",
+        [
+            (lambda csv: ["optimize", "--input", csv, "--T", "30", "--output", "adir"], "optimize_set"),
+            (lambda csv: ["synth", "white-noise", "--n", "2", "--len", "20", "--out", "adir"], "gen_signal_set"),
+            (lambda csv: ["varbench", "--len", "40", "--n-population", "20", "--n-subsample", "5", "--repeats", "1",
+                          "--B", "5", "--csv", "adir"], "estimator_error"),
+        ],
+        ids=["optimize-output", "synth-out", "varbench-csv"],
+    )
+    def test_directory_rejected_before_the_work(self, noise_csv, tmp_path, capsys, monkeypatch, command, work):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        monkeypatch.setattr(f"sampenopt.cli.{work}", lambda *a, **k: pytest.fail("work started"))
+        assert main(command(noise_csv)) == 2
+        assert capsys.readouterr().err == "sampenopt: config error: cannot write adir: Is a directory\n"
+        assert not any((tmp_path / "adir").iterdir())
+
+
 class TestConfigFile:
     def test_key_value_config_with_flag_override(self, noise_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -604,6 +655,15 @@ class TestConfigFile:
         assert proc.returncode == 0, proc.stderr
         rows = (tmp_path / "o.csv").read_bytes().decode("utf-8").splitlines()
         assert rows[1].split(",")[1] == "caf\u00e9"
+
+    @pytest.mark.parametrize("text", ['{"m": 1, "r": 0.4}', "m = 1\nr = 0.4\n"], ids=["json", "key-value"])
+    def test_leading_byte_order_mark_is_ignored(self, noise_csv, tmp_path, text):
+        # Notepad and Excel's "CSV UTF-8" export begin the file with EF BB BF
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        code, env = run(["estimate", "--input", noise_csv, "--config", str(cfg)], tmp_path)
+        assert code == 0
+        assert env["payload"]["m"] == 1 and env["payload"]["r"] == 0.4
 
     @pytest.mark.parametrize("path", ["absent.cfg", ""])
     def test_missing_config_file_exits_2(self, noise_csv, tmp_path, path):

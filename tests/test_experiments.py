@@ -216,6 +216,29 @@ class TestMethodComparisonScoresEachSelectionOnce:
         assert apart - Counter(calls) == Counter((x.id, _BASELINE_M, r) for r in RadiusGrid.coarse for x in s)
 
 
+class TestMethodComparisonReadsTheSearchEstimates:
+    def test_ours_row_makes_no_sampen_call(self, monkeypatch):
+        # the "ours" entropy mean and std come from the estimate sets behind best_y
+        import sampenopt.entropy
+        import sampenopt.experiments
+        from sampenopt.entropy import SampEnParams, sampen
+        from sampenopt.rng import child_seed
+        from sampenopt.signal import gen_signal_set
+
+        def no_sampen(*args):
+            raise AssertionError("sampen ran")
+
+        monkeypatch.setattr(sampenopt.entropy, "sampen", no_sampen)
+        monkeypatch.setattr(sampenopt.experiments, "sampen", no_sampen)
+        cfg = MethodComparisonConfig(n_signals=4, n=80, b=10, t_tilde=6, t_init=3, seed=5)
+        ours = method_comparison(cfg)[0]
+        monkeypatch.undo()
+        s = gen_signal_set(cfg.signal_type, cfg.n_signals, cfg.n, seed=child_seed(cfg.seed, 0))
+        values = [sampen(x, SampEnParams(m=ours.m_star, r=ours.r_star)).value for x in s]
+        assert ours.entropy_mean == float(np.mean(values))
+        assert ours.entropy_std == float(np.std(values, ddof=1))
+
+
 class TestMethodComparisonScoresBaselinesFirst:
     def test_undefined_standard_entropy_fails_before_the_search(self, monkeypatch):
         # 30-point signals have no finite SampEn at the standard (2, 0.20) for

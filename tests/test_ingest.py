@@ -105,6 +105,19 @@ def test_non_utf8_file_names_the_path(tmp_path):
         read_signals(path)
 
 
+@pytest.mark.parametrize("fmt", ["long", "wide"])
+def test_leading_byte_order_mark_is_ignored(tmp_path, fmt):
+    # Notepad and Excel's "CSV UTF-8" export begin the file with EF BB BF
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_signals(plain, _set(), fmt=fmt)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    loaded, got_fmt = read_signals(marked)
+    assert got_fmt == fmt
+    assert [s.id for s in loaded] == ["a", "b"]
+    for orig, back in zip(_set(), loaded):
+        assert np.array_equal(orig.values, back.values)
+
+
 def test_field_over_the_csv_limit_names_the_path(tmp_path):
     path = tmp_path / "long.csv"
     path.write_text("a," + "1" * (csv.field_size_limit() + 1) + "\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -142,7 +143,7 @@ class TestObjectiveOracle:
         psi = ParamVector(m=m, r=r, q=q)
         want, reason = objective_oracle(signals, psi, 0.2, b, seed, t)
         event(reason)
-        assert _bits(_objective(signals, psi, 0.2, b, seed, t)) == _bits(want)
+        assert _bits(_objective(signals, psi, 0.2, b, seed, t)[0]) == _bits(want)
 
 
 class TestOneBootstrapPath:
@@ -292,7 +293,7 @@ class TestBestTrialRule:
     @staticmethod
     def script(monkeypatch, ys):
         scores = iter(ys)
-        monkeypatch.setattr("sampenopt.optimizer._objective", lambda signals, psi, *a: Trial(psi, next(scores)))
+        monkeypatch.setattr("sampenopt.optimizer._objective", lambda signals, psi, *a: (Trial(psi, next(scores)), ()))
 
     def test_first_of_the_lowest_wins(self, white100, monkeypatch):
         self.script(monkeypatch, [math.inf, 0.5, 0.2, 0.2, math.inf])
@@ -305,6 +306,33 @@ class TestBestTrialRule:
         self.script(monkeypatch, [math.inf] * 5)
         with pytest.raises(AllTrialsInfeasible, match="every trial scored"):
             optimize_single(white100, small_cfg(t_tilde=5, t_init=5))
+
+
+class TestKeptEstimates:
+    """OptResult.estimates are the estimate sets that scored best_y: those of the first trial with the lowest y."""
+
+    def test_first_of_a_tied_lowest(self, monkeypatch):
+        # two-level signals at one psi: SampEn takes few values, so trials 4 and 10
+        # tie on the lowest y with different replicates
+        psi = ParamVector(m=1, r=0.5, q=0.3)
+        monkeypatch.setattr("sampenopt.optimizer._random_psi", lambda domain, rng: psi)
+        s = SignalSet((Signal("a", [1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0]),
+                       Signal("b", [1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0])))
+        cfg = OptimizerConfig(lam=0.1, b=2, t_tilde=10, t_init=10, domain=ParamDomain(u=1), seed=0)
+        res = optimize_set(s, cfg)
+        assert [t for t, tr in enumerate(res.records, start=1) if tr.y == res.best_y] == [4, 10]
+
+        def bits(estimates):
+            return [(est.original.value.hex(), est.replicates.tobytes()) for est in estimates]
+
+        def stream(t):
+            cfgs = [BootstrapConfig(q=psi.q, b=cfg.b, seed=child_seed(cfg.seed, 0, t, i)) for i in range(s.n)]
+            return [bootstrap_sampen(x, SampEnParams(m=psi.m, r=psi.r), c) for x, c in zip(s, cfgs)]
+
+        assert bits(res.estimates) == bits(stream(4)) != bits(stream(10))
+        assert float(np.mean([mse(est) for est in res.estimates])) + 0.1 * math.sqrt(psi.r) == res.best_y
+        # a result, not part of the search's identity: out of repr and ==
+        assert "estimates" not in repr(res) and dataclasses.replace(res, estimates=()) == res
 
 
 class TestReplay:

@@ -14,7 +14,6 @@ from sampenopt.tpe import (
     ParamVector,
     Trial,
     _DimMixture,
-    _param_vector,
     _split_indices,
     build_density,
     decay_weights,
@@ -224,7 +223,7 @@ class TestPropose:
         dens = build_density([h[i] for i in _split_indices(h)[0]], "better", domain, t_total=7)
         draws = dens.sample_batch(np.random.default_rng(55), 10_000)
         for i in range(10_000):
-            assert domain.contains(_param_vector(draws, i, domain.fixed_q))
+            assert domain.contains(domain.point({name: values[i] for name, values in draws.items()}))
 
     def test_degenerate_all_infinite(self):
         domain = ParamDomain()
@@ -382,7 +381,7 @@ class TestBatchMatchesScalarOracle:
                      build_density([h[i] for i in worse_idx], "worse", domain, len(h))]
         rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
         for dens in densities:
-            psi = _param_vector(dens.sample_batch(rng, 1), 0, domain.fixed_q)
+            psi = domain.point({name: values[0] for name, values in dens.sample_batch(rng, 1).items()})
             assert _bits(psi) == _bits(_oracle_sample(dens, rng_oracle, domain.fixed_q))
             row = {name: np.array([getattr(psi, name)], np.float64) for name in dens.dims}
             assert dens.logpdf_batch(row)[0].hex() == _oracle_logpdf(dens, psi).hex()

@@ -87,6 +87,10 @@ def _inputs() -> None:
     ovf = {f"wn{i}": ("", rng.standard_normal(60)) for i in range(3)}
     ovf["mix"] = ("", 1.5e308 * (2 * rng.random(40) - 1))
     _write_long("ovf.csv", ovf)
+    # what Notepad and Excel's "CSV UTF-8" export write: a byte-order mark first
+    Path("bom.csv").write_bytes(b"\xef\xbb\xbf" + Path("in.csv").read_bytes())
+    Path("bom.cfg").write_bytes(b"\xef\xbb\xbfm = 1\nr = 0.25\n")
+    Path("adir").mkdir()
 
 
 OPT = ["--T", "8", "--T-init", "4", "--B", "15", "--seed", "9"]
@@ -164,6 +168,11 @@ RUNS = {
     # "café" as argv decoding leaves it under the C locale: UTF-8 cannot encode the lone surrogates
     "reject-2-unencodable-label": ["synth", "white-noise", "--n", "2", "--len", "5", "--label", "caf\udcc3\udca9",
                                    "--out", "label.csv"],
+    # a leading byte-order mark in an input CSV and in a config file
+    "estimate-bom-csv": ["estimate", "--input", "bom.csv", "--m", "1", "--r", "0.3"],
+    "config-bom": ["estimate", "--input", "in.csv", "--config", "bom.cfg"],
+    # an output path that is a directory is rejected before any work
+    "reject-2-out-is-dir": ["synth", "white-noise", "--n", "2", "--len", "20", "--out", "adir"],
 }
 
 
