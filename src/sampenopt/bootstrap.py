@@ -139,8 +139,10 @@ def bootstrap_sampen(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> Bootst
     point pair of a replicate matches when the partner's rank falls in the
     interval. Only half of the ordered pairs are tested: the partners at
     circular offsets d = 1..n//2, each unordered template pair once, and
-    every count is doubled. Each replicate value equals sampen's on that
-    replicate exactly.
+    every count is doubled. The point tests are packed into 64-bit words,
+    and the m- and (m+1)-template matches come from shifting and ANDing
+    those words. Each replicate value equals sampen's on that replicate
+    exactly.
     """
     counts, g = _counts_and_matches(x, p)
     n = x.n

@@ -59,12 +59,17 @@ _COMPUTE_EXIT = 4
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        loaded = json.loads(text)
-        if not isinstance(loaded, dict):
-            raise ValueError("config JSON must be an object")
+    # every error names the file, as read_signals does for an input CSV
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+    if text.lstrip().startswith("{"):
+        # JSON text that begins with "{" and parses is an object
+        try:
+            loaded = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
         return {str(k).replace("-", "_"): v for k, v in loaded.items()}
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -72,7 +77,7 @@ def _load_config_file(path: str | None) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key=value")
+            raise ValueError(f"{path}: config line {lineno}: expected key=value")
         key, _, raw = line.partition("=")
         raw = raw.strip()
         try:

@@ -14,6 +14,7 @@ deviation, i.e. r = 0.20 means 0.20 sigma on a unit-variance signal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -123,8 +124,41 @@ def _ordered_counts(g: np.ndarray, m: int) -> tuple[int, int]:
     return _matrix_counts(*_match_matrices(g, m))
 
 
-_CHUNK_PAIRS = 2**17  # point pairs tested per chunk of replicates, about 1 MB of temporaries
-_NARROW_RANKS_BELOW = 2**15  # signals shorter than this rank in int16 (faster than int32)
+_CHUNK_PAIRS = 2**17  # point pairs tested per chunk of replicates, a few hundred KB of temporaries at uint8 ranks
+# (largest N, rank dtype): a signal ranks in the first tier that holds N
+_RANK_TIERS = ((2**8, np.uint8), (2**16, np.uint16), (2**32, np.uint32))
+
+
+@functools.lru_cache(maxsize=16)
+def _valid_words(n: int, m: int) -> np.ndarray:
+    """The template pairs _replicate_counts compares, packed as (n // 2, words) little-endian 64-bit rows.
+
+    Bit s of row d - 1 is set when the templates at s and (s + d) mod n
+    both start in 0..nt-1 (nt = n - m): forward s <= nt-1-d, or wrapped
+    n-d <= s <= nt-1, the wrapped half of d = n/2 at even n excluded
+    (it repeats the forward half). Read-only, as it is shared.
+    """
+    nt, half, words = n - m, n // 2, -(-n // 64)
+    d = np.arange(1, half + 1)[:, None]
+    s = np.arange(64 * words)
+    valid = (s <= nt - 1 - d) | ((s >= n - d) & (s < nt) & (2 * d < n))
+    packed = np.packbits(valid, bitorder="little").view("<u8").reshape(half, words)
+    packed.setflags(write=False)
+    return packed
+
+
+def _shifted(words: np.ndarray, j: int) -> np.ndarray:
+    """A flat stream of little-endian 64-bit words shifted right by j bits, j // 64 words shorter.
+
+    Bit p of the result is bit p + j of words: the word j // 64 further
+    on, shifted right by j % 64 and filled from the one after it.
+    """
+    q, j = divmod(j, 64)
+    out = words[q:]
+    if j:
+        out = out >> j
+        out[:-1] |= words[q + 1:] << (64 - j)
+    return out
 
 
 def _replicate_counts(x: np.ndarray, g: np.ndarray, idx: np.ndarray, m: int) -> np.ndarray:
@@ -134,54 +168,67 @@ def _replicate_counts(x: np.ndarray, g: np.ndarray, idx: np.ndarray, m: int) -> 
     _ordered_counts(g[i][:, i], m) for i = idx[b], without gathering any
     (N, N) block. The float gap test rounds monotonically, so the points
     within r of x_i form one contiguous run of x's stable sort order:
-    ranks lo_i .. lo_i + width_i, both read from g (ties included). A
-    point pair (s, t) of a resample then matches iff rank[t] - lo[s],
-    viewed as unsigned, is <= width[s].
+    ranks lo_i .. lo_i + width_i, the first and last true entries of g's
+    row i in sorted order (ties included). A point pair (s, t) of a
+    resample then matches iff rank[t] - lo[s] <= width[s] in unsigned
+    arithmetic. Ranks take the first unsigned dtype of _RANK_TIERS that
+    holds N (uint8 up to N = 256, then uint16, then uint32), 2**w values
+    wide: a partner below the run, rank[t] < lo[s], wraps to
+    2**w - (lo[s] - rank[t]) >= 2**w - lo[s] > N - 1 - lo[s] >= width[s],
+    so one compare tests the run.
 
     Pairs (s, (s + d) mod N) for d = 1..N//2 cover every unordered pair
-    once (row d = N/2 of an even N twice, so its wrapped half is masked),
-    and the partner ranks of row d are a window of the doubled rank row.
-    A template at start s is compared with the one at (s + d) mod N when
-    both lie in 0..nt-1 (nt = N - m): forward s <= nt-1-d, or wrapped
-    N-d <= s <= nt-1. ANDing m (then m+1) shifted point tests gives the
-    template matches; each unordered match is counted once and doubled.
+    once, and the partner ranks of row d are a window of the doubled rank
+    row. Each chunk of replicates tests its (k, N//2, N) point pairs in one
+    subtract and one compare, into bool rows padded to whole 64-bit words,
+    and packs them once, flat and little-endian: bit s of row (b, d) is
+    the test of (s, (s + d) mod N), read as '<u8' words on any host. The
+    template at start s matches its partner at length m iff bits s..s+m-1
+    of its row are set, so the m-matches are the row ANDed with itself
+    shifted right by 1..m-1 bits (_shifted), and the (m+1)-matches one
+    shift by m more. A shift runs over the chunk's flat word stream: a
+    shift by j >= 64 skips whole words, and bits that cross into the row
+    before land at s >= 64 * row_words - j >= nt. Those and every other pair
+    outside the comparisons are cleared by the packed validity mask
+    _valid_words(N, m), ANDed in before the first shift; the set bits are
+    counted with bitwise_count on the words, each unordered match once,
+    and doubled.
     """
     n, b = x.size, idx.shape[0]
-    nt, half = n - m, n // 2
-    rank_t, width_t = (np.int16, np.uint16) if n < _NARROW_RANKS_BELOW else (np.int32, np.uint32)
+    half, row_words = n // 2, -(-n // 64)
+    rank_t = next(rank_t for most, rank_t in _RANK_TIERS if n <= most)
     order = np.argsort(x, kind="stable")
     rank = np.empty(n, dtype=rank_t)
     rank[order] = np.arange(n, dtype=rank_t)
     g = g[:, order]
-    lo = np.argmax(g, axis=1).astype(rank_t)[idx][:, None, :]
-    width = (np.count_nonzero(g, axis=1) - 1).astype(width_t)[idx][:, None, :]
-    ranks = rank[idx]
+    first = np.argmax(g, axis=1)
+    last = n - 1 - np.argmax(g[:, ::-1], axis=1)
+    lo = np.take(first.astype(rank_t), idx)[:, None, :]
+    width = np.take((last - first).astype(rank_t), idx)[:, None, :]
+    ranks = np.take(rank, idx)
     partners = np.lib.stride_tricks.sliding_window_view(np.concatenate((ranks, ranks), axis=1), n, axis=1)
-    d = np.arange(1, half + 1)[:, None]
-    s = np.arange(nt)
-    packed_valid = np.packbits((s <= nt - 1 - d) | ((s >= n - d) & (2 * d < n)))
+    valid = _valid_words(n, m).reshape(-1)
     step = max(1, _CHUNK_PAIRS // (half * n))
     gaps = np.empty((min(step, b), half, n), dtype=rank_t)
-    point = np.empty(gaps.shape, dtype=bool)
-    template = np.empty((gaps.shape[0], half, nt), dtype=bool)
+    point = np.zeros((gaps.shape[0], half, 64 * row_words), dtype=bool)  # bits past N are never counted
+    # the m- and (m+1)-template matches of a chunk, word for word
+    both = np.empty((2, gaps.shape[0] * valid.size), dtype="<u8")
     counts = np.empty((b, 2), dtype=np.int64)
     for c in range(0, b, step):
         k = min(step, b - c)
         rows = slice(c, c + k)
         np.subtract(partners[rows, 1:half + 1], lo[rows], out=gaps[:k])
-        np.less_equal(gaps[:k].view(width_t), width[rows], out=point[:k])
-        tm = template[:k]
-        if m == 1:
-            np.copyto(tm, point[:k, :, :nt])
-        else:
-            np.logical_and(point[:k, :, :nt], point[:k, :, 1:1 + nt], out=tm)
-        for j in range(2, m):
-            tm &= point[:k, :, j:j + nt]
-        flat = tm.reshape(k, -1)  # a view: it also sees the (m+1)-th AND below
-        # the valid mask is applied to the packed bits, 8 pairs per byte
-        counts[rows, 0] = np.bitwise_count(np.packbits(flat, axis=1) & packed_valid).sum(axis=1)
-        tm &= point[:k, :, m:m + nt]
-        counts[rows, 1] = np.bitwise_count(np.packbits(flat, axis=1) & packed_valid).sum(axis=1)
+        np.less_equal(gaps[:k], width[rows], out=point[:k, :, :n])
+        packed = np.packbits(point[:k], bitorder="little").view("<u8")
+        tm, tm1 = both[:, :packed.size]
+        np.bitwise_and(packed.reshape(k, -1), valid, out=tm.reshape(k, -1))
+        for j in range(1, m):
+            shifted = _shifted(packed, j)
+            tm[:shifted.size] &= shifted
+        shifted = _shifted(packed, m)
+        np.bitwise_and(tm[:shifted.size], shifted, out=tm1[:shifted.size])
+        tm1[shifted.size:] = 0  # the last m // 64 words hold no template start below nt
+        counts[rows] = np.bitwise_count(both[:, :packed.size]).reshape(2, k, -1).sum(axis=2).T
     return 2 * counts
 
 

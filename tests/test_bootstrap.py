@@ -228,9 +228,10 @@ class TestBootstrapOracle:
     def test_bit_identical_to_per_replicate_loop(self):
         rng = np.random.default_rng(77)
         undefined = infinite = too_short = 0
-        for case in range(60):
+        # 60 drawn lengths, then rows of one 64-bit word and of several
+        for case, fixed_n in enumerate([None] * 60 + [64, 65, 128, 129, 200]):
             m = int(rng.integers(1, 5))
-            n = int(rng.integers(3, 70))
+            n = int(rng.integers(3, 70)) if fixed_n is None else fixed_n
             x = rng.standard_normal(n)
             if case % 3 == 0:
                 x = np.round(x, 1)  # tied values

@@ -665,6 +665,24 @@ class TestConfigFile:
         assert code == 0
         assert env["payload"]["m"] == 1 and env["payload"]["r"] == 0.4
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # Notepad's "Unicode" encoding: UTF-16 with a byte-order mark
+            ("m=1\n".encode("utf-16"), "not UTF-8 text"),
+            (b'{"m": 1,', "invalid JSON"),
+            (b"m=1\nr 0.4\n", "config line 2: expected key=value"),
+        ],
+        ids=["utf-16", "truncated-json", "no-equals"],
+    )
+    def test_unreadable_config_exits_2_and_names_the_file(self, noise_csv, tmp_path, capsys, data, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(data)
+        code, env = run(["estimate", "--input", noise_csv, "--config", str(cfg)], tmp_path)
+        assert code == 2 and env is None
+        err = capsys.readouterr().err
+        assert err.startswith(f"sampenopt: config error: {cfg}: {message}"), err
+
     @pytest.mark.parametrize("path", ["absent.cfg", ""])
     def test_missing_config_file_exits_2(self, noise_csv, tmp_path, path):
         code, _ = run(["estimate", "--input", noise_csv, f"--config={tmp_path / path if path else ''}"], tmp_path)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sampenopt.entropy import (
     _INT32_PREFIX_MAX_N,
+    _RANK_TIERS,
     MatchCounts,
     SampEnParams,
     _match_matrices,
@@ -254,23 +255,48 @@ class TestReplicateCounts:
         rows=st.sampled_from(["random", "constant", "identity"]),
         b=st.integers(1, 200),
         chunk_pairs=st.sampled_from([1, 40, 2**17]),
-        narrow=st.booleans(),
+        tier=st.integers(0, len(_RANK_TIERS) - 1),
         seed=st.integers(0, 2**32 - 1),
         r_pick=st.integers(0, 2**16),
     )
     # m = 1 at even and odd N (the wrapped half of d = N/2 is masked only at
     # even N), and larger m at both parities
-    @example(m=1, extra=1, tied=False, rows="random", b=30, chunk_pairs=2**17, narrow=True, seed=1, r_pick=3)
-    @example(m=1, extra=2, tied=False, rows="random", b=30, chunk_pairs=2**17, narrow=True, seed=2, r_pick=3)
-    @example(m=1, extra=57, tied=True, rows="random", b=100, chunk_pairs=2**17, narrow=True, seed=3, r_pick=4)
-    @example(m=1, extra=56, tied=False, rows="random", b=100, chunk_pairs=40, narrow=False, seed=4, r_pick=5)
-    @example(m=2, extra=56, tied=False, rows="random", b=100, chunk_pairs=2**17, narrow=True, seed=5, r_pick=4)
-    @example(m=3, extra=54, tied=True, rows="random", b=100, chunk_pairs=2**17, narrow=True, seed=6, r_pick=6)
-    def test_rows_equal_per_replicate_loop(self, m, extra, tied, rows, b, chunk_pairs, narrow, seed, r_pick):
-        # N from m + 2 to 60; index rows in [0, n) with repeats; several
-        # chunks per call (a small chunk_pairs, or B = 200 at N = 60);
-        # int32 ranks when not narrow
-        n = min(m + 2 + extra, 60)
+    @example(m=1, extra=1, tied=False, rows="random", b=30, chunk_pairs=2**17, tier=0, seed=1, r_pick=3)
+    @example(m=1, extra=2, tied=False, rows="random", b=30, chunk_pairs=2**17, tier=0, seed=2, r_pick=3)
+    @example(m=1, extra=57, tied=True, rows="random", b=100, chunk_pairs=2**17, tier=0, seed=3, r_pick=4)
+    @example(m=1, extra=56, tied=False, rows="random", b=100, chunk_pairs=40, tier=2, seed=4, r_pick=5)
+    @example(m=2, extra=56, tied=False, rows="random", b=100, chunk_pairs=2**17, tier=0, seed=5, r_pick=4)
+    @example(m=3, extra=54, tied=True, rows="random", b=100, chunk_pairs=2**17, tier=0, seed=6, r_pick=6)
+    # the uint16 and uint32 tiers forced at small N
+    @example(m=2, extra=40, tied=True, rows="random", b=60, chunk_pairs=2**17, tier=1, seed=7, r_pick=5)
+    @example(m=3, extra=41, tied=False, rows="random", b=60, chunk_pairs=2**17, tier=2, seed=8, r_pick=4)
+    # rows of one word and of several (N = 63, 64, 65, 127, 128, 129, 198,
+    # 201), m = 1-3 at both parities, and the last uint8 N (256) and the
+    # first uint16 one (257)
+    @example(m=1, extra=60, tied=False, rows="random", b=40, chunk_pairs=2**17, tier=0, seed=9, r_pick=4)
+    @example(m=2, extra=60, tied=True, rows="random", b=40, chunk_pairs=2**17, tier=0, seed=10, r_pick=5)
+    @example(m=3, extra=60, tied=False, rows="random", b=40, chunk_pairs=2**17, tier=0, seed=11, r_pick=6)
+    @example(m=2, extra=123, tied=False, rows="random", b=40, chunk_pairs=2**17, tier=0, seed=12, r_pick=4)
+    @example(m=1, extra=125, tied=True, rows="random", b=40, chunk_pairs=40, tier=0, seed=13, r_pick=7)
+    @example(m=3, extra=124, tied=False, rows="random", b=40, chunk_pairs=2**17, tier=0, seed=14, r_pick=3)
+    @example(m=3, extra=193, tied=False, rows="random", b=30, chunk_pairs=2**17, tier=0, seed=15, r_pick=5)
+    @example(m=2, extra=197, tied=True, rows="random", b=30, chunk_pairs=2**17, tier=0, seed=16, r_pick=6)
+    @example(m=1, extra=198, tied=False, rows="identity", b=5, chunk_pairs=2**17, tier=2, seed=17, r_pick=1)
+    @example(m=2, extra=252, tied=True, rows="random", b=12, chunk_pairs=2**17, tier=0, seed=18, r_pick=5)
+    @example(m=1, extra=254, tied=False, rows="random", b=12, chunk_pairs=2**17, tier=0, seed=19, r_pick=4)
+    # templates longer than a word (shifts by j >= 64 skip whole words), at
+    # the radius where every pair matches and at one where about a tenth do
+    @example(m=63, extra=135, tied=True, rows="random", b=4, chunk_pairs=2**17, tier=0, seed=20, r_pick=1)
+    @example(m=64, extra=134, tied=True, rows="random", b=4, chunk_pairs=2**17, tier=0, seed=21, r_pick=1)
+    @example(m=65, extra=133, tied=False, rows="random", b=4, chunk_pairs=2**17, tier=0, seed=22, r_pick=1)
+    @example(m=130, extra=68, tied=True, rows="identity", b=2, chunk_pairs=2**17, tier=0, seed=23, r_pick=1)
+    @example(m=64, extra=134, tied=True, rows="random", b=4, chunk_pairs=2**17, tier=0, seed=24, r_pick=8)
+    def test_rows_equal_per_replicate_loop(self, m, extra, tied, rows, b, chunk_pairs, tier, seed, r_pick):
+        # N = m + 2 + extra, from m + 2 to 64 when drawn; index rows in
+        # [0, n) with repeats; several chunks per call (a small
+        # chunk_pairs, or B = 200 at N = 60); ranks in the tier-th dtype of
+        # _RANK_TIERS or a wider one, as N requires
+        n = m + 2 + extra
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n)
         if tied:
@@ -288,8 +314,7 @@ class TestReplicateCounts:
             idx = np.tile(np.arange(n), (b, 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("sampenopt.entropy._CHUNK_PAIRS", chunk_pairs)
-            if not narrow:
-                mp.setattr("sampenopt.entropy._NARROW_RANKS_BELOW", 0)
+            mp.setattr("sampenopt.entropy._RANK_TIERS", _RANK_TIERS[tier:])
             got = _replicate_counts(x, _point_matches(x, r), idx, m)
         assert got.shape == (b, 2)
         assert np.array_equal(got, replicate_counts_oracle(x, idx, m, r))
