@@ -12,7 +12,7 @@ given (input bytes, flags, seed); only the envelope timestamps and the
 "timings" block vary between runs. A --config file (JSON object or
 key=value lines) supplies defaults that explicit flags override; its keys
 are option destinations (b, t_tilde, lam, no_preprocess, ...), and a key
-that no subcommand reads is a config error.
+that no subcommand reads, or one set twice, is a config error.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ _COMPUTE_EXIT = 4
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
+    if not path:  # Path("") is the current directory, which would hide the empty value
+        raise ValueError("empty --config value ''; give the path of a config file")
     # every error names the file, as read_signals does for an input CSV
     try:
         text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
@@ -66,12 +68,21 @@ def _load_config_file(path: str | None) -> dict:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
     if text.lstrip().startswith("{"):
         # JSON text that begins with "{" and parses is an object
+
+        def unique(pairs):
+            out = {}
+            for key, val in pairs:
+                key = str(key).replace("-", "_")
+                if key in out:
+                    raise ValueError(f"{path}: config key {key!r} is set twice")
+                out[key] = val
+            return out
+
         try:
-            loaded = json.loads(text)
+            return json.loads(text, object_pairs_hook=unique)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-        return {str(k).replace("-", "_"): v for k, v in loaded.items()}
-    out = {}
+    out, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -79,12 +90,15 @@ def _load_config_file(path: str | None) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}: config line {lineno}: expected key=value")
         key, _, raw = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key in first_line:
+            raise ValueError(f"{path}: config line {lineno}: key {key!r} is already set on line {first_line[key]}")
+        first_line[key] = lineno
         raw = raw.strip()
         try:
-            val = json.loads(raw)
+            out[key] = json.loads(raw)
         except json.JSONDecodeError:
-            val = raw
-        out[key.strip().replace("-", "_")] = val
+            out[key] = raw
     return out
 
 
@@ -138,10 +152,11 @@ def _bootstrap_record(x, est) -> dict:
     return _record(x, est.original.value, bootstrap_se=se, bootstrap_mse=mse)
 
 
-def _entropy_records(s, params: SampEnParams, q: float | None, b: int, seed: int, tag: int) -> list[dict]:
+def _entropy_records(s, params: SampEnParams, q: float | None, b: int, seed: int) -> list[dict]:
     """Per-signal SampEn with its match counts, or with bootstrap SE/MSE when q is set.
 
-    With q set, signal i draws its replicates from the stream (seed, tag, i).
+    With q set, signal i of s, in file order, draws its replicates from the
+    stream (seed, 0, i), so estimate and compare give a signal the same SE.
     """
     out = []
     for i, x in enumerate(s):
@@ -149,7 +164,7 @@ def _entropy_records(s, params: SampEnParams, q: float | None, b: int, seed: int
             res = sampen(x, params)
             out.append(_record(x, res.value, bm=res.bm, am=res.am, cp=res.cp))
             continue
-        est = bootstrap_sampen(x, params, BootstrapConfig(q=q, b=b, seed=child_seed(seed, tag, i)))
+        est = bootstrap_sampen(x, params, BootstrapConfig(q=q, b=b, seed=child_seed(seed, 0, i)))
         out.append(_bootstrap_record(x, est))
     return out
 
@@ -211,7 +226,7 @@ def _cmd_estimate(args) -> tuple[dict, dict]:
         records = [_record(x, fuzzen(x, args.m, args.r, args.eta)) for x in s]
         payload = {"measure": "fuzzen", "m": args.m, "r": args.r, "eta": args.eta, "signals": records}
         return payload, {}
-    records = _entropy_records(s, params, args.q, args.b, args.seed, 0)
+    records = _entropy_records(s, params, args.q, args.b, args.seed)
     payload = {"measure": "sampen", "m": args.m, "r": args.r, "q": args.q, "signals": records}
     return payload, {}
 
@@ -251,18 +266,21 @@ def _cmd_compare(args) -> tuple[dict, dict]:
     params = SampEnParams(m=args.m, r=args.r)
     _check_bootstrap_options(args)
     s = _read_input(args)
-    label_a, label_b, group_a, group_b = two_class_split(s)
+    labels = two_class_split(s)
     optimized = None
     m, r, q = args.m, args.r, args.q
+    # the whole set is scored once, in file order, as estimate or optimize scores it, and then split by label
     if args.optimize:
         result = optimize_set(s, cfg)
         m, r, q = result.best_psi.m, result.best_psi.r, result.best_psi.q
         optimized = {"best_psi": _psi_dict(result.best_psi), "best_y": result.best_y}
-        params = SampEnParams(m=m, r=r)
-    records = [_entropy_records(g, params, q, args.b, args.seed, tag) for tag, g in enumerate((group_a, group_b))]
-    vals = [[rec["entropy"]["value"] for rec in recs if rec["entropy"]["state"] == "finite"] for recs in records]
-    ses = [[rec["bootstrap_se"] for rec in recs if rec.get("bootstrap_se") is not None] for recs in records]
-    for label, v in zip((label_a, label_b), vals):
+        records = [_bootstrap_record(x, est) for x, est in zip(s, result.estimates)]
+    else:
+        records = _entropy_records(s, params, q, args.b, args.seed)
+    by_class = [[rec for rec in records if rec["label"] == label] for label in labels]
+    vals = [[rec["entropy"]["value"] for rec in recs if rec["entropy"]["state"] == "finite"] for recs in by_class]
+    ses = [[rec["bootstrap_se"] for rec in recs if rec.get("bootstrap_se") is not None] for recs in by_class]
+    for label, v in zip(labels, vals):
         if not v:
             raise UndefinedEntropy(f"class {label!r}: no signal has a finite SampEn at (m={m}, r={r})")
     comparison = mann_whitney_u(*vals, args.alternative)
@@ -270,9 +288,9 @@ def _cmd_compare(args) -> tuple[dict, dict]:
         "m": m,
         "r": r,
         "q": q,
-        "classes": [label_a, label_b],
+        "classes": list(labels),
         "n_finite": [len(v) for v in vals],
-        "entropies": {label_a: vals[0], label_b: vals[1]},
+        "entropies": dict(zip(labels, vals)),
         "medians": list(comparison.medians),
         "median_bootstrap_se": [float(np.median(se)) if se else None for se in ses],
         "u_statistic": comparison.u_statistic,

@@ -13,9 +13,9 @@ Every path in use, under the run's master seed:
     (seed, 0, trial, signal)  optimizer: bootstrap stream (all B replicates);
                               optimize's summary reads the kept estimates
     (seed, 1, trial)          optimizer: TPE proposal / random init draws
-    (seed, tag, i)            CLI per-signal bootstrap records, signal i: tag 0
-                              estimate and compare's first class, tag 1
-                              compare's second class
+    (seed, 0, i)              estimate and compare (without --optimize): the
+                              bootstrap record of signal i, in file order;
+                              compare --optimize reads the search's estimates
     (seed, 0), (seed, 1)      method_comparison: signal set, optimizer seed
     (seed, 0), (seed, 1, rep), (seed, 2, rep, j)
                               estimator_error: population, subsample of

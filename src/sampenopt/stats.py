@@ -282,13 +282,11 @@ def stationarity_pipeline(s: SignalSet, alpha: float) -> StationarityReport:
     return report
 
 
-def two_class_split(s: SignalSet) -> tuple[str, str, list, list]:
-    """Partition a labeled set into exactly two non-empty classes."""
+def two_class_split(s: SignalSet) -> tuple[str, str]:
+    """The two class labels of a labeled set, sorted; NotTwoClasses unless every signal has one of exactly two."""
     if any(x.label is None for x in s):
         raise NotTwoClasses("every signal needs a class label for comparison")
     labels = sorted({x.label for x in s})
     if len(labels) != 2:
         raise NotTwoClasses(f"need exactly two labels, found {labels!r}")
-    a = [x for x in s if x.label == labels[0]]
-    b = [x for x in s if x.label == labels[1]]
-    return labels[0], labels[1], a, b
+    return labels[0], labels[1]

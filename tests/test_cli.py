@@ -151,10 +151,10 @@ class TestOptimize:
         assert float(np.mean(mses)) + 0.1 * math.sqrt(payload["best_psi"]["r"]) == payload["best_y"]
 
 
-    @pytest.mark.parametrize("preprocess", [True, False], ids=["preprocess", "no-preprocess"])
-    def test_bootstraps_only_inside_the_search(self, tmp_path, monkeypatch, preprocess):
+    @pytest.mark.parametrize("command", ["preprocess", "no-preprocess", "compare-optimize"])
+    def test_bootstraps_only_inside_the_search(self, tmp_path, monkeypatch, command):
         # the summary reads the estimate sets the search kept: the run makes exactly
-        # the bootstrap calls of optimize_set on the retained set with the same config
+        # the bootstrap calls of optimize_set on the set it searched, with the same config
         import sampenopt.cli
         import sampenopt.optimizer
         from sampenopt.optimizer import OptimizerConfig, optimize_set
@@ -171,16 +171,22 @@ class TestOptimize:
         monkeypatch.setattr(sampenopt.optimizer, "bootstrap_sampen", spy)
         monkeypatch.setattr(sampenopt.cli, "bootstrap_sampen", spy)
         src = tmp_path / "ar.csv"
-        write_signals(src, gen_signal_set("ar1", 6, 100, seed=3, sigma=0.1), fmt="long")
-        argv = ["optimize", "--input", str(src), "--T", "8", "--T-init", "4", "--B", "15", "--seed", "3"]
-        code, env = run(argv + ([] if preprocess else ["--no-preprocess"]), tmp_path)
-        assert code == 0 and len(env["payload"]["signals"]) == 6
+        s = gen_signal_set("ar1", 6, 100, seed=3, sigma=0.1)
+        # compare needs two classes, so the signals are labelled alternately
+        write_signals(src, SignalSet(tuple(Signal(x.id, x.values, "ab"[i % 2]) for i, x in enumerate(s))), fmt="long")
+        argv = {"preprocess": ["optimize"], "no-preprocess": ["optimize", "--no-preprocess"],
+                "compare-optimize": ["compare", "--optimize"]}[command]
+        code, env = run(argv + ["--input", str(src), "--T", "8", "--T-init", "4", "--B", "15", "--seed", "3"], tmp_path)
+        assert code == 0
         cli_calls = calls[:]
         calls.clear()
         s, _ = read_signals(src)
-        s = stationarity_pipeline(s, 0.05).retained_or_raise() if preprocess else SignalSet(tuple(map(normalize, s)))
+        if command == "preprocess":
+            s = stationarity_pipeline(s, 0.05).retained_or_raise()
+        else:
+            s = SignalSet(tuple(map(normalize, s)))
         optimize_set(s, OptimizerConfig(b=15, t_tilde=8, t_init=4, seed=3))
-        assert cli_calls == calls
+        assert calls and cli_calls == calls
 
 
 class TestCompare:
@@ -194,6 +200,42 @@ class TestCompare:
         assert p["classes"] == ["ar", "noise"]
         assert p["p_value"] < 0.05
         assert all(se is not None for se in p["median_bootstrap_se"])
+
+    @staticmethod
+    def _interleaved_csv(tmp_path):
+        """Two classes in alternating rows, so no signal's row is its index within its class."""
+        a = make_noise_set(4, 80, seed=21, label="noise")
+        b = make_ar_set(4, 80, seed=22, label="ar")
+        path = tmp_path / "interleaved.csv"
+        write_signals(path, SignalSet(tuple(x for pair in zip(a, b) for x in pair)), fmt="long")
+        return str(path)
+
+    @staticmethod
+    def _class_medians(classes, records):
+        return [float(np.median([rec["bootstrap_se"] for rec in records if rec["label"] == label]))
+                for label in classes]
+
+    def test_bootstrap_ses_are_those_estimate_gives(self, tmp_path):
+        # signal i draws from estimate's stream for row i, whichever class it is in
+        flags = ["--input", self._interleaved_csv(tmp_path), "--m", "1", "--r", "0.3", "--q", "0.8", "--B", "20",
+                 "--seed", "5"]
+        code, env = run(["compare", *flags], tmp_path, "compare.json")
+        code_e, env_e = run(["estimate", *flags], tmp_path, "estimate.json")
+        assert code == code_e == 0
+        records = env_e["payload"]["signals"]
+        assert all(rec["bootstrap_se"] is not None for rec in records)
+        payload = env["payload"]
+        assert payload["median_bootstrap_se"] == self._class_medians(payload["classes"], records)
+
+    def test_optimize_reports_the_ses_optimize_reports(self, tmp_path):
+        # compare --optimize reads the estimate sets the search kept, as optimize does
+        flags = ["--input", self._interleaved_csv(tmp_path), "--T", "8", "--T-init", "4", "--B", "15", "--seed", "9"]
+        code, env = run(["compare", "--optimize", *flags], tmp_path, "compare.json")
+        code_o, env_o = run(["optimize", "--no-preprocess", *flags], tmp_path, "optimize.json")
+        assert code == code_o == 0
+        payload, searched = env["payload"], env_o["payload"]
+        assert payload["optimized"] == {"best_psi": searched["best_psi"], "best_y": searched["best_y"]}
+        assert payload["median_bootstrap_se"] == self._class_medians(payload["classes"], searched["signals"])
 
     def test_single_class_is_data_error(self, noise_csv, tmp_path):
         code, _ = run(["compare", "--input", noise_csv, "--m", "1", "--r", "0.2"], tmp_path)
@@ -682,6 +724,30 @@ class TestConfigFile:
         assert code == 2 and env is None
         err = capsys.readouterr().err
         assert err.startswith(f"sampenopt: config error: {cfg}: {message}"), err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("m=1\nr=0.4\nm=3\n", "config line 3: key 'm' is already set on line 1"),
+            ("t-tilde=5\n# searched\nt_tilde=6\n", "config line 3: key 't_tilde' is already set on line 1"),
+            ('{"m": 1, "m": 3}', "config key 'm' is set twice"),
+            ('{"t-tilde": 5, "t_tilde": 6}', "config key 't_tilde' is set twice"),
+        ],
+        ids=["key-value", "key-value-dash", "json", "json-dash"],
+    )
+    def test_key_set_twice_exits_2_naming_the_file_and_key(self, noise_csv, tmp_path, capsys, text, message):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text(text)
+        code, env = run(["estimate", "--input", noise_csv, "--config", str(cfg)], tmp_path)
+        assert code == 2 and env is None
+        assert capsys.readouterr().err == f"sampenopt: config error: {cfg}: {message}\n"
+
+    @pytest.mark.parametrize("argv", [["--config="], ["--config", ""]], ids=["equals", "separate"])
+    def test_empty_config_value_exits_2_naming_it(self, noise_csv, tmp_path, capsys, argv):
+        code, env = run(["estimate", "--input", noise_csv, *argv], tmp_path)
+        assert code == 2 and env is None
+        err = capsys.readouterr().err
+        assert err == "sampenopt: config error: empty --config value ''; give the path of a config file\n"
 
     @pytest.mark.parametrize("path", ["absent.cfg", ""])
     def test_missing_config_file_exits_2(self, noise_csv, tmp_path, path):

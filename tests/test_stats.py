@@ -288,9 +288,7 @@ class TestTwoClassSplit:
                 Signal("a2", [3.0, 4.0], label="x"),
             )
         )
-        la, lb, ga, gb = two_class_split(s)
-        assert (la, lb) == ("x", "y")
-        assert len(ga) == 2 and len(gb) == 1
+        assert two_class_split(s) == ("x", "y")
 
     def test_one_class_rejected(self):
         s = SignalSet((Signal("a", [1.0, 2.0], label="x"),))

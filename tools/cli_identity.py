@@ -91,6 +91,11 @@ def _inputs() -> None:
     Path("bom.csv").write_bytes(b"\xef\xbb\xbf" + Path("in.csv").read_bytes())
     Path("bom.cfg").write_bytes(b"\xef\xbb\xbfm = 1\nr = 0.25\n")
     Path("adir").mkdir()
+    # two classes in alternating rows: compare scores signal i on estimate's stream for row i
+    rng = np.random.default_rng(3)
+    _write_long("inter.csv", {f"s{i}": ("xy"[i % 2], _z(rng.standard_normal(70) if i % 2 else _ar1(rng, 70)))
+                              for i in range(8)})
+    Path("dup.cfg").write_text("m = 1\nr = 0.25\nm = 3\n")
 
 
 OPT = ["--T", "8", "--T-init", "4", "--B", "15", "--seed", "9"]
@@ -173,6 +178,11 @@ RUNS = {
     "config-bom": ["estimate", "--input", "in.csv", "--config", "bom.cfg"],
     # an output path that is a directory is rejected before any work
     "reject-2-out-is-dir": ["synth", "white-noise", "--n", "2", "--len", "20", "--out", "adir"],
+    "compare-interleaved": ["compare", "--input", "inter.csv", "--m", "1", "--r", "0.3", "--q", "0.8", "--B", "15",
+                            "--seed", "9"],
+    # a config key set twice, and an empty --config value
+    "reject-2-duplicate-config-key": ["estimate", "--input", "in.csv", "--config", "dup.cfg"],
+    "reject-2-empty-config-path": ["estimate", "--input", "in.csv", "--config="],
 }
 
 
