@@ -66,39 +66,40 @@ def _load_config_file(path: str | None) -> dict:
         text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+    entries = []  # (key, value, line number or None for JSON), in file order
     if text.lstrip().startswith("{"):
-        # JSON text that begins with "{" and parses is an object
-
-        def unique(pairs):
-            out = {}
-            for key, val in pairs:
-                key = str(key).replace("-", "_")
-                if key in out:
-                    raise ValueError(f"{path}: config key {key!r} is set twice")
-                out[key] = val
-            return out
-
+        # JSON text that begins with "{" and parses is an object. json calls the hook
+        # for the outermost object last, so objects[-1] holds its pairs; nested
+        # values stay plain dicts
+        objects = []
         try:
-            return json.loads(text, object_pairs_hook=unique)
+            json.loads(text, object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+        entries = [(key, val, None) for key, val in objects[-1]]
+    else:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}: config line {lineno}: expected key=value")
+            key, _, raw = line.partition("=")
+            raw = raw.strip()
+            try:
+                val = json.loads(raw)
+            except json.JSONDecodeError:
+                val = raw
+            entries.append((key.strip(), val, lineno))
+    # keys are compared as option destinations, so t-tilde and t_tilde are one key
     out, first_line = {}, {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: config line {lineno}: expected key=value")
-        key, _, raw = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key in first_line:
+    for key, val, lineno in entries:
+        key = key.replace("-", "_")
+        if key in out:
+            if lineno is None:
+                raise ValueError(f"{path}: config key {key!r} is set twice")
             raise ValueError(f"{path}: config line {lineno}: key {key!r} is already set on line {first_line[key]}")
-        first_line[key] = lineno
-        raw = raw.strip()
-        try:
-            out[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            out[key] = raw
+        out[key], first_line[key] = val, lineno
     return out
 
 
