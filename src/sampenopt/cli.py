@@ -24,6 +24,7 @@ import dataclasses
 import json
 import math
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -236,7 +237,9 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
     # every listed option is checked before the input is read, with or without the screen
     cfg = _optimizer_config(args)
     _require_alpha(args.alpha)
+    start = time.perf_counter()
     s, _ = read_signals(args.input)
+    read = time.perf_counter()
     preprocess_records = None
     if args.preprocess:
         report = stationarity_pipeline(s, args.alpha)
@@ -244,7 +247,9 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
         s = report.retained_or_raise()
     else:
         s = _normalized(s)
+    preprocessed = time.perf_counter()
     result = optimize_set(s, cfg)
+    searched = time.perf_counter()
     history = [
         {"psi": _psi_dict(rec.psi), "y": (rec.y if math.isfinite(rec.y) else None), "feasible": rec.feasible}
         for rec in result.records
@@ -258,7 +263,9 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
     }
     if preprocess_records is not None:
         payload["preprocess"] = preprocess_records
-    return payload, {}
+    timings = {"read_s": read - start, "preprocess_s": preprocessed - read, **result.timings,
+               "summary_s": time.perf_counter() - searched}
+    return payload, timings
 
 
 def _cmd_compare(args) -> tuple[dict, dict]:

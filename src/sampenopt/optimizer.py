@@ -21,6 +21,7 @@ the estimate sets that scored best_y, which optimize's summary reads.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,12 +69,15 @@ class OptResult:
 
     estimates holds one BootstrapEstimates per signal, in signal order: the
     sets that scored best_y, those of the first trial with the lowest y.
+    timings holds the seconds spent choosing points (propose_s: random draws
+    and TPE proposals) and scoring them (evaluate_s), summed over trials.
     """
 
     best_psi: ParamVector
     best_y: float
     records: tuple[Trial, ...]
     estimates: tuple[BootstrapEstimates, ...] = field(repr=False, compare=False)
+    timings: dict[str, float] = field(repr=False, compare=False)
 
     def best_so_far(self) -> list[float]:
         out = []
@@ -140,16 +144,22 @@ def _require_searchable(signals: tuple[Signal, ...]) -> None:
 def _optimize(signals: tuple[Signal, ...], cfg: OptimizerConfig) -> OptResult:
     _require_searchable(signals)
     history: list[Trial] = []
+    propose_s = evaluate_s = 0.0
     for t in range(1, cfg.t_tilde + 1):
+        start = time.perf_counter()
         rng = generator(cfg.seed, 1, t)
         psi = _random_psi(cfg.domain, rng) if t <= cfg.t_init else propose(history, cfg.domain, rng)
+        chosen = time.perf_counter()
         trial, estimates = _objective(signals, psi, cfg.lam, cfg.b, cfg.seed, t)
+        propose_s += chosen - start
+        evaluate_s += time.perf_counter() - chosen
         if not history or trial.y < best.y:  # strict, so ties keep the first of the lowest
             best, best_estimates = trial, estimates
         history.append(trial)
     if not best.feasible:
         raise AllTrialsInfeasible("every trial scored +inf; widen the domain or shrink m/r demands")
-    return OptResult(best_psi=best.psi, best_y=best.y, records=tuple(history), estimates=best_estimates)
+    return OptResult(best_psi=best.psi, best_y=best.y, records=tuple(history), estimates=best_estimates,
+                     timings={"propose_s": propose_s, "evaluate_s": evaluate_s})
 
 
 def optimize_single(x: Signal, cfg: OptimizerConfig) -> OptResult:

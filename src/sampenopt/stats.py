@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     EmptyGroup,
@@ -68,6 +67,8 @@ class ComparisonResult:
 
 
 def _mackinnon_p(stat: float) -> float:
+    from scipy.special import ndtr  # here, not at import: synth and estimate never load scipy
+
     if stat > _TAU_MAX_C:
         return 0.999
     if stat < _TAU_MIN_C:
@@ -204,6 +205,8 @@ def mann_whitney_u(a, b, alternative: str = "two-sided") -> ComparisonResult:
         if sigma2 <= 0:
             p = 1.0
         else:
+            from scipy.special import ndtr
+
             sd = math.sqrt(sigma2)
             if alternative == "less":
                 p = float(ndtr((u_a - mu + 0.5) / sd))

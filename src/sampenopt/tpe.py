@@ -8,14 +8,24 @@ non-informative prior component, with shared mixture weights per group.
 The next evaluation point is the best of S candidates drawn from the
 better-group density, scored by the log density ratio.
 
+Both groups share the prior and each dimension's Scott bandwidth, so a
+proposal builds one kernel table per searched dimension over [prior, trial
+1..T], and a group is an array of columns into it. The table holds every
+component's normal CDF at lo and hi for r and q, read by the sampler's
+inverse CDF and by the kernels' truncation mass, and at the cell edges
+0.5, 1.5, ..., U + 0.5 for m. For an integer m, m +- 0.5 is exact, so edge
+m minus edge m - 1 is ndtr((m + 0.5 - c) / b) - ndtr((m - 0.5 - c) / b) bit for bit.
+
 The S candidates are drawn and scored as one batch. propose makes a single
 rng.random(2 * d * S) draw, viewed as (S, d, 2): entry [s, j, 0] picks the
 mixture component of candidate s in dimension j and [s, j, 1] places the
 value inside it. Drawing one candidate at a time, dimension by dimension,
 consumes the stream in exactly this order, so the batch proposes the same
 point, bit for bit, from the same generator state and leaves the generator
-in the same state. The row sums of each log-sum-exp go through math.log,
-because numpy's vector log need not match libm's in the last bit.
+in the same state. Each elementwise step sees the operands of the scalar
+formulas, each sum runs along contiguous rows (numpy's pairwise sum
+depends on the layout), and the row sums of each log-sum-exp go through
+math.log, because numpy's vector log need not match libm's in the last bit.
 
 Constants (gamma = 0.10, cap 25, S = 24 candidates, Scott bandwidths with
 magic clipping, old-decay weights) follow the defaults popularized by
@@ -26,16 +36,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import EmptyHistory
 
-__all__ = [
-    "ParamDomain", "ParamVector", "Trial", "SurrogateDensity", "scott_bandwidth", "decay_weights",
-    "build_density", "propose",
-]
+__all__ = ["ParamDomain", "ParamVector", "Trial", "scott_bandwidth", "decay_weights", "propose"]
 
 _TINY = 1e-300
 _GAMMA = 0.10  # better-set quantile
@@ -115,8 +124,8 @@ class Trial:
         return math.isfinite(self.y)
 
 
-def _split_indices(history: list[Trial]) -> tuple[list[int], list[int]]:
-    """Indices of the (better, worse) trials by the top-quantile rule.
+def _split_indices(history: list[Trial]) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the (better, worse) trials by the top-quantile rule, each in y order.
 
     T_l = min(ceil(gamma * T), cap), restricted to feasible trials:
     infeasible trials always land in the worse set, so the better set may
@@ -125,10 +134,9 @@ def _split_indices(history: list[Trial]) -> tuple[list[int], list[int]]:
     t = len(history)
     if t < 1:
         raise EmptyHistory("need at least one trial to split")
-    order = sorted(range(t), key=lambda i: history[i].y)  # stable: ties keep insertion order
-    t_l = min(math.ceil(_GAMMA * t), _BETTER_MAX)
-    n_feasible = sum(1 for tr in history if tr.feasible)
-    t_l = min(t_l, n_feasible)
+    y = np.fromiter(map(attrgetter("y"), history), np.float64, t)
+    order = np.argsort(y, kind="stable")  # ties keep insertion order
+    t_l = min(math.ceil(_GAMMA * t), _BETTER_MAX, int(np.isfinite(y).sum()))
     return order[:t_l], order[t_l:]
 
 
@@ -168,11 +176,7 @@ def decay_weights(t_l: int, t_g: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _DimMixture:
-    """One dimension of the surrogate: kernel centers and bandwidths.
-
-    Component 0 is the prior; components 1.. are per-trial kernels (worse
-    group: in query order, matching the weight vector).
-    """
+    """One searched dimension's kernel table: component 0 is the prior, 1.. the trials."""
 
     kind: str  # "discrete" | "continuous"
     lo: float
@@ -180,100 +184,93 @@ class _DimMixture:
     centers: np.ndarray
     bandwidths: np.ndarray
 
-    def log_components(self, v) -> np.ndarray:
-        """Log kernel of every component at v: shape (K,) for a scalar, (S, K) for S values.
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Each component's normal CDF at lo and hi, (2, K), or at the cell edges 0.5, ..., U + 0.5, (U + 1, K)."""
+        from scipy.special import ndtr
+        edges = np.arange(int(self.hi) + 1) + 0.5 if self.kind == "discrete" else np.array([self.lo, self.hi])
+        return ndtr((edges[:, None] - self.centers) / self.bandwidths)
+
+    def log_components(self, v, cols=slice(None)) -> np.ndarray:
+        """Log kernel of components cols at v: shape (K,) for a scalar, (S, K) for S values.
 
         Continuous: the Gaussian density renormalized by its mass on [lo, hi].
-        Discrete: the Gaussian mass on [v - 1/2, v + 1/2] over the mass on [1/2, U + 1/2].
+        Discrete: the Gaussian mass on [v - 1/2, v + 1/2] over the mass on
+        [1/2, U + 1/2]: row v - 1 of a (U, K) table, so v must be an integer in 1..U.
         """
-        c, b = self.centers, self.bandwidths
-        v = np.asarray(v, dtype=np.float64)[..., None]
+        cdf = self.cdf[:, cols]
         if self.kind == "discrete":
-            u = int(self.hi)
-            cell = ndtr((v + 0.5 - c) / b) - ndtr((v - 0.5 - c) / b)
-            total = ndtr((u + 0.5 - c) / b) - ndtr((0.5 - c) / b)
-            return np.log(np.maximum(cell, _TINY)) - np.log(np.maximum(total, _TINY))
-        z = (v - c) / b
+            v = np.asarray(v)
+            m = v.astype(np.intp)
+            if not np.all((m == v) & (m >= 1) & (m <= int(self.hi))):
+                raise ValueError(f"m must be an integer in 1..{int(self.hi)}, got {v}")
+            table = np.log(np.maximum(cdf[1:] - cdf[:-1], _TINY)) - np.log(np.maximum(cdf[-1] - cdf[0], _TINY))
+            return table[m - 1]
+        c, b = self.centers[cols], self.bandwidths[cols]
+        z = (np.asarray(v, dtype=np.float64)[..., None] - c) / b
         log_norm = -0.5 * z * z - np.log(b) - 0.5 * math.log(2.0 * math.pi)
-        mass = ndtr((self.hi - c) / b) - ndtr((self.lo - c) / b)
-        return log_norm - np.log(np.maximum(mass, _TINY))
+        return log_norm - np.log(np.maximum(cdf[1] - cdf[0], _TINY))
 
-    def sample_components(self, idx: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """One draw from each component idx[s] by inverse CDF at uniforms[s]."""
-        c, b = self.centers[idx], self.bandwidths[idx]
+    def sample(self, comp: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """One draw from each component comp[s] by inverse CDF at uniforms[s]."""
         if self.kind == "discrete":
-            # (S, U) table of the chosen components' cell masses over m = 1..U
-            grid = np.arange(1, int(self.hi) + 1)
-            c, b = c[:, None], b[:, None]
-            cells = np.maximum(ndtr((grid + 0.5 - c) / b) - ndtr((grid - 0.5 - c) / b), 0.0)
+            edges = self.cdf.T[comp]  # (S, U + 1): each chosen component's CDF at the cell edges
+            cells = np.maximum(edges[:, 1:] - edges[:, :-1], 0.0)
             cdf = np.cumsum(cells / np.maximum(cells.sum(axis=1, keepdims=True), _TINY), axis=1)
             # per row, the count of cdf values below the draw is searchsorted(side="left")
-            return grid[np.minimum((cdf < uniforms[:, None]).sum(axis=1), grid.size - 1)].astype(np.float64)
+            return np.minimum((cdf < uniforms[:, None]).sum(axis=1), cells.shape[1] - 1) + 1.0
+        from scipy.special import ndtri
         # inverse-CDF truncated normal draw, clamped inside the open domain
-        a = ndtr((self.lo - c) / b)
-        z = ndtr((self.hi - c) / b)
+        c, b, a, z = self.centers[comp], self.bandwidths[comp], self.cdf[0, comp], self.cdf[1, comp]
         return _clamp_open(c + b * ndtri(a + (z - a) * uniforms), self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class SurrogateDensity:
-    """Per-dimension kernel mixtures with shared weights; S points are a dict of (S,) arrays."""
-
-    dims: dict  # name -> _DimMixture
-    weights: np.ndarray
-
-    def logpdf_batch(self, values: dict) -> np.ndarray:
-        """Log density at each of the S points in values."""
-        logw = np.log(self.weights)
-        total = 0.0
-        for name, mix in self.dims.items():
-            comp = logw + mix.log_components(values[name])
-            peak = comp.max(axis=1)
-            sums = np.exp(comp - peak[:, None]).sum(axis=1)
-            # math.log, not np.log: numpy's vector log can differ from libm's in the
-            # last bit, which would change scores, winners and so every later trial
-            total = total + (peak + np.fromiter(map(math.log, sums), np.float64, sums.size))
-        return total
-
-    def sample_batch(self, rng: np.random.Generator, n: int) -> dict:
-        """n points; per point and dimension, a component draw then a value draw."""
-        u = rng.random(2 * len(self.dims) * n).reshape(n, len(self.dims), 2)
-        cdf = np.cumsum(self.weights)
-        out = {}
-        for j, (name, mix) in enumerate(self.dims.items()):
-            idx = np.searchsorted(cdf, u[:, j, 0], side="left").clip(0, len(self.weights) - 1)
-            out[name] = mix.sample_components(idx, u[:, j, 1])
-        return out
-
-
-def build_density(group: list[Trial], role: str, domain: ParamDomain, t_total: int) -> SurrogateDensity:
-    """Kernel density for one partition group ("better" or "worse").
-
-    An empty group yields the prior alone. Weights index components in the
-    order given, with the prior at position 0; for the worse group the
-    caller must pass trials oldest-first so old-decay lines up with query
-    order (the better group's weights are uniform, so order is moot).
-    """
-    if role not in ("better", "worse"):
-        raise ValueError("role must be 'better' or 'worse'")
-    k = len(group)
-    weights = decay_weights(k, 0)[0] if role == "better" else decay_weights(0, k)[1]
-    u, searched = domain.u, domain.dims
-    dims = {}
+def _kernel_tables(history: list[Trial], domain: ParamDomain) -> dict[str, _DimMixture]:
+    """One kernel table per searched dimension over [prior, trial 1..T], shared by both groups."""
+    t, u, searched = len(history), domain.u, domain.dims
+    psis = [tr.psi for tr in history]
+    tables = {}
     for name, (lo, hi) in searched.items():
         # non-informative prior: mean (U-1)/2 and std U-1 for m, whose std degenerates
         # at U = 1 where any positive value gives mass 1; mean 1/2 and std 1 for r and q
-        centers, bws = ([(u - 1) / 2.0], [float(u - 1) if u > 1 else 1.0]) if name == "m" else ([0.5], [1.0])
-        if k > 0:
-            # Scott term uses the full evaluation count T: bandwidths then
-            # shrink as the search proceeds, which is what moves the
-            # sampler from exploration into exploitation
-            b = scott_bandwidth(t_total, len(searched), lo, hi, t_total)
-            centers.extend(float(getattr(tr.psi, name)) for tr in group)
-            bws.extend([b] * k)
-        dims[name] = _DimMixture(kind="discrete" if name == "m" else "continuous", lo=lo, hi=hi,
-                                 centers=np.asarray(centers), bandwidths=np.asarray(bws))
-    return SurrogateDensity(dims=dims, weights=weights)
+        prior_c, prior_b = ((u - 1) / 2.0, float(u - 1) if u > 1 else 1.0) if name == "m" else (0.5, 1.0)
+        centers = np.fromiter(chain([prior_c], map(attrgetter(name), psis)), np.float64, t + 1)
+        # Scott term uses the full evaluation count T: bandwidths then shrink as the
+        # search proceeds, which is what moves the sampler from exploration into exploitation
+        bandwidths = np.full(t + 1, scott_bandwidth(t, len(searched), lo, hi, t))
+        bandwidths[0] = prior_b
+        tables[name] = _DimMixture("discrete" if name == "m" else "continuous", lo, hi, centers, bandwidths)
+    return tables
+
+
+def _groups(history: list[Trial]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(columns, weights) of the better and worse groups: column 0 the prior, i + 1 trial i, the worse oldest first."""
+    better, worse = _split_indices(history)
+    w_l, w_g = decay_weights(better.size, worse.size)
+    return (np.concatenate(([0], better + 1)), w_l), (np.concatenate(([0], np.sort(worse) + 1)), w_g)
+
+
+def _draw(tables: dict, cols: np.ndarray, weights: np.ndarray, uniforms: np.ndarray) -> dict:
+    """One point per row of uniforms, (n, d, 2): per dimension j, [:, j, 0] picks a component, [:, j, 1] its value."""
+    # a pick past the weight CDF's last value, which rounding can leave below 1, takes the last component
+    picks = cols[np.minimum(np.searchsorted(np.cumsum(weights), uniforms[..., 0], side="left"), cols.size - 1)]
+    return {name: mix.sample(picks[:, j], uniforms[:, j, 1]) for j, (name, mix) in enumerate(tables.items())}
+
+
+def _log_kernels(tables: dict, cols: np.ndarray, weights: np.ndarray, values: dict) -> np.ndarray:
+    """(d, S, K): log weight plus log kernel of component cols[k] in dimension j at point s."""
+    logw = np.log(weights)
+    return np.stack([logw + mix.log_components(values[name], cols) for name, mix in tables.items()])
+
+
+def _log_mixture(log_kernels: np.ndarray) -> np.ndarray:
+    """Log density at S points from one group's (d, S, K) log kernels: per dimension a log-sum-exp, summed over d."""
+    peak = log_kernels.max(axis=2)
+    shifted = log_kernels - peak[..., None]
+    sums = np.exp(shifted, out=shifted).sum(axis=2)
+    # math.log, not np.log: numpy's vector log can differ from libm's in the last bit, which would move winners
+    rows = peak + np.fromiter(map(math.log, sums.ravel()), np.float64, sums.size).reshape(sums.shape)
+    return sum(rows, 0.0)  # ((0 + dimension 1) + dimension 2) + ..., the order the scores were always added in
 
 
 def propose(history: list[Trial], domain: ParamDomain, rng: np.random.Generator) -> ParamVector:
@@ -282,13 +279,12 @@ def propose(history: list[Trial], domain: ParamDomain, rng: np.random.Generator)
     All S candidates are drawn from the better-group density in one batch
     and scored in the log domain. Deterministic given the rng state.
     """
-    better_idx, worse_idx = _split_indices(history)
-    t_total = len(history)
-    p_l = build_density([history[i] for i in better_idx], "better", domain, t_total)
-    # old-decay weights index worse-group components by query order, oldest first
-    p_g = build_density([history[i] for i in sorted(worse_idx)], "worse", domain, t_total)
-    cands = p_l.sample_batch(rng, _N_CANDIDATES)
-    score = p_l.logpdf_batch(cands) - p_g.logpdf_batch(cands)
+    (cols_l, w_l), (cols_g, w_g) = _groups(history)
+    tables = _kernel_tables(history, domain)
+    cands = _draw(tables, cols_l, w_l, rng.random(2 * len(tables) * _N_CANDIDATES).reshape(_N_CANDIDATES, -1, 2))
+    # both groups' columns side by side, so one log-kernel pass per dimension scores both
+    log_kernels = _log_kernels(tables, np.concatenate((cols_l, cols_g)), np.concatenate((w_l, w_g)), cands)
+    score = _log_mixture(log_kernels[..., :cols_l.size]) - _log_mixture(log_kernels[..., cols_l.size:])
     # argmax takes the first maximum: ties go to the earliest candidate
     best = int(np.argmax(score))
     return domain.point({name: values[best] for name, values in cands.items()})

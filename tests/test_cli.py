@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,23 @@ def two_class_csv(tmp_path):
     path = tmp_path / "two.csv"
     write_signals(path, merged, fmt="long")
     return str(path)
+
+
+def test_synth_and_estimate_leave_scipy_special_unloaded(tmp_path):
+    # ndtr and ndtri are imported where the search and the stationarity and rank tests use them
+    script = (
+        "import sys\n"
+        "from sampenopt.cli import main\n"
+        "assert main(['synth', 'ar1', '--n', '3', '--len', '40', '--out', 's.csv', '--output', 'a.json']) == 0\n"
+        "assert main(['estimate', '--input', 's.csv', '--m', '1', '--r', '0.3', '--q', '0.8', '--B', '5',\n"
+        "             '--output', 'b.json']) == 0\n"
+        "print('scipy.special' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestSynth:
@@ -150,6 +168,18 @@ class TestOptimize:
         assert len(mses) == 8
         assert float(np.mean(mses)) + 0.1 * math.sqrt(payload["best_psi"]["r"]) == payload["best_y"]
 
+
+    @pytest.mark.parametrize("preprocess", [True, False], ids=["preprocess", "no-preprocess"])
+    def test_timings_explain_the_run(self, noise_csv, tmp_path, preprocess):
+        argv = ["optimize", "--input", noise_csv, "--T", "12", "--T-init", "5", "--B", "20", "--seed", "6"]
+        start = time.perf_counter()
+        code, env = run(argv + ([] if preprocess else ["--no-preprocess"]), tmp_path)
+        wall = time.perf_counter() - start
+        assert code == 0
+        timings = env["timings"]
+        assert set(timings) == {"read_s", "preprocess_s", "propose_s", "evaluate_s", "summary_s"}
+        assert all(v >= 0.0 for v in timings.values())
+        assert sum(timings.values()) <= wall
 
     @pytest.mark.parametrize("command", ["preprocess", "no-preprocess", "compare-optimize"])
     def test_bootstraps_only_inside_the_search(self, tmp_path, monkeypatch, command):

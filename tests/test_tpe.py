@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,12 @@ from sampenopt.tpe import (
     ParamVector,
     Trial,
     _DimMixture,
+    _draw,
+    _groups,
+    _kernel_tables,
+    _log_kernels,
+    _log_mixture,
     _split_indices,
-    build_density,
     decay_weights,
     propose,
     scott_bandwidth,
@@ -37,12 +42,12 @@ class TestSplit:
 
     def test_single_trial(self):
         better, worse = _split_indices(_history([0.5]))
-        assert better == [0] and worse == []
+        assert better.tolist() == [0] and worse.tolist() == []
 
     def test_partition_properties(self):
         h = _history([5.0, 1.0, 3.0, math.inf, 2.0, 4.0, 0.5, 6.0, 7.0, 8.0])
         better, worse = _split_indices(h)
-        assert sorted(better + worse) == list(range(len(h)))
+        assert sorted([*better, *worse]) == list(range(len(h)))
         max_better = max(h[i].y for i in better)
         feasible_worse = [h[i].y for i in worse if h[i].feasible]
         assert max_better <= min(feasible_worse)
@@ -54,7 +59,7 @@ class TestSplit:
 
     def test_all_infinite_gives_empty_better(self):
         better, worse = _split_indices(_history([math.inf] * 4))
-        assert better == [] and len(worse) == 4
+        assert better.tolist() == [] and len(worse) == 4
 
     def test_empty_history(self):
         with pytest.raises(EmptyHistory):
@@ -131,6 +136,24 @@ class TestKernels:
             mass = math.exp(_one_component("discrete", 1.0, b, 1.0, 1.0).log_components(1)[0])
             assert mass == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("m", [0, 4, 1.5, [1, 0], [2.0, 1.5]])
+    def test_discrete_rejects_m_off_the_grid(self, m):
+        # row m - 1 of the table: m = 0 would read the last row and m = U + 1 past it
+        with pytest.raises(ValueError, match="integer in 1..3"):
+            _one_component("discrete", 2.0, 0.7, 1.0, 3.0).log_components(m)
+
+    def test_discrete_grid_rows_match_the_two_ndtr_formula_bitwise(self):
+        rng = np.random.default_rng(9)
+        for u in range(1, 9):
+            c, b = rng.uniform(-1.0, u + 2.0, 40), rng.uniform(0.01, 6.0, 40)
+            mix = _DimMixture(kind="discrete", lo=1.0, hi=float(u), centers=c, bandwidths=b)
+            total = ndtr((u + 0.5 - c) / b) - ndtr((0.5 - c) / b)
+            for m in range(1, u + 1):
+                cell = ndtr((m + 0.5 - c) / b) - ndtr((m - 0.5 - c) / b)
+                assert (mix.cdf[m] - mix.cdf[m - 1]).tolist() == cell.tolist()
+                direct = np.log(np.maximum(cell, 1e-300)) - np.log(np.maximum(total, 1e-300))
+                assert [v.hex() for v in mix.log_components(m).tolist()] == [v.hex() for v in direct.tolist()]
+
 
 class TestWeights:
     def test_better_uniform(self):
@@ -163,16 +186,17 @@ class TestWeights:
             assert abs(worse.sum() - 1.0) <= 1e-12
 
 
+def _group_logpdf(tables, cols, weights, points):
+    """The shipped log density of one group at S points: a dict of (S,) arrays."""
+    return _log_mixture(_log_kernels(tables, np.asarray(cols), np.asarray(weights), points))
+
+
 class TestDensity:
     def test_prior_only_integrates_to_one(self):
         domain = ParamDomain()
-        dens = build_density([], "better", domain, t_total=1)
-        r_mix = dens.dims["r"]
+        r_only = {"r": _kernel_tables(_history([0.5]), domain)["r"]}  # column 0 alone is the prior
         val, _ = quad(
-            lambda v: sum(
-                w * math.exp(k)
-                for w, k in zip(dens.weights, r_mix.log_components(v))
-            ),
+            lambda v: math.exp(_group_logpdf(r_only, [0], [1.0], {"r": np.array([v])})[0]),
             domain.r_bounds[0],
             domain.r_bounds[1],
             limit=200,
@@ -185,25 +209,26 @@ class TestDensity:
         from dataclasses import replace
 
         trial = Trial(ParamVector(m=2, r=0.37, q=0.5), 0.1)
-        dens = build_density([trial], "better", ParamDomain(u=3), t_total=100)
-        shrunk = {
-            name: replace(mix, bandwidths=np.where(np.arange(mix.centers.size) == 0, mix.bandwidths, 0.01))
-            for name, mix in dens.dims.items()
-        }
-        dens = type(dens)(dims=shrunk, weights=dens.weights)
+        tables = _kernel_tables([trial], ParamDomain(u=3))
+        tables = {name: replace(mix, bandwidths=np.array([mix.bandwidths[0], 0.01])) for name, mix in tables.items()}
         grid = np.linspace(0.011, 0.999, 989)
-        vals = dens.logpdf_batch({"m": np.full(grid.size, 2.0), "r": grid, "q": np.full(grid.size, 0.5)})
+        vals = _group_logpdf(tables, [0, 1], decay_weights(1, 0)[0],
+                             {"m": np.full(grid.size, 2.0), "r": grid, "q": np.full(grid.size, 0.5)})
         assert abs(grid[int(np.argmax(vals))] - 0.37) < 0.005
 
     def test_strictly_positive_everywhere(self):
-        dens = build_density([Trial(ParamVector(m=1, r=0.05, q=0.9), 0.2)], "worse", ParamDomain(), t_total=10)
+        h = _history([0.5, 0.2, 0.8, 0.1, 0.9, 0.3, 0.7, 0.6, 0.4, 1.0])
+        h[0] = Trial(ParamVector(m=1, r=0.05, q=0.9), 0.2)
+        cols, weights = _groups(h)[1]
         rng = np.random.default_rng(4)
         points = {"m": [], "r": [], "q": []}
         for _ in range(200):
             points["m"].append(int(rng.integers(1, 4)))
             points["r"].append(float(rng.uniform(0.0100001, 0.9999)))
             points["q"].append(float(rng.uniform(0.0100001, 0.9899)))
-        assert np.all(np.isfinite(dens.logpdf_batch({k: np.array(v, np.float64) for k, v in points.items()})))
+        tables = _kernel_tables(h, ParamDomain())
+        logpdf = _group_logpdf(tables, cols, weights, {k: np.array(v, np.float64) for k, v in points.items()})
+        assert np.all(np.isfinite(logpdf))
 
 
 class TestPropose:
@@ -220,8 +245,8 @@ class TestPropose:
         # closure implies proposal closure; 10,000 seeded draws
         domain = ParamDomain()
         h = _history([0.5, 0.2, 0.8, 0.1, 0.9, 0.3, 0.7])
-        dens = build_density([h[i] for i in _split_indices(h)[0]], "better", domain, t_total=7)
-        draws = dens.sample_batch(np.random.default_rng(55), 10_000)
+        tables = _kernel_tables(h, domain)
+        draws = _draw(tables, *_groups(h)[0], np.random.default_rng(55).random(2 * 3 * 10_000).reshape(10_000, 3, 2))
         for i in range(10_000):
             assert domain.contains(domain.point({name: values[i] for name, values in draws.items()}))
 
@@ -260,8 +285,32 @@ class TestPropose:
 
 
 # Scalar oracle: the acquisition as it stood before candidates were scored as
-# one batch. It samples one candidate at a time and one dimension at a time,
-# scores each candidate on its own, and keeps the first strict maximum.
+# one batch from one kernel table. It splits the history with sorted, builds
+# each group's density on its own, samples one candidate at a time and one
+# dimension at a time, scores each candidate on its own, and keeps the first
+# strict maximum. It shares only decay_weights and scott_bandwidth with tpe.
+
+
+def _oracle_split(history):
+    order = sorted(range(len(history)), key=lambda i: history[i].y)  # stable: ties keep insertion order
+    t_l = min(math.ceil(0.10 * len(history)), 25, sum(1 for tr in history if tr.feasible))
+    return order[:t_l], order[t_l:]
+
+
+def _oracle_density(group, role, domain, t_total):
+    """Each searched dimension's kernels (the prior, then one per trial in group's order) and the group's weights."""
+    k = len(group)
+    weights = decay_weights(k, 0)[0] if role == "better" else decay_weights(0, k)[1]
+    u, dims = domain.u, {}
+    for name, (lo, hi) in domain.dims.items():
+        centers, bws = ([(u - 1) / 2.0], [float(u - 1) if u > 1 else 1.0]) if name == "m" else ([0.5], [1.0])
+        if k > 0:
+            b = scott_bandwidth(t_total, len(domain.dims), lo, hi, t_total)
+            centers.extend(float(getattr(tr.psi, name)) for tr in group)
+            bws.extend([b] * k)
+        dims[name] = SimpleNamespace(kind="discrete" if name == "m" else "continuous", lo=lo, hi=hi,
+                                     centers=np.asarray(centers), bandwidths=np.asarray(bws))
+    return SimpleNamespace(dims=dims, weights=weights)
 
 
 def _oracle_log_components(mix, v):
@@ -310,11 +359,15 @@ def _oracle_sample(dens, rng, fixed_q):
     return ParamVector(m=int(out["m"]), r=out["r"], q=fixed_q if fixed_q is not None else out["q"])
 
 
+def _oracle_densities(history, domain):
+    """The better group's density, then the worse group's, its trials oldest first."""
+    better_idx, worse_idx = _oracle_split(history)
+    return (_oracle_density([history[i] for i in better_idx], "better", domain, len(history)),
+            _oracle_density([history[i] for i in sorted(worse_idx)], "worse", domain, len(history)))
+
+
 def _oracle_propose(history, domain, rng):
-    better_idx, worse_idx = _split_indices(history)
-    t_total = len(history)
-    p_l = build_density([history[i] for i in better_idx], "better", domain, t_total)
-    p_g = build_density([history[i] for i in sorted(worse_idx)], "worse", domain, t_total)
+    p_l, p_g = _oracle_densities(history, domain)
     best_psi, best_score = None, -math.inf
     for _ in range(_N_CANDIDATES):
         cand = _oracle_sample(p_l, rng, domain.fixed_q)
@@ -344,14 +397,15 @@ def _search_states(draw):
     return domain, h
 
 
-def _long_state():
+def _long_state(u=3, fixed_q=None, feasible=lambda i: i % 9 != 0):
     """300 trials: worse-group rows longer than numpy's 128-element pairwise-summation block."""
     rng = np.random.default_rng(77)
     h = []
     for i in range(300):
-        psi = ParamVector(m=int(rng.integers(1, 4)), r=float(rng.uniform(0.01, 1.0)), q=float(rng.uniform(0.01, 0.99)))
-        h.append(Trial(psi, math.inf if i % 9 == 0 else float(rng.uniform(0.0, 2.0))))
-    return ParamDomain(), h
+        m, r = int(rng.integers(1, u + 1)), float(rng.uniform(0.01, 1.0))
+        psi = ParamVector(m=m, r=r, q=float(rng.uniform(0.01, 0.99)) if fixed_q is None else fixed_q)
+        h.append(Trial(psi, float(rng.uniform(0.0, 2.0)) if feasible(i) else math.inf))
+    return ParamDomain(u=u, fixed_q=fixed_q), h
 
 
 def _bits(psi):
@@ -359,9 +413,27 @@ def _bits(psi):
 
 
 class TestBatchMatchesScalarOracle:
+    def test_discrete_draws_on_cell_boundaries(self):
+        # uniforms exactly on the oracle's cumulative cell masses and one ulp either side: a
+        # last-bit change in the sampler's row sums moves one of these draws. From U = 8 on,
+        # numpy's pairwise sum gives different bits for rows that are not contiguous
+        rng = np.random.default_rng(10)
+        for u in (3, 8, 9, 12):
+            c, b = rng.uniform(0.0, u + 1.0, 30), rng.uniform(0.3, 4.0, 30)
+            mix = _DimMixture(kind="discrete", lo=1.0, hi=float(u), centers=c, bandwidths=b)
+            grid = np.arange(1, u + 1)
+            for k in range(c.size):
+                cells = np.maximum(ndtr((grid + 0.5 - c[k]) / b[k]) - ndtr((grid - 0.5 - c[k]) / b[k]), 0.0)
+                cdf = np.cumsum(cells / max(cells.sum(), 1e-300))
+                draws = np.concatenate([np.nextafter(cdf, 0.0), cdf, np.nextafter(cdf, 1.0)])
+                want = [_oracle_sample_component(mix, k, SimpleNamespace(random=lambda v=v: v)) for v in draws]
+                assert mix.sample(np.full(draws.size, k), draws).tolist() == want
+
     @settings(max_examples=150, deadline=None)
     @given(state=_search_states(), seed=st.integers(0, 2**32 - 1))
     @example(state=_long_state(), seed=5)
+    @example(state=_long_state(u=6, fixed_q=0.3), seed=6)
+    @example(state=_long_state(feasible=lambda i: i == 150), seed=7)  # one feasible trial: a one-trial better group
     def test_propose_bitwise_and_same_stream(self, state, seed):
         domain, h = state
         rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -373,21 +445,20 @@ class TestBatchMatchesScalarOracle:
     @settings(max_examples=100, deadline=None)
     @given(state=_search_states(), seed=st.integers(0, 2**32 - 1))
     def test_densities_bitwise(self, state, seed):
-        # one-point batches, then 64-point logpdf batches: enough log calls that
-        # a vector log differing from libm's in the last bit would show
+        # each group of the shipped table against the oracle's own density: one-point
+        # draws and log densities, then 64-point batches, enough log calls that a
+        # vector log differing from libm's in the last bit would show
         domain, h = state
-        better_idx, worse_idx = _split_indices(h)
-        densities = [build_density([h[i] for i in better_idx], "better", domain, len(h)),
-                     build_density([h[i] for i in worse_idx], "worse", domain, len(h))]
+        tables, groups, densities = _kernel_tables(h, domain), _groups(h), _oracle_densities(h, domain)
         rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        for dens in densities:
-            psi = domain.point({name: values[0] for name, values in dens.sample_batch(rng, 1).items()})
+        for (cols, weights), dens in zip(groups, densities):
+            point = _draw(tables, cols, weights, rng.random(2 * len(tables)).reshape(1, -1, 2))
+            psi = domain.point({name: values[0] for name, values in point.items()})
             assert _bits(psi) == _bits(_oracle_sample(dens, rng_oracle, domain.fixed_q))
-            row = {name: np.array([getattr(psi, name)], np.float64) for name in dens.dims}
-            assert dens.logpdf_batch(row)[0].hex() == _oracle_logpdf(dens, psi).hex()
+            assert _group_logpdf(tables, cols, weights, point)[0].hex() == _oracle_logpdf(dens, psi).hex()
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
-        for dens in densities:
+        for (cols, weights), dens in zip(groups, densities):
             points = [_oracle_sample(dens, rng, domain.fixed_q) for _ in range(64)]
-            batch = {name: np.array([getattr(p, name) for p in points], np.float64) for name in dens.dims}
-            got = [v.hex() for v in dens.logpdf_batch(batch).tolist()]
+            batch = {name: np.array([getattr(p, name) for p in points], np.float64) for name in tables}
+            got = [v.hex() for v in _group_logpdf(tables, cols, weights, batch).tolist()]
             assert got == [_oracle_logpdf(dens, p).hex() for p in points]

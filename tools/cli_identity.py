@@ -183,6 +183,10 @@ RUNS = {
     # a config key set twice, and an empty --config value
     "reject-2-duplicate-config-key": ["estimate", "--input", "in.csv", "--config", "dup.cfg"],
     "reject-2-empty-config-path": ["estimate", "--input", "in.csv", "--config="],
+    # 200 trials at U = 6: a worse group of ~180 components, past numpy's 128-element
+    # pairwise-sum block, with the old-decay weight ramp and a 6-row m table
+    "optimize-deep-history": ["optimize", "--input", "in.csv", "--no-preprocess", "--T", "200", "--T-init", "10",
+                              "--B", "5", "--U", "6", "--seed", "9"],
 }
 
 
