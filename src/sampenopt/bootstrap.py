@@ -10,8 +10,13 @@ the CLI's per-signal records and every optimizer trial call it. It
 thresholds the signal's point gaps once, scores the original from that
 matrix as sampen does, draws all B replicates' blocks from
 generator(cfg.seed) and scores them from the same matrix in one batched
-pass (entropy._replicate_values); BootstrapEstimates holds the replicate
-values as a float array that mse/variance/bias read.
+pass (entropy._replicate_values). BootstrapEstimates holds the replicate
+values as a float array and computes their finite-replicate summary (mean,
+variance, MSE and bias) once per estimate set; mse, variance and bias read it.
+
+A Geom(q) length can be as large as INT64_MAX when q is tiny; lengths are
+clipped at n before they are summed, which moves no index, so as q -> 0
+each replicate becomes one circular shift of the signal.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +60,15 @@ class BootstrapConfig:
             raise ValueError("replicate count B must be >= 1")
 
 
+class Summary(NamedTuple):
+    """Moments of an estimate set's finite replicate values (see variance, bias and mse)."""
+
+    mean: float
+    variance: float
+    mse: float
+    bias: float
+
+
 @dataclass(frozen=True, eq=False)
 class BootstrapEstimates:
     """Original estimate plus the B replicate values and the feasibility flag.
@@ -80,6 +95,16 @@ class BootstrapEstimates:
     def feasible(self) -> bool:
         return self.original.finite and 10 * self._sorted_finite.size >= 9 * self.replicates.size
 
+    @cached_property
+    def summary(self) -> Summary:
+        """The finite replicates' mean, variance, MSE and bias, computed once; Infeasible if not feasible."""
+        if not self.feasible:
+            raise Infeasible("bootstrap estimate set is infeasible (too many non-finite values)")
+        vals, theta = self._sorted_finite, self.original.value
+        mean = vals.mean()
+        return Summary(float(mean), float(np.mean((vals - mean) ** 2)), float(np.mean((theta - vals) ** 2)),
+                       float(mean - theta))
+
     def finite_values(self) -> np.ndarray:
         return self.replicates[np.isfinite(self.replicates)]
 
@@ -95,7 +120,11 @@ def _block_indices(starts: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarra
     starts and lengths are (B, k), row b being replicate b; starts are
     0-based, lengths are >= 1 and each row sums to at least n. Each row's
     final block is shortened so exactly n indices come back, as (B, n).
+    lengths is clipped at n in place: a block of n or more fills the rest of
+    its row either way, and a tiny q's lengths near INT64_MAX would
+    overflow the sum.
     """
+    np.minimum(lengths, n, out=lengths)
     begin = np.cumsum(lengths, axis=1) - lengths
     # the blocks beginning before n, the last one cut at n, fill each row
     # with exactly n positions; position i of a block is start - begin + i
@@ -151,21 +180,14 @@ def bootstrap_sampen(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> Bootst
     return BootstrapEstimates(_sampen_from_counts(counts), replicates)
 
 
-def _require_feasible(est: BootstrapEstimates) -> np.ndarray:
-    if not est.feasible:
-        raise Infeasible("bootstrap estimate set is infeasible (too many non-finite values)")
-    return est._sorted_finite
-
-
 def variance(est: BootstrapEstimates) -> float:
     """Mean squared deviation of finite replicate values around their mean."""
-    vals = _require_feasible(est)
-    return float(np.mean((vals - vals.mean()) ** 2))
+    return est.summary.variance
 
 
 def bias(est: BootstrapEstimates) -> float:
     """Mean of finite replicate values minus the original estimate."""
-    return float(_require_feasible(est).mean() - est.original.value)
+    return est.summary.bias
 
 
 def mse(est: BootstrapEstimates) -> float:
@@ -174,7 +196,7 @@ def mse(est: BootstrapEstimates) -> float:
     Equals bias(est)**2 + variance(est) exactly (same finite subset and
     divisor on both sides of the identity).
     """
-    return float(np.mean((est.original.value - _require_feasible(est)) ** 2))
+    return est.summary.mse
 
 
 def bootstrap_se(est: BootstrapEstimates) -> float:

@@ -7,8 +7,14 @@ or too many non-finite bootstrap replicates) score +inf and are never
 selected. The driver runs T_init uniform random trials, then TPE proposals
 until the trial budget is exhausted.
 
-A trial scores each signal with bootstrap_sampen and reads mse, variance
-and bias off the estimate set, as every other caller of the bootstrap does.
+A trial scores each signal with bootstrap_sampen, reads mse, variance and
+bias off the estimate set's summary, computed once per set, and averages
+them over the signals, bit for bit as np.mean of each column would.
+
+_optimize owns the search history as arrays: one float64 array for y and
+one per searched dimension of ParamDomain.dims, preallocated for the whole
+budget and filled once per trial. propose reads the first t - 1 entries of
+each; OptResult.records keeps the Trial objects.
 
 RNG streams: signal i of trial t draws all B of its replicates from the
 one stream generator(child_seed(seed, 0, t, i)); the TPE proposal (and
@@ -26,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, BootstrapEstimates, bias, bootstrap_sampen, mse, variance
+from .bootstrap import BootstrapConfig, BootstrapEstimates, bootstrap_sampen
 from .entropy import SampEnParams
-from .errors import AllTrialsInfeasible, SignalTooShort
+from .errors import AllTrialsInfeasible, Infeasible, SignalTooShort
 from .rng import child_seed, generator
 from .signal import Signal, SignalSet
 from .tpe import ParamDomain, ParamVector, Trial, _clamp_open, propose
@@ -98,18 +104,20 @@ def _objective(
 ) -> tuple[Trial, tuple[BootstrapEstimates, ...]]:
     """Mean bootstrap MSE + lambda*sqrt(r) and the per-signal estimates; (+inf, ()) at the first infeasible signal."""
     params = SampEnParams(m=psi.m, r=psi.r)
-    estimates = []
+    estimates, scored = [], []
     for i, x in enumerate(signals):
         cfg = BootstrapConfig(q=psi.q, b=b, seed=child_seed(seed, 0, trial_index, i))
         try:
             est = bootstrap_sampen(x, params, cfg)
-        except SignalTooShort:
-            return Trial(psi=psi, y=math.inf), ()
-        if not est.feasible:
+            s = est.summary  # raises Infeasible for an infeasible estimate set
+        except (SignalTooShort, Infeasible):
             return Trial(psi=psi, y=math.inf), ()
         estimates.append(est)
-    scored = [(est.original.value, mse(est), variance(est), bias(est)) for est in estimates]
-    entropy, mean_mse, mean_variance, mean_bias = (float(np.mean(col)) for col in zip(*scored))
+        scored.append((est.original.value, s.mse, s.variance, s.bias))
+    # np.mean's sum starts at +0.0, so the mean of one value v is 0.0 + v (-0.0 becomes 0.0); several
+    # signals' columns are the rows of a C-order (4, k) array, summed in the order np.mean of a column sums
+    means = [0.0 + v for v in scored[0]] if len(scored) == 1 else np.array(list(zip(*scored))).mean(axis=1).tolist()
+    entropy, mean_mse, mean_variance, mean_bias = means
     return Trial(psi, mean_mse + lam * math.sqrt(psi.r), entropy, mean_variance, mean_bias), tuple(estimates)
 
 
@@ -144,11 +152,17 @@ def _require_searchable(signals: tuple[Signal, ...]) -> None:
 def _optimize(signals: tuple[Signal, ...], cfg: OptimizerConfig) -> OptResult:
     _require_searchable(signals)
     history: list[Trial] = []
+    # trial t fills entry t - 1 of y and of each searched dimension's points; propose reads the filled prefix
+    y = np.empty(cfg.t_tilde)
+    points = {name: np.empty(cfg.t_tilde) for name in cfg.domain.dims}
     propose_s = evaluate_s = 0.0
     for t in range(1, cfg.t_tilde + 1):
         start = time.perf_counter()
         rng = generator(cfg.seed, 1, t)
-        psi = _random_psi(cfg.domain, rng) if t <= cfg.t_init else propose(history, cfg.domain, rng)
+        if t <= cfg.t_init:
+            psi = _random_psi(cfg.domain, rng)
+        else:
+            psi = propose(y[:t - 1], {name: v[:t - 1] for name, v in points.items()}, cfg.domain, rng)
         chosen = time.perf_counter()
         trial, estimates = _objective(signals, psi, cfg.lam, cfg.b, cfg.seed, t)
         propose_s += chosen - start
@@ -156,6 +170,9 @@ def _optimize(signals: tuple[Signal, ...], cfg: OptimizerConfig) -> OptResult:
         if not history or trial.y < best.y:  # strict, so ties keep the first of the lowest
             best, best_estimates = trial, estimates
         history.append(trial)
+        y[t - 1] = trial.y
+        for name, v in points.items():
+            v[t - 1] = getattr(psi, name)
     if not best.feasible:
         raise AllTrialsInfeasible("every trial scored +inf; widen the domain or shrink m/r demands")
     return OptResult(best_psi=best.psi, best_y=best.y, records=tuple(history), estimates=best_estimates,

@@ -1,10 +1,13 @@
 """Tree-structured Parzen Estimator surrogate and acquisition.
 
-The history of (psi, y) trials is split into better/worse sets by the
-top-quantile rule T_l = min(ceil(gamma * T), 25). Each set gets a
-per-dimension kernel mixture: one truncated Gaussian (continuous dims) or
-interval-discretized Gaussian (the embedding dimension) per trial, plus a
-non-informative prior component, with shared mixture weights per group.
+propose reads the history as arrays, which the optimizer owns and fills
+once per trial: y, and one array of values per searched dimension of
+ParamDomain.dims, entry i being trial i + 1; it builds no Trial objects.
+The trials are split into better/worse sets by the top-quantile rule
+T_l = min(ceil(gamma * T), 25). Each set gets a per-dimension kernel
+mixture: one truncated Gaussian (continuous dims) or interval-discretized
+Gaussian (the embedding dimension) per trial, plus a non-informative prior
+component, with shared mixture weights per group.
 The next evaluation point is the best of S candidates drawn from the
 better-group density, scored by the log density ratio.
 
@@ -37,8 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
@@ -124,17 +125,16 @@ class Trial:
         return math.isfinite(self.y)
 
 
-def _split_indices(history: list[Trial]) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the (better, worse) trials by the top-quantile rule, each in y order.
+def _split_indices(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into y of the (better, worse) trials by the top-quantile rule, each in y order.
 
     T_l = min(ceil(gamma * T), cap), restricted to feasible trials:
     infeasible trials always land in the worse set, so the better set may
     be smaller than T_l (possibly empty when every trial is infeasible).
     """
-    t = len(history)
+    t = y.size
     if t < 1:
         raise EmptyHistory("need at least one trial to split")
-    y = np.fromiter(map(attrgetter("y"), history), np.float64, t)
     order = np.argsort(y, kind="stable")  # ties keep insertion order
     t_l = min(math.ceil(_GAMMA * t), _BETTER_MAX, int(np.isfinite(y).sum()))
     return order[:t_l], order[t_l:]
@@ -225,16 +225,18 @@ class _DimMixture:
         return _clamp_open(c + b * ndtri(a + (z - a) * uniforms), self.lo, self.hi)
 
 
-def _kernel_tables(history: list[Trial], domain: ParamDomain) -> dict[str, _DimMixture]:
-    """One kernel table per searched dimension over [prior, trial 1..T], shared by both groups."""
-    t, u, searched = len(history), domain.u, domain.dims
-    psis = [tr.psi for tr in history]
+def _kernel_tables(points: dict[str, np.ndarray], domain: ParamDomain) -> dict[str, _DimMixture]:
+    """One kernel table per searched dimension over [prior, trial 1..T], shared by both groups.
+
+    points maps each searched dimension to its T trial values, in trial order.
+    """
+    u, searched = domain.u, domain.dims
     tables = {}
     for name, (lo, hi) in searched.items():
         # non-informative prior: mean (U-1)/2 and std U-1 for m, whose std degenerates
         # at U = 1 where any positive value gives mass 1; mean 1/2 and std 1 for r and q
         prior_c, prior_b = ((u - 1) / 2.0, float(u - 1) if u > 1 else 1.0) if name == "m" else (0.5, 1.0)
-        centers = np.fromiter(chain([prior_c], map(attrgetter(name), psis)), np.float64, t + 1)
+        t, centers = points[name].size, np.concatenate(([prior_c], points[name]))
         # Scott term uses the full evaluation count T: bandwidths then shrink as the
         # search proceeds, which is what moves the sampler from exploration into exploitation
         bandwidths = np.full(t + 1, scott_bandwidth(t, len(searched), lo, hi, t))
@@ -243,9 +245,9 @@ def _kernel_tables(history: list[Trial], domain: ParamDomain) -> dict[str, _DimM
     return tables
 
 
-def _groups(history: list[Trial]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _groups(y: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(columns, weights) of the better and worse groups: column 0 the prior, i + 1 trial i, the worse oldest first."""
-    better, worse = _split_indices(history)
+    better, worse = _split_indices(y)
     w_l, w_g = decay_weights(better.size, worse.size)
     return (np.concatenate(([0], better + 1)), w_l), (np.concatenate(([0], np.sort(worse) + 1)), w_g)
 
@@ -273,14 +275,18 @@ def _log_mixture(log_kernels: np.ndarray) -> np.ndarray:
     return sum(rows, 0.0)  # ((0 + dimension 1) + dimension 2) + ..., the order the scores were always added in
 
 
-def propose(history: list[Trial], domain: ParamDomain, rng: np.random.Generator) -> ParamVector:
+def propose(y: np.ndarray, points: dict[str, np.ndarray], domain: ParamDomain,
+            rng: np.random.Generator) -> ParamVector:
     """Next evaluation point: argmax of the density ratio over S candidates.
 
-    All S candidates are drawn from the better-group density in one batch
-    and scored in the log domain. Deterministic given the rng state.
+    y holds the T trials' objectives (inf where infeasible) and points maps
+    each searched dimension of domain.dims to the T trials' values, all
+    float64 in trial order. All S candidates are drawn from the
+    better-group density in one batch and scored in the log domain.
+    Deterministic given the rng state.
     """
-    (cols_l, w_l), (cols_g, w_g) = _groups(history)
-    tables = _kernel_tables(history, domain)
+    (cols_l, w_l), (cols_g, w_g) = _groups(y)
+    tables = _kernel_tables(points, domain)
     cands = _draw(tables, cols_l, w_l, rng.random(2 * len(tables) * _N_CANDIDATES).reshape(_N_CANDIDATES, -1, 2))
     # both groups' columns side by side, so one log-kernel pass per dimension scores both
     log_kernels = _log_kernels(tables, np.concatenate((cols_l, cols_g)), np.concatenate((w_l, w_g)), cands)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ class TestBatchedBlockIndices:
     @example(draws=(np.array([[3, 1], [5, 0]]), np.array([[12, 2], [2, 9]]), 6))
     def test_rows_equal_per_row_reference(self, draws):
         starts, lengths, n = draws
-        got = _block_indices(starts, lengths, n)
+        got = _block_indices(starts, lengths.copy(), n)  # it clips lengths in place
         assert got.shape == (starts.shape[0], n)
         for row, s_row, l_row in zip(got, starts, lengths):
             assert np.array_equal(row, _block_indices_reference(s_row, l_row, n))
@@ -140,6 +141,22 @@ class TestStationaryBootstrap:
         x = gen_white_noise(10, 1.0, seed=1)
         with pytest.raises(ValueError):
             stationary_bootstrap(x, 1.0, generator(0))
+
+
+class TestTinyQ:
+    """As q -> 0 the Geom(q) lengths reach INT64_MAX, and each replicate is one circular shift of the signal."""
+
+    @pytest.mark.parametrize("q", [1e-300, 5e-324])
+    @pytest.mark.parametrize("n", [5, 37, 100])
+    def test_every_replicate_is_one_circular_shift(self, q, n):
+        x = gen_white_noise(n, 1.0, seed=n)
+        for seed in range(5):
+            start = generator(seed).integers(0, n, (1, n))[0, 0]
+            assert np.array_equal(stationary_bootstrap(x, q, generator(seed)).values, np.roll(x.values, -start))
+        p, cfg = SampEnParams(1, 0.3), BootstrapConfig(q=q, b=20, seed=n)
+        starts = generator(cfg.seed).integers(0, n, (cfg.b, n))[:, 0]
+        want = [_value_hex(sampen(x.with_values(np.roll(x.values, -s)), p)) for s in starts]
+        assert _hex(bootstrap_sampen(x, p, cfg).replicates) == want
 
 
 class TestBootstrapSampen:
@@ -316,6 +333,32 @@ class TestMoments:
             variance(est)
         with pytest.raises(Infeasible):
             mse(est)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        original=st.one_of(st.none(), st.just(math.inf), st.floats(-5.0, 5.0)),
+        finite=st.lists(st.floats(-5.0, 5.0), max_size=60),
+        censored=st.lists(st.sampled_from([math.inf, None]), max_size=5),
+        order=st.randoms(use_true_random=False),
+    )
+    @example(original=0.5, finite=[-0.0, 0.0, 1.0], censored=[], order=random.Random(0))
+    @example(original=-0.0, finite=[1.0] * 8, censored=[None, math.inf], order=random.Random(0))
+    def test_summary_equals_the_separate_expressions_bitwise(self, original, finite, censored, order):
+        # the one summary per estimate set against each moment computed on its own, as it once was
+        replicates = finite + censored
+        order.shuffle(replicates)
+        est = _estimates(original, replicates or [None])
+        if not est.feasible:
+            for moment in (variance, bias, mse):
+                with pytest.raises(Infeasible):
+                    moment(est)
+            return
+        vals = np.sort(est.replicates[np.isfinite(est.replicates)])
+        theta = est.original.value
+        want = [float(vals.mean()), float(np.mean((vals - vals.mean()) ** 2)), float(np.mean((theta - vals) ** 2)),
+                float(vals.mean() - theta)]
+        assert [v.hex() for v in est.summary] == [v.hex() for v in want]
+        assert [v.hex() for v in (variance(est), mse(est), bias(est))] == [v.hex() for v in want[1:]]
 
     def test_feasibility_boundary(self):
         # exactly 90% finite is feasible; below it is not

@@ -125,6 +125,17 @@ class TestEstimate:
         assert code == 0
         assert all(r["bootstrap_se"] is not None for r in env["payload"]["signals"])
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--m", "1", "--r", "0.3", "--q", "1e-300", "--B", "20"],
+        ["estimate", "--m", "1", "--r", "0.3", "--q", "1e-18", "--B", "20"],
+        ["optimize", "--no-preprocess", "--fixed-q", "1e-300", "--T", "6", "--T-init", "3", "--B", "10"],
+        ["optimize", "--no-preprocess", "--q-lo", "1e-300", "--T", "6", "--T-init", "3", "--B", "10"],
+    ], ids=["estimate", "estimate-1e-18", "fixed-q", "q-lo"])
+    def test_tiny_q_runs(self, noise_csv, tmp_path, argv):
+        # Geom(q) lengths near INT64_MAX once overflowed the block sums and exited 2 or raised
+        code, env = run([*argv, "--input", noise_csv, "--seed", "3"], tmp_path)
+        assert code == 0 and env["payload"]
+
     def test_fuzzen_routing(self, noise_csv, tmp_path):
         code, env = run(["estimate", "--input", noise_csv, "--fuzzen", "--eta", "2.0"], tmp_path)
         assert code == 0

@@ -20,7 +20,7 @@ from sampenopt.optimizer import (
 )
 from sampenopt.rng import child_seed
 from sampenopt.signal import Signal, SignalSet, gen_white_noise, normalize
-from sampenopt.tpe import ParamDomain, ParamVector, Trial
+from sampenopt.tpe import ParamDomain, ParamVector, Trial, propose
 
 from conftest import make_ar_set
 
@@ -131,6 +131,9 @@ class TestObjectiveOracle:
     @example(lengths=[64, 33], tied=False, m=2, r=0.3, q=0.99, b=30, seed=4, t=5)
     @example(lengths=[50, 51], tied=False, m=1, r=0.3, q=0.5, b=1, seed=5, t=6)
     @example(lengths=[12], tied=False, m=2, r=0.1, q=0.5, b=40, seed=6, t=7)
+    # 16 signals: np.mean sums a column of 8 or more in a pairwise order, which a
+    # column-wise mean over a (k, 4) array does not follow; here y's last bit moves
+    @example(lengths=[40] * 16, tied=False, m=1, r=0.3, q=0.5, b=20, seed=7, t=8)
     # a set where np.log and math.log differ in the last bit of one replicate
     @example(lengths=[18], tied=False, m=2, r=5.0, q=0.9899, b=11, seed=65470994, t=1)
     def test_equals_the_public_composition(self, lengths, tied, m, r, q, b, seed, t):
@@ -308,6 +311,24 @@ class TestBestTrialRule:
             optimize_single(white100, small_cfg(t_tilde=5, t_init=5))
 
 
+class TestSearchHistory:
+    @pytest.mark.parametrize("fixed_q", [None, 0.5])
+    def test_propose_reads_the_trials_so_far_as_arrays(self, monkeypatch, fixed_q):
+        seen = []
+
+        def spy(y, points, domain, rng):
+            seen.append((y.tolist(), {name: v.tolist() for name, v in points.items()}))
+            return propose(y, points, domain, rng)
+
+        monkeypatch.setattr("sampenopt.optimizer.propose", spy)
+        cfg = small_cfg(t_tilde=14, t_init=4, domain=ParamDomain(u=3, fixed_q=fixed_q))
+        res = optimize_single(normalize(gen_white_noise(40, 1.0, seed=3)), cfg)
+        assert len(seen) == 10 and any(not tr.feasible for tr in res.records)
+        for t, (y, points) in enumerate(seen, start=cfg.t_init):
+            assert y == [tr.y for tr in res.records[:t]]
+            assert points == {name: [getattr(tr.psi, name) for tr in res.records[:t]] for name in cfg.domain.dims}
+
+
 class TestKeptEstimates:
     """OptResult.estimates are the estimate sets that scored best_y: those of the first trial with the lowest y."""
 
@@ -368,6 +389,26 @@ class TestPinnedHistory:
         rows = [(t.psi.m, t.psi.r.hex(), t.psi.q.hex(), t.y.hex()) for t in res.records]
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == "91e71df900c3b4153f13903c49bfbdc511e1121bf6f29d9c9d17f95ed069dca3"
+
+    def test_sixty_trial_diagnostics_digest(self):
+        # the per-trial mean (entropy, variance, bias) of the same run: no payload or benchmark carries them
+        x = normalize(gen_white_noise(100, 1.0, seed=1))
+        res = optimize_single(x, OptimizerConfig(lam=1 / 3, b=10, t_tilde=60, seed=1))
+        rows = [tuple(map(_hex, (t.entropy, t.variance, t.bias))) for t in res.records]
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "d0c792ce95c0ca762da51d5480e4977f5124850696fc970320e82e7ad226da42"
+
+    def test_three_signal_set_digest(self):
+        # the many-signal means: (m, r, q, y) and the diagnostics of every trial
+        res = optimize_set(make_ar_set(3, 100, seed=31), OptimizerConfig(lam=1 / 3, b=10, t_tilde=40, seed=2))
+        rows = [(t.psi.m, *map(_hex, (t.psi.r, t.psi.q, t.y, t.entropy, t.variance, t.bias))) for t in res.records]
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "f107f9bc4d7249950dc7e1230223338e0a8d9e3d0b47fe5fd689e523b60a4bea"
+
+
+def _hex(v):
+    """float.hex of v; None (an infeasible trial's diagnostics) stays None."""
+    return None if v is None else v.hex()
 
 
 class TestSearchQuality:

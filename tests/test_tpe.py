@@ -35,18 +35,32 @@ def _history(ys, psis=None):
     return h
 
 
+def _arrays(history):
+    """A Trial list as the optimizer hands it to propose: y, and each dimension's values, float64 in trial order."""
+    y = np.array([tr.y for tr in history], np.float64)
+    return y, {name: np.array([getattr(tr.psi, name) for tr in history], np.float64) for name in ("m", "r", "q")}
+
+
+def _propose(history, domain, rng):
+    return propose(*_arrays(history), domain, rng)
+
+
+def _split(history):
+    return _split_indices(_arrays(history)[0])
+
+
 class TestSplit:
     def test_spot_values(self):
-        assert len(_split_indices(_history(range(30)))[0]) == 3
-        assert len(_split_indices(_history(range(300)))[0]) == 25
+        assert len(_split(_history(range(30)))[0]) == 3
+        assert len(_split(_history(range(300)))[0]) == 25
 
     def test_single_trial(self):
-        better, worse = _split_indices(_history([0.5]))
+        better, worse = _split(_history([0.5]))
         assert better.tolist() == [0] and worse.tolist() == []
 
     def test_partition_properties(self):
         h = _history([5.0, 1.0, 3.0, math.inf, 2.0, 4.0, 0.5, 6.0, 7.0, 8.0])
-        better, worse = _split_indices(h)
+        better, worse = _split(h)
         assert sorted([*better, *worse]) == list(range(len(h)))
         max_better = max(h[i].y for i in better)
         feasible_worse = [h[i].y for i in worse if h[i].feasible]
@@ -54,21 +68,21 @@ class TestSplit:
 
     def test_infinite_always_worse(self):
         h = _history([math.inf, math.inf, 0.1])
-        better, worse = _split_indices(h)
+        better, worse = _split(h)
         assert all(h[i].feasible for i in better)
 
     def test_all_infinite_gives_empty_better(self):
-        better, worse = _split_indices(_history([math.inf] * 4))
+        better, worse = _split(_history([math.inf] * 4))
         assert better.tolist() == [] and len(worse) == 4
 
     def test_empty_history(self):
         with pytest.raises(EmptyHistory):
-            _split_indices([])
+            _split_indices(np.empty(0))
 
     def test_ties_keep_insertion_order(self):
         psis = [ParamVector(m=1, r=0.1 * (i + 1), q=0.5) for i in range(4)]
         h = _history([1.0, 1.0, 1.0, 1.0], psis)
-        better, _ = _split_indices(h)
+        better, _ = _split(h)
         assert h[better[0]].psi.r == pytest.approx(0.1)
 
 
@@ -194,7 +208,7 @@ def _group_logpdf(tables, cols, weights, points):
 class TestDensity:
     def test_prior_only_integrates_to_one(self):
         domain = ParamDomain()
-        r_only = {"r": _kernel_tables(_history([0.5]), domain)["r"]}  # column 0 alone is the prior
+        r_only = {"r": _kernel_tables(_arrays(_history([0.5]))[1], domain)["r"]}  # column 0 alone is the prior
         val, _ = quad(
             lambda v: math.exp(_group_logpdf(r_only, [0], [1.0], {"r": np.array([v])})[0]),
             domain.r_bounds[0],
@@ -209,7 +223,7 @@ class TestDensity:
         from dataclasses import replace
 
         trial = Trial(ParamVector(m=2, r=0.37, q=0.5), 0.1)
-        tables = _kernel_tables([trial], ParamDomain(u=3))
+        tables = _kernel_tables(_arrays([trial])[1], ParamDomain(u=3))
         tables = {name: replace(mix, bandwidths=np.array([mix.bandwidths[0], 0.01])) for name, mix in tables.items()}
         grid = np.linspace(0.011, 0.999, 989)
         vals = _group_logpdf(tables, [0, 1], decay_weights(1, 0)[0],
@@ -219,15 +233,16 @@ class TestDensity:
     def test_strictly_positive_everywhere(self):
         h = _history([0.5, 0.2, 0.8, 0.1, 0.9, 0.3, 0.7, 0.6, 0.4, 1.0])
         h[0] = Trial(ParamVector(m=1, r=0.05, q=0.9), 0.2)
-        cols, weights = _groups(h)[1]
+        y, points = _arrays(h)
+        cols, weights = _groups(y)[1]
         rng = np.random.default_rng(4)
-        points = {"m": [], "r": [], "q": []}
+        probes = {"m": [], "r": [], "q": []}
         for _ in range(200):
-            points["m"].append(int(rng.integers(1, 4)))
-            points["r"].append(float(rng.uniform(0.0100001, 0.9999)))
-            points["q"].append(float(rng.uniform(0.0100001, 0.9899)))
-        tables = _kernel_tables(h, ParamDomain())
-        logpdf = _group_logpdf(tables, cols, weights, {k: np.array(v, np.float64) for k, v in points.items()})
+            probes["m"].append(int(rng.integers(1, 4)))
+            probes["r"].append(float(rng.uniform(0.0100001, 0.9999)))
+            probes["q"].append(float(rng.uniform(0.0100001, 0.9899)))
+        tables = _kernel_tables(points, ParamDomain())
+        logpdf = _group_logpdf(tables, cols, weights, {k: np.array(v, np.float64) for k, v in probes.items()})
         assert np.all(np.isfinite(logpdf))
 
 
@@ -237,29 +252,29 @@ class TestPropose:
         h = _history([0.5, 0.2, math.inf, 0.8, 0.1, 0.9, 0.3])
         rng = np.random.default_rng(5)
         for _ in range(500):
-            psi = propose(h, domain, rng)
+            psi = _propose(h, domain, rng)
             assert domain.contains(psi)
 
     def test_candidate_sampling_domain_closure_bulk(self):
         # every proposal is one of the sampled candidates, so candidate-level
         # closure implies proposal closure; 10,000 seeded draws
         domain = ParamDomain()
-        h = _history([0.5, 0.2, 0.8, 0.1, 0.9, 0.3, 0.7])
-        tables = _kernel_tables(h, domain)
-        draws = _draw(tables, *_groups(h)[0], np.random.default_rng(55).random(2 * 3 * 10_000).reshape(10_000, 3, 2))
+        y, points = _arrays(_history([0.5, 0.2, 0.8, 0.1, 0.9, 0.3, 0.7]))
+        tables = _kernel_tables(points, domain)
+        draws = _draw(tables, *_groups(y)[0], np.random.default_rng(55).random(2 * 3 * 10_000).reshape(10_000, 3, 2))
         for i in range(10_000):
             assert domain.contains(domain.point({name: values[i] for name, values in draws.items()}))
 
     def test_degenerate_all_infinite(self):
         domain = ParamDomain()
-        psi = propose(_history([math.inf] * 6), domain, np.random.default_rng(7))
+        psi = _propose(_history([math.inf] * 6), domain, np.random.default_rng(7))
         assert domain.contains(psi)
 
     def test_deterministic_given_rng_state(self):
         domain = ParamDomain()
         h = _history([0.5, 0.2, 0.8, 0.1])
-        a = propose(h, domain, np.random.default_rng(8))
-        b = propose(h, domain, np.random.default_rng(8))
+        a = _propose(h, domain, np.random.default_rng(8))
+        b = _propose(h, domain, np.random.default_rng(8))
         assert a == b
 
     def test_concentrates_on_repeated_optimum(self):
@@ -271,7 +286,7 @@ class TestPropose:
         bw = scott_bandwidth(20, 2, 0.01, 1.0, 20)
         hits = 0
         for seed in range(50):
-            psi = propose(h, domain, np.random.default_rng(seed))
+            psi = _propose(h, domain, np.random.default_rng(seed))
             if abs(psi.r - 0.3) <= 2 * bw:
                 hits += 1
         assert hits >= 45
@@ -280,7 +295,7 @@ class TestPropose:
         domain = ParamDomain(fixed_q=0.42)
         h = _history([0.5, 0.1, 0.7])
         for seed in range(20):
-            psi = propose(h, domain, np.random.default_rng(seed))
+            psi = _propose(h, domain, np.random.default_rng(seed))
             assert psi.q == 0.42
 
 
@@ -437,7 +452,7 @@ class TestBatchMatchesScalarOracle:
     def test_propose_bitwise_and_same_stream(self, state, seed):
         domain, h = state
         rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = propose(h, domain, rng)
+        got = _propose(h, domain, rng)
         assert _bits(got) == _bits(_oracle_propose(h, domain, rng_oracle))
         assert type(got.r) is float and type(got.q) is float and type(got.m) is int
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
@@ -449,7 +464,8 @@ class TestBatchMatchesScalarOracle:
         # draws and log densities, then 64-point batches, enough log calls that a
         # vector log differing from libm's in the last bit would show
         domain, h = state
-        tables, groups, densities = _kernel_tables(h, domain), _groups(h), _oracle_densities(h, domain)
+        y, points = _arrays(h)
+        tables, groups, densities = _kernel_tables(points, domain), _groups(y), _oracle_densities(h, domain)
         rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
         for (cols, weights), dens in zip(groups, densities):
             point = _draw(tables, cols, weights, rng.random(2 * len(tables)).reshape(1, -1, 2))

@@ -187,6 +187,10 @@ RUNS = {
     # pairwise-sum block, with the old-decay weight ramp and a 6-row m table
     "optimize-deep-history": ["optimize", "--input", "in.csv", "--no-preprocess", "--T", "200", "--T-init", "10",
                               "--B", "5", "--U", "6", "--seed", "9"],
+    # Geom(q) lengths near INT64_MAX: every replicate is one circular shift of its signal
+    "estimate-tiny-q": ["estimate", "--input", "in.csv", "--m", "1", "--r", "0.3", "--q", "1e-300", "--B", "20",
+                        "--seed", "9"],
+    "optimize-tiny-fixed-q": ["optimize", "--input", "in.csv", "--no-preprocess", "--fixed-q", "1e-300", *OPT],
 }
 
 
