@@ -5,18 +5,25 @@ a uniformly random index, have Geom(q) lengths (support {1, 2, ...},
 expected length 1/q), wrap around the end of the signal, and the final
 block is truncated so the replicate has exactly the original length.
 
+A bootstrap's draws are one BlockDraws table: (B, n) start indices, then
+(B, n) standard-exponential draws E. The Geom(q) lengths come from E by
+inversion, ceil(E / c) with c = -log1p(-q), so one table serves every q
+and a larger q never lengthens a block. An optimizer search draws each
+signal's table once and every trial reuses it (common random numbers).
+
 bootstrap_sampen is the one bootstrap path: estimate, compare, varbench,
 the CLI's per-signal records and every optimizer trial call it. It
 thresholds the signal's point gaps once, scores the original from that
-matrix as sampen does, draws all B replicates' blocks from
-generator(cfg.seed) and scores them from the same matrix in one batched
-pass (entropy._replicate_values). BootstrapEstimates holds the replicate
-values as a float array and computes their finite-replicate summary (mean,
-variance, MSE and bias) once per estimate set; mse, variance and bias read it.
+matrix as sampen does, takes all B replicates' blocks from one table
+(drawn from generator(cfg.seed), or passed in) and scores them from the
+same matrix in one batched pass (entropy._replicate_values).
+BootstrapEstimates holds the replicate values as a float array and
+computes their finite-replicate summary (mean, variance, MSE and bias) once
+per estimate set; mse, variance and bias read it.
 
-A Geom(q) length can be as large as INT64_MAX when q is tiny; lengths are
-clipped at n before they are summed, which moves no index, so as q -> 0
-each replicate becomes one circular shift of the signal.
+As q -> 0 the inverted lengths grow without bound; E is clipped at n*c
+before the division, so a length is at most n, and each replicate becomes
+one circular shift of the signal.
 """
 
 from __future__ import annotations
@@ -47,7 +54,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Replicate count B, geometric success probability q and master seed."""
+    """Replicate count B, geometric success probability q and master seed.
+
+    The seed names the stream of the blocks' draws, generator(seed); q only
+    turns the drawn exponentials into lengths, so configs that differ only in
+    q resample with the same starts and nested block lengths.
+    """
 
     q: float
     b: int
@@ -109,22 +121,14 @@ class BootstrapEstimates:
         return self.replicates[np.isfinite(self.replicates)]
 
 
-def _draw_block_lengths(q: float, size: int | tuple[int, int], rng: np.random.Generator) -> np.ndarray:
-    """Geom(q) block lengths with support {1, 2, ...} (P(b=1) = q, E[b] = 1/q)."""
-    return rng.geometric(q, size=size)
-
-
 def _block_indices(starts: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
     """Source indices for concatenated blocks, wrapped mod n, truncated to n.
 
     starts and lengths are (B, k), row b being replicate b; starts are
-    0-based, lengths are >= 1 and each row sums to at least n. Each row's
+    0-based, lengths are >= 1 and each row sums to at least n, without
+    overflowing int64 (_block_lengths keeps every length <= n). Each row's
     final block is shortened so exactly n indices come back, as (B, n).
-    lengths is clipped at n in place: a block of n or more fills the rest of
-    its row either way, and a tiny q's lengths near INT64_MAX would
-    overflow the sum.
     """
-    np.minimum(lengths, n, out=lengths)
     begin = np.cumsum(lengths, axis=1) - lengths
     # the blocks beginning before n, the last one cut at n, fill each row
     # with exactly n positions; position i of a block is start - begin + i
@@ -136,29 +140,68 @@ def _block_indices(starts: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarra
     return idx
 
 
-def _draw_blocks(n: int, q: float, rng: np.random.Generator, size: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Start indices in [0, n), then Geom(q) lengths, each of shape size = (B, n)."""
-    return rng.integers(0, n, size=size), _draw_block_lengths(q, size, rng)
+class BlockDraws(NamedTuple):
+    """One bootstrap's draws, row b being replicate b: (B, n) int64 starts in [0, n), then (B, n) Exp(1) draws.
+
+    Both arrays are read-only, so one table can serve many bootstrap_sampen calls.
+    """
+
+    starts: np.ndarray
+    exponentials: np.ndarray
+
+
+def _draw_blocks(n: int, b: int, rng: np.random.Generator) -> BlockDraws:
+    """(b, n) start indices in [0, n), then (b, n) standard-exponential draws, from rng in that order."""
+    draws = BlockDraws(rng.integers(0, n, size=(b, n)), rng.standard_exponential((b, n)))
+    for a in draws:
+        a.setflags(write=False)
+    return draws
+
+
+def _block_lengths(exponentials: np.ndarray, q: float, n: int) -> np.ndarray:
+    """Geom(q) block lengths in [1, n] from Exp(1) draws E by inversion.
+
+    With c = -log1p(-q), ceil(E / c) is Geom(q) on {1, 2, ...}:
+    P(ceil(E / c) > k) = P(E > k c) = (1 - q)**k. E is clipped at n*c
+    before dividing, since at a tiny q (c down to 5e-324) E / c would
+    overflow; a length of n or more fills the rest of its row either way.
+    The lengths are non-increasing in q, draw by draw.
+    """
+    c = -math.log1p(-q)
+    lengths = np.minimum(exponentials, n * c)
+    lengths /= c
+    np.ceil(lengths, out=lengths)
+    # E = 0 gives 0, and n*c / c can round past n
+    np.clip(lengths, 1, n, out=lengths)
+    return lengths.astype(np.int64)
 
 
 def stationary_bootstrap(x: Signal, q: float, rng: np.random.Generator) -> Signal:
     """One stationary-bootstrap replicate of x, same length as x.
 
-    Draws n blocks up front (enough, since lengths are >= 1) and assembles
-    only as many as needed, wrapping blocks that run past the end.
+    Draws n blocks up front (enough, since lengths are >= 1) as a one-row
+    table, as bootstrap_sampen draws B rows, and assembles only as many as
+    needed, wrapping blocks that run past the end.
     """
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0, 1)")
     n = x.n
-    return x.with_values(x.values[_block_indices(*_draw_blocks(n, q, rng, (1, n)), n)[0]])
+    starts, exponentials = _draw_blocks(n, 1, rng)
+    return x.with_values(x.values[_block_indices(starts, _block_lengths(exponentials, q, n), n)[0]])
 
 
-def bootstrap_sampen(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> BootstrapEstimates:
+def bootstrap_sampen(
+    x: Signal, p: SampEnParams, cfg: BootstrapConfig, blocks: BlockDraws | None = None
+) -> BootstrapEstimates:
     """The original sampen of x and the sampen values of its B stationary-bootstrap replicates.
 
-    All B replicates come from one stream, generator(cfg.seed): (B, n)
-    starts, then (B, n) Geom(q) lengths, row b being replicate b. The draws
-    depend only on (x.n, cfg), not on (m, r) or on execution order.
+    All B replicates come from one table, _draw_blocks(x.n, cfg.b,
+    generator(cfg.seed)): (B, n) starts, then (B, n) exponentials that
+    become Geom(cfg.q) lengths by inversion, row b being replicate b. The
+    draws depend only on (x.n, cfg.b, cfg.seed), not on (m, r, q) or on
+    execution order. blocks, when given, must be that table, drawn earlier:
+    an optimizer search draws it once per signal and passes it to every
+    trial, which then makes no draw. The estimates are the same either way.
 
     A replicate's point gaps are gaps of x, so the original and all B
     replicates are counted from x's point-match matrix, thresholded once:
@@ -175,8 +218,12 @@ def bootstrap_sampen(x: Signal, p: SampEnParams, cfg: BootstrapConfig) -> Bootst
     """
     counts, g = _counts_and_matches(x, p)
     n = x.n
-    starts, lengths = _draw_blocks(n, cfg.q, generator(cfg.seed), (cfg.b, n))
-    replicates = _replicate_values(x.values, g, _block_indices(starts, lengths, n), p.m)
+    if blocks is None:
+        blocks = _draw_blocks(n, cfg.b, generator(cfg.seed))
+    elif blocks.starts.shape != (cfg.b, n):
+        raise ValueError(f"block draws have shape {blocks.starts.shape}, need (B, n) = {(cfg.b, n)}")
+    lengths = _block_lengths(blocks.exponentials, cfg.q, n)
+    replicates = _replicate_values(x.values, g, _block_indices(blocks.starts, lengths, n), p.m)
     return BootstrapEstimates(_sampen_from_counts(counts), replicates)
 
 

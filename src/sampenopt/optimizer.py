@@ -16,12 +16,17 @@ one per searched dimension of ParamDomain.dims, preallocated for the whole
 budget and filled once per trial. propose reads the first t - 1 entries of
 each; OptResult.records keeps the Trial objects.
 
-RNG streams: signal i of trial t draws all B of its replicates from the
-one stream generator(child_seed(seed, 0, t, i)); the TPE proposal (and
-random-init draw) for trial t uses (seed, 1, t). Signals are evaluated in
-order, and a trial stops at its first infeasible signal. Trials are
-numbered from 1, so records[k] is trial k + 1. OptResult.estimates keeps
-the estimate sets that scored best_y, which optimize's summary reads.
+RNG streams: before the first trial, signal i's bootstrap table ((B, n)
+block starts and (B, n) exponentials) is drawn once from
+generator(child_seed(seed, 0, i)), the stream estimate and compare use for
+signal i. Every trial resamples signal i from that table, turning the
+exponentials into Geom(q) lengths at its own q, so two trials differ only
+through psi: common random numbers, which make their y a paired
+comparison. The TPE proposal (and random-init draw) for trial t uses
+(seed, 1, t). Signals are evaluated in order, and a trial stops at its
+first infeasible signal. Trials are numbered from 1, so records[k] is
+trial k + 1. OptResult.estimates keeps the estimate sets that scored
+best_y, which optimize's summary reads.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, BootstrapEstimates, bootstrap_sampen
+from .bootstrap import BlockDraws, BootstrapConfig, BootstrapEstimates, _draw_blocks, bootstrap_sampen
 from .entropy import SampEnParams
 from .errors import AllTrialsInfeasible, Infeasible, SignalTooShort
 from .rng import child_seed, generator
@@ -76,7 +81,8 @@ class OptResult:
     estimates holds one BootstrapEstimates per signal, in signal order: the
     sets that scored best_y, those of the first trial with the lowest y.
     timings holds the seconds spent choosing points (propose_s: random draws
-    and TPE proposals) and scoring them (evaluate_s), summed over trials.
+    and TPE proposals) and scoring them (evaluate_s, which includes drawing
+    the signals' bootstrap tables), summed over trials.
     """
 
     best_psi: ParamVector
@@ -94,21 +100,29 @@ class OptResult:
         return out
 
 
+def _signal_blocks(signals: tuple[Signal, ...], b: int, seed: int) -> tuple[tuple[int, BlockDraws], ...]:
+    """Per signal i: its bootstrap seed child_seed(seed, 0, i) and the (B, n) table that seed's stream gives."""
+    seeds = [child_seed(seed, 0, i) for i in range(len(signals))]
+    return tuple((s, _draw_blocks(x.n, b, generator(s))) for s, x in zip(seeds, signals))
+
+
 def _objective(
     signals: tuple[Signal, ...],
     psi: ParamVector,
     lam: float,
     b: int,
-    seed: int,
-    trial_index: int,
+    blocks: tuple[tuple[int, BlockDraws], ...],
 ) -> tuple[Trial, tuple[BootstrapEstimates, ...]]:
-    """Mean bootstrap MSE + lambda*sqrt(r) and the per-signal estimates; (+inf, ()) at the first infeasible signal."""
+    """Mean bootstrap MSE + lambda*sqrt(r) and the per-signal estimates; (+inf, ()) at the first infeasible signal.
+
+    blocks[i] is signal i's (seed, table) from _signal_blocks.
+    """
     params = SampEnParams(m=psi.m, r=psi.r)
     estimates, scored = [], []
-    for i, x in enumerate(signals):
-        cfg = BootstrapConfig(q=psi.q, b=b, seed=child_seed(seed, 0, trial_index, i))
+    for x, (seed, draws) in zip(signals, blocks):
+        cfg = BootstrapConfig(q=psi.q, b=b, seed=seed)
         try:
-            est = bootstrap_sampen(x, params, cfg)
+            est = bootstrap_sampen(x, params, cfg, draws)
             s = est.summary  # raises Infeasible for an infeasible estimate set
         except (SignalTooShort, Infeasible):
             return Trial(psi=psi, y=math.inf), ()
@@ -124,15 +138,22 @@ def _objective(
 def objective_single(
     x: Signal, psi: ParamVector, lam: float, b: int, seed: int, trial_index: int = 0
 ) -> float:
-    """Bootstrap-MSE objective for one signal; +inf when infeasible."""
-    return _objective((x,), psi, lam, b, seed, trial_index)[0].y
+    """Bootstrap-MSE objective for one signal; +inf when infeasible.
+
+    Every trial of a search shares the signal's table, so this is the y of
+    any trial at psi; trial_index is accepted and ignored.
+    """
+    return _objective((x,), psi, lam, b, _signal_blocks((x,), b, seed))[0].y
 
 
 def objective_set(
     s: SignalSet, psi: ParamVector, lam: float, b: int, seed: int, trial_index: int = 0
 ) -> float:
-    """Mean per-signal bootstrap MSE + lambda*sqrt(r); +inf if any signal fails."""
-    return _objective(s.signals, psi, lam, b, seed, trial_index)[0].y
+    """Mean per-signal bootstrap MSE + lambda*sqrt(r); +inf if any signal fails.
+
+    As objective_single: the y of any trial at psi; trial_index is ignored.
+    """
+    return _objective(s.signals, psi, lam, b, _signal_blocks(s.signals, b, seed))[0].y
 
 
 def _random_psi(domain: ParamDomain, rng: np.random.Generator) -> ParamVector:
@@ -151,11 +172,13 @@ def _require_searchable(signals: tuple[Signal, ...]) -> None:
 
 def _optimize(signals: tuple[Signal, ...], cfg: OptimizerConfig) -> OptResult:
     _require_searchable(signals)
+    start = time.perf_counter()
+    blocks = _signal_blocks(signals, cfg.b, cfg.seed)
+    propose_s, evaluate_s = 0.0, time.perf_counter() - start
     history: list[Trial] = []
     # trial t fills entry t - 1 of y and of each searched dimension's points; propose reads the filled prefix
     y = np.empty(cfg.t_tilde)
     points = {name: np.empty(cfg.t_tilde) for name in cfg.domain.dims}
-    propose_s = evaluate_s = 0.0
     for t in range(1, cfg.t_tilde + 1):
         start = time.perf_counter()
         rng = generator(cfg.seed, 1, t)
@@ -164,7 +187,7 @@ def _optimize(signals: tuple[Signal, ...], cfg: OptimizerConfig) -> OptResult:
         else:
             psi = propose(y[:t - 1], {name: v[:t - 1] for name, v in points.items()}, cfg.domain, rng)
         chosen = time.perf_counter()
-        trial, estimates = _objective(signals, psi, cfg.lam, cfg.b, cfg.seed, t)
+        trial, estimates = _objective(signals, psi, cfg.lam, cfg.b, blocks)
         propose_s += chosen - start
         evaluate_s += time.perf_counter() - chosen
         if not history or trial.y < best.y:  # strict, so ties keep the first of the lowest

@@ -10,12 +10,13 @@ independent and reproducible on any platform, under any execution order.
 Every path in use, under the run's master seed:
 
     (seed, i)                 gen_signal_set: signal i
-    (seed, 0, trial, signal)  optimizer: bootstrap stream (all B replicates);
-                              optimize's summary reads the kept estimates
+    (seed, 0, i)              bootstrap stream of signal i, in file order:
+                              estimate and compare draw its record from it,
+                              and the optimizer draws its table once per
+                              search, shared by every trial; optimize's
+                              summary and compare --optimize read the
+                              search's kept estimates
     (seed, 1, trial)          optimizer: TPE proposal / random init draws
-    (seed, 0, i)              estimate and compare (without --optimize): the
-                              bootstrap record of signal i, in file order;
-                              compare --optimize reads the search's estimates
     (seed, 0), (seed, 1)      method_comparison: signal set, optimizer seed
     (seed, 0), (seed, 1, rep), (seed, 2, rep, j)
                               estimator_error: population, subsample of
@@ -46,6 +47,6 @@ def child_seed(master: int, *path: int) -> int:
     """Collapse a child stream to a single 64-bit seed.
 
     Used where a config object carries one integer seed (e.g. a bootstrap
-    config derived per trial and signal).
+    config derived per signal).
     """
     return int(seed_sequence(master, *path).generate_state(1, np.uint64)[0])

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from sampenopt.baselines import gaussian_mse_approx, knee_point
 from sampenopt.bootstrap import (
     BootstrapEstimates,
-    _draw_block_lengths,
+    _block_lengths,
     bias,
     mse,
     stationary_bootstrap,
@@ -171,7 +171,7 @@ def test_criterion_5_bootstrap_invariants():
             assert out.n == n
             assert np.isin(out.values, members).all()
             checked += 1
-    lens = _draw_block_lengths(0.5, 100_000, generator(506))
+    lens = _block_lengths(generator(506).standard_exponential(100_000), 0.5, 100_000)
     mean_len = float(lens.mean())
     ok = checked >= 10_000 and 1.9 <= mean_len <= 2.1
     report(5, ok, f"{checked} replicates length/multiset clean, mean block length {mean_len:.3f} in [1.9,2.1]")

@@ -10,7 +10,8 @@ from sampenopt.bootstrap import (
     BootstrapConfig,
     BootstrapEstimates,
     _block_indices,
-    _draw_block_lengths,
+    _block_lengths,
+    _draw_blocks,
     bias,
     bootstrap_sampen,
     mse,
@@ -51,6 +52,12 @@ def _block_indices_reference(starts, lengths, n):
 def _replicate_oracle(x, starts, lengths):
     """One replicate assembled block by block from its drawn starts and lengths."""
     return x.with_values(x.values[_block_indices_reference(starts, lengths, x.n)])
+
+
+def _lengths_oracle(exponentials, q, n):
+    """Geom(q) lengths by inversion, one draw at a time: ceil(E / -log1p(-q)), kept in [1, n]."""
+    c = -math.log1p(-q)
+    return np.array([[max(1, min(n, math.ceil(e / c))) for e in row] for row in np.atleast_2d(exponentials)])
 
 
 def _fields(res: SampEnResult):
@@ -105,7 +112,7 @@ class TestBatchedBlockIndices:
     @example(draws=(np.array([[3, 1], [5, 0]]), np.array([[12, 2], [2, 9]]), 6))
     def test_rows_equal_per_row_reference(self, draws):
         starts, lengths, n = draws
-        got = _block_indices(starts, lengths.copy(), n)  # it clips lengths in place
+        got = _block_indices(starts, lengths, n)
         assert got.shape == (starts.shape[0], n)
         for row, s_row, l_row in zip(got, starts, lengths):
             assert np.array_equal(row, _block_indices_reference(s_row, l_row, n))
@@ -132,10 +139,21 @@ class TestStationaryBootstrap:
         b = stationary_bootstrap(x, 0.7, generator(11))
         assert np.array_equal(a.values, b.values)
 
-    def test_block_length_distribution(self):
-        lens = _draw_block_lengths(0.5, 100_000, generator(1))
-        assert lens.min() >= 1
-        assert 1.9 <= lens.mean() <= 2.1
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
+    def test_block_lengths_are_geometric(self, q):
+        # inverted exponentials are Geom(q) on {1, 2, ...}: mean 1/q, P(L = 1) = q
+        lens = _block_lengths(generator(1).standard_exponential(100_000), q, 10**6)
+        assert lens.dtype == np.int64 and lens.min() >= 1
+        assert abs(lens.mean() * q - 1.0) <= 0.02
+        assert abs((lens == 1).mean() - q) <= 0.01
+
+    def test_block_lengths_non_increasing_in_q(self):
+        # one table serves every q, and a larger q never lengthens a block
+        _, exponentials = _draw_blocks(50, 40, generator(2))
+        by_q = [_block_lengths(exponentials, q, 50) for q in (0.05, 0.3, 0.9)]
+        assert all((a >= b).all() for a, b in zip(by_q, by_q[1:]))
+        assert all(lens.min() >= 1 and lens.max() <= 50 for lens in by_q)
+        assert (by_q[0] > by_q[-1]).any()
 
     def test_invalid_q(self):
         x = gen_white_noise(10, 1.0, seed=1)
@@ -144,7 +162,10 @@ class TestStationaryBootstrap:
 
 
 class TestTinyQ:
-    """As q -> 0 the Geom(q) lengths reach INT64_MAX, and each replicate is one circular shift of the signal."""
+    """As q -> 0 the inverted lengths outgrow n without overflowing, and each replicate is one circular shift.
+
+    The starts are drawn before the exponentials, so replicate b's shift is the first start of row b.
+    """
 
     @pytest.mark.parametrize("q", [1e-300, 5e-324])
     @pytest.mark.parametrize("n", [5, 37, 100])
@@ -222,9 +243,19 @@ class TestBootstrapSampen:
 
         monkeypatch.setattr("sampenopt.bootstrap.generator", counting)
         x = gen_white_noise(50, 1.0, seed=10)
-        est = bootstrap_sampen(x, SampEnParams(1, 0.3), BootstrapConfig(q=0.5, b=b, seed=4))
+        cfg = BootstrapConfig(q=0.5, b=b, seed=4)
+        est = bootstrap_sampen(x, SampEnParams(1, 0.3), cfg)
         assert len(est.replicates) == b
         assert made == [(4,)]
+        # the same table passed in: no draw, and the same replicates
+        blocks = _draw_blocks(50, b, generator(4))
+        assert _hex(bootstrap_sampen(x, SampEnParams(1, 0.3), cfg, blocks).replicates) == _hex(est.replicates)
+        assert made == [(4,)]
+
+    def test_passed_blocks_must_be_b_by_n(self):
+        x, cfg = gen_white_noise(50, 1.0, seed=10), BootstrapConfig(q=0.5, b=7, seed=4)
+        with pytest.raises(ValueError, match=r"need \(B, n\) = \(7, 50\)"):
+            bootstrap_sampen(x, SampEnParams(1, 0.3), cfg, _draw_blocks(49, 7, generator(4)))
 
     def test_one_point_match_matrix_per_call(self, monkeypatch):
         # the original and all B replicates are counted from one thresholded matrix
@@ -263,14 +294,15 @@ class TestBootstrapOracle:
                 too_short += 1
                 continue
             est = bootstrap_sampen(x, p, cfg)
-            # one stream per call: (B, n) starts, then (B, n) lengths, row b is replicate b
+            # one stream per call: (B, n) starts, then (B, n) exponentials, row b is replicate b
             rng = generator(cfg.seed)
             starts = rng.integers(0, n, (cfg.b, n))
-            lengths = rng.geometric(cfg.q, (cfg.b, n))
+            lengths = _lengths_oracle(rng.standard_exponential((cfg.b, n)), cfg.q, n)
             want = [sampen(_replicate_oracle(x, s, l), p) for s, l in zip(starts, lengths)]
-            # the single-replicate caller: n starts, then n lengths, and the same stream state after
+            # the single-replicate caller: n starts, then n exponentials, and the same stream state after
             rng, ref = generator(cfg.seed), generator(cfg.seed)
-            xb = _replicate_oracle(x, ref.integers(0, n, n), ref.geometric(cfg.q, n))
+            ref_starts = ref.integers(0, n, n)
+            xb = _replicate_oracle(x, ref_starts, _lengths_oracle(ref.standard_exponential(n), cfg.q, n)[0])
             assert np.array_equal(stationary_bootstrap(x, cfg.q, rng).values, xb.values)
             assert rng.bit_generator.state == ref.bit_generator.state
             assert _fields(est.original) == _fields(sampen(x, p))

@@ -205,9 +205,9 @@ class TestOptimize:
         calls = []
         original = sampenopt.optimizer.bootstrap_sampen
 
-        def spy(x, params, cfg):
+        def spy(x, params, cfg, blocks=None):
             calls.append((x.id, params, cfg))
-            return original(x, params, cfg)
+            return original(x, params, cfg, blocks)
 
         monkeypatch.setattr(sampenopt.optimizer, "bootstrap_sampen", spy)
         monkeypatch.setattr(sampenopt.cli, "bootstrap_sampen", spy)
@@ -230,6 +230,24 @@ class TestOptimize:
             s = SignalSet(tuple(map(normalize, s)))
         optimize_set(s, OptimizerConfig(b=15, t_tilde=8, t_init=4, seed=3))
         assert calls and cli_calls == calls
+
+
+    def test_estimate_at_best_psi_gives_the_searched_ses(self, tmp_path):
+        # signal i of the search resamples from estimate's stream (seed, 0, i), so when the screen keeps
+        # every signal, estimate at psi* on the screened set reports the SEs optimize reports
+        src, screened = tmp_path / "ar.csv", tmp_path / "screened.csv"
+        write_signals(src, gen_signal_set("ar1", 6, 100, seed=8, sigma=0.1), fmt="long")
+        code, env = run(["optimize", "--input", str(src), "--T", "8", "--T-init", "4", "--B", "20", "--seed", "8"],
+                        tmp_path, "optimize.json")
+        assert code == 0 and all(rec["retained"] for rec in env["payload"]["preprocess"])
+        assert main(["preprocess", "--input", str(src), "--out", str(screened)]) == 0
+        psi = env["payload"]["best_psi"]
+        code, env_e = run(["estimate", "--input", str(screened), "--m", str(psi["m"]), "--r", repr(psi["r"]),
+                           "--q", repr(psi["q"]), "--B", "20", "--seed", "8"], tmp_path, "estimate.json")
+        assert code == 0
+        ses = [rec["bootstrap_se"] for rec in env["payload"]["signals"]]
+        assert all(se is not None for se in ses)
+        assert [rec["bootstrap_se"] for rec in env_e["payload"]["signals"]] == ses
 
 
 class TestCompare:

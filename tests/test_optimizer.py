@@ -7,18 +7,19 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from sampenopt.bootstrap import BootstrapConfig, bias, bootstrap_sampen, mse, variance
+from sampenopt.bootstrap import BootstrapConfig, _draw_blocks, bias, bootstrap_sampen, mse, variance
 from sampenopt.entropy import SampEnParams
 from sampenopt.errors import AllTrialsInfeasible, SignalTooShort
 from sampenopt.optimizer import (
     OptimizerConfig,
     _objective,
+    _signal_blocks,
     objective_set,
     objective_single,
     optimize_set,
     optimize_single,
 )
-from sampenopt.rng import child_seed
+from sampenopt.rng import child_seed, generator
 from sampenopt.signal import Signal, SignalSet, gen_white_noise, normalize
 from sampenopt.tpe import ParamDomain, ParamVector, Trial, propose
 
@@ -71,8 +72,10 @@ class TestObjective:
         assert objective_set(SignalSet((good, bad)), psi, lam=0.0, b=10, seed=10) == math.inf
 
 
-def objective_oracle(signals, psi, lam, b, seed, trial_index):
+def objective_oracle(signals, psi, lam, b, seed):
     """A trial composed from the public API: bootstrap_sampen per signal, then mse/variance/bias.
+
+    Signal i draws its own table from the stream child_seed(seed, 0, i), as estimate does.
 
     Signals run in order and the first infeasible one (m too large, an
     undefined or infinite original, under 90% finite replicates) scores
@@ -81,7 +84,7 @@ def objective_oracle(signals, psi, lam, b, seed, trial_index):
     params = SampEnParams(m=psi.m, r=psi.r)
     ests = []
     for i, x in enumerate(signals):
-        cfg = BootstrapConfig(q=psi.q, b=b, seed=child_seed(seed, 0, trial_index, i))
+        cfg = BootstrapConfig(q=psi.q, b=b, seed=child_seed(seed, 0, i))
         try:
             est = bootstrap_sampen(x, params, cfg)
         except SignalTooShort:
@@ -102,6 +105,10 @@ def objective_oracle(signals, psi, lam, b, seed, trial_index):
     return trial, "feasible"
 
 
+def _estimate_bits(estimates):
+    return [(est.original.value.hex(), est.replicates.tobytes()) for est in estimates]
+
+
 def _bits(trial):
     """A trial's psi and its four numbers in hex, so -0.0 and 0.0 differ; None stays None."""
     numbers = (trial.y, trial.entropy, trial.variance, trial.bias)
@@ -120,23 +127,22 @@ class TestObjectiveOracle:
         q=st.one_of(st.floats(0.01, 0.99), st.sampled_from([0.01, 0.0101, 0.9899, 0.99])),
         b=st.integers(1, 40),
         seed=st.integers(0, 2**64 - 1),
-        t=st.integers(0, 200),
     )
     # different N, m too large for the second signal, an undefined original,
     # too few finite replicates, q at both ends of its domain, B = 1
-    @example(lengths=[40, 4, 60], tied=False, m=3, r=1.0, q=0.5, b=20, seed=1, t=1)
-    @example(lengths=[30, 50], tied=False, m=2, r=1e-6, q=0.5, b=20, seed=2, t=3)
-    @example(lengths=[30, 40], tied=False, m=2, r=0.3, q=0.5, b=20, seed=13, t=2)
-    @example(lengths=[25, 61], tied=True, m=1, r=0.3, q=0.01, b=30, seed=3, t=4)
-    @example(lengths=[64, 33], tied=False, m=2, r=0.3, q=0.99, b=30, seed=4, t=5)
-    @example(lengths=[50, 51], tied=False, m=1, r=0.3, q=0.5, b=1, seed=5, t=6)
-    @example(lengths=[12], tied=False, m=2, r=0.1, q=0.5, b=40, seed=6, t=7)
+    @example(lengths=[40, 4, 60], tied=False, m=3, r=1.0, q=0.5, b=20, seed=1)
+    @example(lengths=[30, 50], tied=False, m=2, r=1e-6, q=0.5, b=20, seed=2)
+    @example(lengths=[30, 40], tied=False, m=2, r=0.3, q=0.5, b=20, seed=13)
+    @example(lengths=[25, 61], tied=True, m=1, r=0.3, q=0.01, b=30, seed=3)
+    @example(lengths=[64, 33], tied=False, m=2, r=0.3, q=0.99, b=30, seed=4)
+    @example(lengths=[50, 51], tied=False, m=1, r=0.3, q=0.5, b=1, seed=5)
+    @example(lengths=[12], tied=False, m=2, r=0.1, q=0.5, b=40, seed=6)
     # 16 signals: np.mean sums a column of 8 or more in a pairwise order, which a
     # column-wise mean over a (k, 4) array does not follow; here y's last bit moves
-    @example(lengths=[40] * 16, tied=False, m=1, r=0.3, q=0.5, b=20, seed=7, t=8)
+    @example(lengths=[40] * 16, tied=False, m=1, r=0.3, q=0.5, b=20, seed=7)
     # a set where np.log and math.log differ in the last bit of one replicate
-    @example(lengths=[18], tied=False, m=2, r=5.0, q=0.9899, b=11, seed=65470994, t=1)
-    def test_equals_the_public_composition(self, lengths, tied, m, r, q, b, seed, t):
+    @example(lengths=[18], tied=False, m=2, r=5.0, q=0.9899, b=11, seed=65472055)
+    def test_equals_the_public_composition(self, lengths, tied, m, r, q, b, seed):
         rng = np.random.default_rng(seed % 2**32)
         signals = []
         for i, n in enumerate(lengths):
@@ -144,9 +150,16 @@ class TestObjectiveOracle:
             signals.append(Signal(f"s{i}", np.round(v, 1) if tied else v))
         signals = tuple(signals)
         psi = ParamVector(m=m, r=r, q=q)
-        want, reason = objective_oracle(signals, psi, 0.2, b, seed, t)
+        want, reason = objective_oracle(signals, psi, 0.2, b, seed)
         event(reason)
-        assert _bits(_objective(signals, psi, 0.2, b, seed, t)[0]) == _bits(want)
+        blocks = _signal_blocks(signals, b, seed)
+        trial, estimates = _objective(signals, psi, 0.2, b, blocks)
+        assert _bits(trial) == _bits(want)
+        # each signal resamples from its own table, so scoring the signals in reverse order
+        # gives the same per-signal estimates
+        backward = _objective(signals[::-1], psi, 0.2, b, blocks[::-1])
+        assert backward[0].feasible == trial.feasible
+        assert _estimate_bits(backward[1][::-1]) == _estimate_bits(estimates)
 
 
 class TestOneBootstrapPath:
@@ -160,20 +173,21 @@ class TestOneBootstrapPath:
             Signal("short", rng.standard_normal(5)),
             Signal("b", rng.standard_normal(50)),
         )
-        calls = []
+        calls, tables = [], {}
 
-        def spy(x, p, cfg):
+        def spy(x, p, cfg, blocks):
             calls.append((x.id, p, cfg))
-            return bootstrap_sampen(x, p, cfg)
+            tables.setdefault(x.id, []).append(blocks)
+            return bootstrap_sampen(x, p, cfg, blocks)
 
         monkeypatch.setattr("sampenopt.optimizer.bootstrap_sampen", spy)
         cfg = small_cfg(b=20, t_tilde=30, domain=ParamDomain(u=4, r_bounds=(0.2, 1.0), fixed_q=0.5), seed=22)
         res = optimize_set(SignalSet(signals), cfg)
         want, stopped = [], set()
-        for t, rec in enumerate(res.records, start=1):
+        for rec in res.records:
             params = SampEnParams(rec.psi.m, rec.psi.r)
             for i, x in enumerate(signals):
-                bcfg = BootstrapConfig(q=rec.psi.q, b=cfg.b, seed=child_seed(cfg.seed, 0, t, i))
+                bcfg = BootstrapConfig(q=rec.psi.q, b=cfg.b, seed=child_seed(cfg.seed, 0, i))
                 want.append((x.id, params, bcfg))
                 try:
                     feasible = bootstrap_sampen(x, params, bcfg).feasible
@@ -185,6 +199,12 @@ class TestOneBootstrapPath:
             assert rec.feasible == feasible
         assert calls == want
         assert "short" in stopped and any(rec.feasible for rec in res.records)
+        # every trial resamples signal i from one table, the one its stream gives
+        for i, x in enumerate(signals):
+            first, *rest = tables[x.id]
+            assert all(blocks is first for blocks in rest)
+            drawn = _draw_blocks(x.n, cfg.b, generator(child_seed(cfg.seed, 0, i)))
+            assert all(np.array_equal(a, b) for a, b in zip(first, drawn))
 
 
 class TestConfig:
@@ -333,50 +353,45 @@ class TestKeptEstimates:
     """OptResult.estimates are the estimate sets that scored best_y: those of the first trial with the lowest y."""
 
     def test_first_of_a_tied_lowest(self, monkeypatch):
-        # two-level signals at one psi: SampEn takes few values, so trials 4 and 10
-        # tie on the lowest y with different replicates
-        psi = ParamVector(m=1, r=0.5, q=0.3)
-        monkeypatch.setattr("sampenopt.optimizer._random_psi", lambda domain, rng: psi)
+        # two-level signals: SampEn takes few values, so at seed 2 the trials at q = 0.18 and
+        # q = 0.12 (trials 4 and 10) tie on the lowest y with different replicates
+        qs = iter([0.5, 0.6, 0.5, 0.18, 0.6, 0.5, 0.6, 0.5, 0.6, 0.12])
+        monkeypatch.setattr("sampenopt.optimizer._random_psi", lambda domain, rng: ParamVector(1, 0.5, next(qs)))
         s = SignalSet((Signal("a", [1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0]),
                        Signal("b", [1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0])))
-        cfg = OptimizerConfig(lam=0.1, b=2, t_tilde=10, t_init=10, domain=ParamDomain(u=1), seed=0)
+        cfg = OptimizerConfig(lam=0.1, b=2, t_tilde=10, t_init=10, domain=ParamDomain(u=1), seed=2)
         res = optimize_set(s, cfg)
         assert [t for t, tr in enumerate(res.records, start=1) if tr.y == res.best_y] == [4, 10]
+        assert res.best_psi.q == 0.18
 
-        def bits(estimates):
-            return [(est.original.value.hex(), est.replicates.tobytes()) for est in estimates]
+        def kept(q):
+            # signal i's estimate set at that psi, as estimate computes it from the stream (seed, 0, i)
+            cfgs = [BootstrapConfig(q=q, b=cfg.b, seed=child_seed(cfg.seed, 0, i)) for i in range(s.n)]
+            return _estimate_bits([bootstrap_sampen(x, SampEnParams(m=1, r=0.5), c) for x, c in zip(s, cfgs)])
 
-        def stream(t):
-            cfgs = [BootstrapConfig(q=psi.q, b=cfg.b, seed=child_seed(cfg.seed, 0, t, i)) for i in range(s.n)]
-            return [bootstrap_sampen(x, SampEnParams(m=psi.m, r=psi.r), c) for x, c in zip(s, cfgs)]
-
-        assert bits(res.estimates) == bits(stream(4)) != bits(stream(10))
-        assert float(np.mean([mse(est) for est in res.estimates])) + 0.1 * math.sqrt(psi.r) == res.best_y
+        assert _estimate_bits(res.estimates) == kept(0.18) != kept(0.12)
+        assert float(np.mean([mse(est) for est in res.estimates])) + 0.1 * math.sqrt(0.5) == res.best_y
         # a result, not part of the search's identity: out of repr and ==
         assert "estimates" not in repr(res) and dataclasses.replace(res, estimates=()) == res
 
 
 class TestReplay:
-    """Trial t of a search is objective_*(..., trial_index=t): the best trial replays bit for bit."""
+    """Every trial of a search shares the signals' tables: objective_* at best_psi replays best_y bit for bit,
+    whatever trial_index it is given."""
 
-    @staticmethod
-    def first_best_index(res):
-        ys = [t.y for t in res.records]
-        return ys.index(min(ys))
-
-    def test_single(self, white100):
+    @pytest.mark.parametrize("trial_index", [1, 7, 200])
+    def test_single(self, white100, trial_index):
         cfg = small_cfg(seed=23, domain=ParamDomain(u=3))
         res = optimize_single(white100, cfg)
-        k = self.first_best_index(res)
-        y = objective_single(white100, res.best_psi, cfg.lam, cfg.b, cfg.seed, trial_index=k + 1)
+        y = objective_single(white100, res.best_psi, cfg.lam, cfg.b, cfg.seed, trial_index=trial_index)
         assert y.hex() == res.best_y.hex()
 
-    def test_set(self):
+    @pytest.mark.parametrize("trial_index", [1, 7, 200])
+    def test_set(self, trial_index):
         s = make_ar_set(3, 60, seed=24)
         cfg = small_cfg(seed=25, domain=ParamDomain(u=3))
         res = optimize_set(s, cfg)
-        k = self.first_best_index(res)
-        y = objective_set(s, res.best_psi, cfg.lam, cfg.b, cfg.seed, trial_index=k + 1)
+        y = objective_set(s, res.best_psi, cfg.lam, cfg.b, cfg.seed, trial_index=trial_index)
         assert y.hex() == res.best_y.hex()
 
 
@@ -388,7 +403,7 @@ class TestPinnedHistory:
         res = optimize_single(x, OptimizerConfig(lam=1 / 3, b=10, t_tilde=60, seed=1))
         rows = [(t.psi.m, t.psi.r.hex(), t.psi.q.hex(), t.y.hex()) for t in res.records]
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert digest == "91e71df900c3b4153f13903c49bfbdc511e1121bf6f29d9c9d17f95ed069dca3"
+        assert digest == "84649abd4f3d8cd4bb86c075bf5c70324164743777aa80ad3c71da21be47186b"
 
     def test_sixty_trial_diagnostics_digest(self):
         # the per-trial mean (entropy, variance, bias) of the same run: no payload or benchmark carries them
@@ -396,14 +411,14 @@ class TestPinnedHistory:
         res = optimize_single(x, OptimizerConfig(lam=1 / 3, b=10, t_tilde=60, seed=1))
         rows = [tuple(map(_hex, (t.entropy, t.variance, t.bias))) for t in res.records]
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert digest == "d0c792ce95c0ca762da51d5480e4977f5124850696fc970320e82e7ad226da42"
+        assert digest == "ba83f671e5bea3d2061fa0d25e3197c4a886a9b3217f1fffc5f463a30c0b61b1"
 
     def test_three_signal_set_digest(self):
         # the many-signal means: (m, r, q, y) and the diagnostics of every trial
         res = optimize_set(make_ar_set(3, 100, seed=31), OptimizerConfig(lam=1 / 3, b=10, t_tilde=40, seed=2))
         rows = [(t.psi.m, *map(_hex, (t.psi.r, t.psi.q, t.y, t.entropy, t.variance, t.bias))) for t in res.records]
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert digest == "f107f9bc4d7249950dc7e1230223338e0a8d9e3d0b47fe5fd689e523b60a4bea"
+        assert digest == "809526a55336f80ce4012004579ba9480413f425d2fce93f6956e4ad617595e6"
 
 
 def _hex(v):
