@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import SampEnParams, cp_sigma, fuzzen
+from .entropy import SampEnParams, _cp_sigma_grid, _require_length, cp_sigma, fuzzen
 from .errors import NoFeasibleRadius, NoKnee, TooShort, UndefinedEntropy
 from .signal import SignalSet
 
@@ -124,13 +124,19 @@ def knee_point(xs, ys) -> int:
 def _counting_grid(s: SignalSet, m: int) -> list[tuple[float, list[tuple[float, float]]]]:
     """(r, each signal's cp_sigma at (m, r)) at every RadiusGrid.coarse radius: the counting selectors' table.
 
-    A radius is dropped at the first signal whose cp_sigma raises UndefinedEntropy.
+    Every length is checked first, so a too-short signal raises SignalTooShort wherever it stands. Then each
+    signal takes one _cp_sigma_grid pass over the radii left; a radius leaves at its first undefined or zero CP.
     """
-    grid = []
-    for r in RadiusGrid.coarse:
-        with contextlib.suppress(UndefinedEntropy):
-            grid.append((r, [cp_sigma(x, SampEnParams(m=m, r=r)) for x in s]))
-    return grid
+    for x in s:
+        _require_length(x, m)
+    table = {r: [] for r in RadiusGrid.coarse}
+    for x in s:
+        for r, result in zip(list(table), _cp_sigma_grid(x, m, list(table))):
+            if isinstance(result, UndefinedEntropy):
+                del table[r]
+            else:
+                table[r].append(result)
+    return list(table.items())
 
 
 # method: (per-signal criterion of (cp, sigma), pick(fine radii, fine values) -> index)

@@ -88,8 +88,8 @@ class SampEnResult:
         return self.value is not None and math.isfinite(self.value)
 
 
-def _point_matches(x: np.ndarray, r: float) -> np.ndarray:
-    """Boolean (N, N) matrix of point gaps within the radius, |x_i - x_j| <= r."""
+def _point_matches(x: np.ndarray, r) -> np.ndarray:
+    """Point gaps within the radius, |x_i - x_j| <= r, as a boolean (N, N) matrix; (k, N, N) for k radii (k, 1, 1)."""
     d = x[:, None] - x[None, :]
     # in place: one float (N, N) temporary, not two
     return np.abs(d, out=d) <= r
@@ -98,30 +98,26 @@ def _point_matches(x: np.ndarray, r: float) -> np.ndarray:
 def _match_matrices(g: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Boolean match incidence of m- and (m+1)-templates from point matches g.
 
-    g is _point_matches of an N-point signal. Both matrices are restricted
-    to the common start range 0..N-m-1 and have shape (N-m, N-m); entry
-    (i, j) is true when the templates at i and j lie within r in Chebyshev
-    distance (the diagonal is always true). ANDing the diagonal shifts of
-    g equals thresholding the running maximum of the point gaps, because
-    max(gaps) <= r holds iff every gap <= r. At m = 1 the m-match matrix
-    is a view of g.
+    g is _point_matches of an N-point signal, or a stack of them (..., N, N).
+    Both matrices are restricted to the common start range 0..N-m-1 and
+    have shape (..., N-m, N-m); entry (i, j) is true when the templates at
+    i and j lie within r in Chebyshev distance (the diagonal is always
+    true). ANDing the diagonal shifts of g equals thresholding the running
+    maximum of the point gaps, because max(gaps) <= r holds iff every gap
+    <= r. At m = 1 the m-match matrix is a view of g.
     """
-    nt = g.shape[0] - m
-    match_m = g[:nt, :nt]
+    nt = g.shape[-1] - m
+    match_m = g[..., :nt, :nt]
     for k in range(1, m):
-        match_m = match_m & g[k:k + nt, k:k + nt]
-    return match_m, match_m & g[m:, m:]
-
-
-def _matrix_counts(match_m: np.ndarray, match_m1: np.ndarray) -> tuple[int, int]:
-    """Ordered matches (B, A) on the match matrices of _match_matrices, self-matches (the diagonal) excluded."""
-    nt = match_m.shape[0]
-    return int(np.count_nonzero(match_m)) - nt, int(np.count_nonzero(match_m1)) - nt
+        match_m = match_m & g[..., k:k + nt, k:k + nt]
+    return match_m, match_m & g[..., m:, m:]
 
 
 def _ordered_counts(g: np.ndarray, m: int) -> tuple[int, int]:
-    """Ordered template-pair matches (B, A) at lengths m and m+1, self-matches excluded."""
-    return _matrix_counts(*_match_matrices(g, m))
+    """Ordered template-pair matches (B, A) at lengths m and m+1, self-matches (the diagonal) excluded."""
+    match_m, match_m1 = _match_matrices(g, m)
+    nt = match_m.shape[0]
+    return int(np.count_nonzero(match_m)) - nt, int(np.count_nonzero(match_m1)) - nt
 
 
 _CHUNK_PAIRS = 2**17  # point pairs tested per chunk of replicates, a few hundred KB of temporaries at uint8 ranks
@@ -332,95 +328,103 @@ def fuzzen(x: Signal, m: int, r: float, eta: float = 2.0) -> float:
     return _fuzzy_log_phi(x.values, m, nt, r, eta) - _fuzzy_log_phi(x.values, m + 1, nt, r, eta)
 
 
-# every int32 value in _pair_counts counts matching pairs, at most
-# nt (nt - 1) / 2 < (N + 1)**2, so the counts are exact while (N + 1)**2 < 2**31
-_INT32_PREFIX_MAX_N = math.isqrt(2**31 - 1) - 1
+def _pair_counts(stack: np.ndarray, m: int) -> np.ndarray:
+    """Ordered counts K of overlapping distinct pairs-of-pairs, one int64 per layer of stack.
 
+    stack: (L, nt, nt) symmetric boolean match matrices G with a true
+    diagonal, e.g. the m- and (m+1)-matrices of _match_matrices at several
+    radii. A layer's M, its strict upper triangle, holds the unordered
+    matching pairs (i < j). K counts the ordered pairs p != q in M that
+    overlap: some (m+1)-point windows [s, s+m] of p = (i, j) and q = (k, l)
+    intersect, i.e. k or l lies in U = W(i) | W(j), W(c) = [c-m, c+m]
+    clipped to [0, nt).
 
-def _pair_counts(match_m: np.ndarray, match_m1: np.ndarray, m: int) -> tuple[int, int]:
-    """Ordered counts of overlapping distinct pairs-of-pairs (K_B, K_A).
+    With deg[c] = (G's row count at c) - 1, S[c] the sum of deg over W(c)
+    and Y[i, j] = G(W(i) x W(j)), and as M(U x U) = (G(U x U) - |U|) / 2, a
+    pair whose windows are disjoint (j - i > 2m) overlaps half of
+    2 S[i] + 2 S[j] - Y[i, i] - Y[j, j] - 2 Y[i, j] + |W(i)| + |W(j)| - 2
+    pairs. Summed over M: 2K = sum(deg (2S - diag Y + |W| - 1)) - sum(G Y)
+    + sum(diag Y). A near pair (i, i + d), 1 <= d <= 2m, whose windows share
+    I = W(i) & W(j), adds 2 G(I x W(i)) + 2 G(I x W(j)) - G(I x I) - |I|
+    - 2 sum(deg over I) to 2K. G(I x W(c)) is a run of column window sums
+    and G(I x I) of diagonal bands G(r, r + e), e <= 2m, so these terms
+    accumulate as d falls from 2m to 1.
 
-    match_m, match_m1: the symmetric (nt, nt) match matrices of
-    _match_matrices (diagonal true, match_m1 within match_m). Each one's M,
-    its strict upper triangle, holds the unordered matching pairs (i < j).
-    K_B and K_A count, in M of match_m and of match_m1, the ordered pairs
-    p != q of matching pairs that overlap, i.e. some (m+1)-point windows
-    [s, s+m] of p = (i, j) and q = (k, l) intersect: k or l lies in
-    U = W(i) | W(j), with W(c) = [c-m, c+m] clipped to [0, nt).
-
-    Both M go into one stacked int32 2-D prefix sum, padded with m zero
-    rows and columns on each side so that every W(c) is a plain slice and
-    every count below a box sum. Let deg[c] be the number of matching pairs
-    containing c, S[c] the sum of deg over W(c) and X[i, j] the matches
-    with row in W(i) and column in W(j), all dense. When the windows of p
-    are disjoint (j - i > 2m), inclusion-exclusion gives p
-
-        S[i] + S[j] - X[i, i] - X[j, j] - X[i, j] - X[j, i] - 1
-
-    overlapping pairs (X[j, i] = 0 there). Summed over M, with G the
-    symmetric match matrix, that is sum(deg (S - diag X)) -
-    sum_{i != j} G X - |M|. A pair with j - i <= 2m overlaps
-    M(I x I) - M(I x (j+m, nt)) - M([0, i-m) x I) pairs more, with
-    I = W(i) & W(j) (the rest of I x ~U and ~U x I lies below the
-    diagonal). These ten prefix sums are read for every near cell
-    (i, i + d), 1 <= d <= 2m, from strided views that slide along the
-    diagonal, and masked by M. The cost is O(nt^2 + m nt) whatever the
-    number of matches, and the counts equal the all-pairs comparison
-    exactly.
+    The layers sit in one flat buffer, each with m zero rows and columns
+    before it and 3m after, so a (2m+1)-wide window sum is 2m shifted adds
+    of the flat buffer, in the narrowest unsigned type that holds (2m+1)^2
+    (uint8 up to m = 7), and a band is a strided view. The cost is
+    O(L m (nt + 4m)^2) whatever the number of matches; the counts are exact.
     """
-    nt = match_m.shape[0]
-    w, side = 2 * m + 1, nt + 2 * m + 1
-    # both padded layers, then 2m slack cells that the views below reach
-    flat = np.zeros(2 * side * side + 2 * m, dtype=np.int32)
-    prefix = flat[:2 * side * side].reshape(2, side, side)
-    lower = np.tri(nt, dtype=bool)
-    for layer, match in zip(prefix, (match_m, match_m1)):
-        # match & ~lower, as 0/1
-        np.greater(match, lower, out=layer[m + 1:m + 1 + nt, m + 1:m + 1 + nt])
-    del lower
-    # on[s, i, u, v] is layer s at (i + u, i + v), and on_last[s, i, u] at
-    # (i + u, side - 1). A near cell past the matrix end (i + d >= nt)
-    # reads the padding, the next layer or the slack (numpy checks that
-    # the views fit in flat), but its M entry lands in zero padding, so
-    # its correction drops out.
-    item = flat.itemsize
-    layer_bytes = side * side * item
-    on = np.ndarray((2, nt, w + 1, 2 * w), np.int32, flat, 0, (layer_bytes, (side + 1) * item, side * item, item))
-    on_last = np.ndarray((2, nt, w + 1), np.int32, flat, (side - 1) * item, (layer_bytes, side * item, side * item))
-    # M[i, i + d] sits at padded (i + m + 1, i + m + 1 + d); copied before the prefix sums overwrite it
-    hit = on[:, :, m + 1, m + 2:m + 1 + w].copy()
-    np.cumsum(prefix, axis=1, out=prefix)
-    np.cumsum(prefix, axis=2, out=prefix)
-    # the near cells' corrections, column d - 1 for (i, i + d), from padded
-    # corners a = i + d, b = i + w, u0 = i, u1 = i + d + w and e = side - 1:
-    # M(I x I) = (b, b) - (a, b) - (b, a) + (a, a) with I = [a, b),
-    # M(I x [u1, e)) = (b, e) - (a, e) - (b, u1) + (a, u1) and
-    # M([0, u0) x I) = (u0, b) - (u0, a)
-    corr = np.add(on[:, :, 0, 1:w], on[:, :, w, w + 1:], dtype=np.int64)  # (u0, a) + (b, u1)
-    corr -= on[:, :, 1:w, w]  # (a, b)
-    corr -= on[:, :, w, 1:w]  # (b, a)
-    corr += on.diagonal(0, 2, 3)[:, :, 1:w]  # (a, a)
-    corr -= on.diagonal(w, 2, 3)[:, :, 1:w]  # (a, u1)
-    corr += on_last[:, :, 1:w]  # (a, e)
-    corr += (on[:, :, w, w] - on[:, :, 0, w] - on_last[:, :, w])[:, :, None]  # (b, b) - (u0, b) - (b, e)
-    near = np.einsum("sid,sid->s", corr, hit)
-    # G X: the box sums of every window pair W(i) x W(j) where G is true;
-    # the diagonal X[c, c] stays whole, G's diagonal being true
-    box = np.empty((2, nt, nt), dtype=np.int32)
-    cols = np.empty((side, nt), dtype=np.int32)
-    for layer, match, out in zip(prefix, (match_m, match_m1), box):
-        np.subtract(layer[:, w:], layer[:, :nt], out=cols)
-        np.subtract(cols[w:], cols[:nt], out=out)
-        out *= match
-    x_diag = box.diagonal(axis1=1, axis2=2).astype(np.int64)
-    # deg summed over [0, c): row sums plus column sums, from the last column and row
-    deg_before = prefix[:, :, -1].astype(np.int64) + prefix[:, -1, :]
-    deg = np.diff(deg_before[:, m:m + nt + 1])
-    spread = deg_before[:, w:w + nt] - deg_before[:, :nt] - x_diag
-    total = prefix[:, -1, -1].astype(np.int64)
-    k = np.einsum("sc,sc->s", deg, spread) - (box.sum(axis=(1, 2), dtype=np.int64) - x_diag.sum(axis=1))
-    k += near - total
-    return int(k[0]), int(k[1])
+    n_layers, nt = stack.shape[:2]
+    w, side = 2 * m + 1, nt + 4 * m
+    cells = n_layers * side * side
+    flat = np.zeros(cells + 2 * m * side + 2 * m, dtype=np.min_scalar_type(w * w))  # holds box sums up to w^2
+    flat[:cells].reshape(n_layers, side, side)[:, m:m + nt, m:m + nt] = stack
+    # at flat cell k (padded row u, column v), cols sums rows u..u+2m and box sums cols over columns v..v+2m
+    cols = flat[:cells + 2 * m] + flat[side:cells + 2 * m + side]
+    for s in range(2, w):
+        cols += flat[s * side:cells + 2 * m + s * side]
+    box = cols[:cells] + cols[1:cells + 1]
+    for t in range(2, w):
+        box += cols[t:cells + t]
+    # rows 0, w, 2w, ... below nt + m of cols sum every padded row once; G is symmetric
+    deg = cols[:cells].reshape(n_layers, side, side)[:, :nt + m:w, m:m + nt].sum(axis=1, dtype=np.uint32) - 1
+    y_diag = box.reshape(n_layers, side, side).diagonal(axis1=1, axis2=2)[:, :nt].astype(np.int64)
+    box *= flat[m * side + m:m * side + m + cells]  # G at (i, j) lies m rows and columns after Y; zero elsewhere
+    # a layer sums to less than side^2 w^2, and uint32 sums uint8 twice as fast as int64
+    gy = box.reshape(n_layers, -1).sum(axis=1, dtype=np.uint32 if side * w < 2**16 else np.int64).astype(np.int64)
+    deg_pad = np.pad(deg.astype(np.int64), ((0, 0), (m, 3 * m)))
+    width = np.minimum(np.arange(nt) + m, nt - 1) - np.maximum(np.arange(nt) - m, 0) + 1  # |W(c)|
+    s_win = sum(deg_pad[:, t:t + nt] for t in range(w))
+    k2 = np.einsum("lc,lc->l", deg, 2 * s_win - y_diag + width - 1) - gy + y_diag.sum(axis=1)
+    # the bands: g_band[l, r, e] is the padded layer at (r, r + e), c_band the same cell of cols
+    g_band, c_band = (np.lib.stride_tricks.as_strided(a, (n_layers, nt + 2 * m, w),
+                                                      [a.itemsize * k for k in (side * side, side + 1, 1)])
+                      for a in (flat, cols))
+    own = np.zeros((n_layers, nt), dtype=np.int64)  # G(I x W(i)) - sum(deg over I) - (G(I x I) + |I|) / 2
+    for d in range(2 * m, 0, -1):
+        own += c_band[:, :nt, d] - deg_pad[:, d:d + nt] - g_band[:, d:d + nt, :w - d].sum(axis=2, dtype=np.int64)
+        near = own + c_band[:, d:d + nt, :w - d].sum(axis=2, dtype=np.int64)  # + G(I x W(i + d))
+        k2 += 2 * np.einsum("li,li->l", g_band[:, m:m + nt, d], near)  # G at (i, i + d), zero past nt
+    return k2 // 2
+
+
+_GRID_CELLS = 2**18  # match-matrix cells per chunk of radii in _cp_sigma_grid: a few hundred KB of temporaries
+
+
+def _cp_sigma_grid(x: Signal, m: int, radii) -> list[tuple[float, float] | UndefinedEntropy]:
+    """cp_sigma(x, SampEnParams(m, r)) for every r in radii: its (CP, sigma), or the UndefinedEntropy it raises.
+
+    Raises SignalTooShort unless N >= m + 2. Each chunk of radii, as many
+    as fill _GRID_CELLS cells, thresholds the point gaps once for all its
+    radii, stacks their m- and (m+1)-match matrices and counts B and A on
+    them; the radii with a defined, nonzero CP then share one _pair_counts.
+    """
+    _require_length(x, m)
+    nt = x.n - m
+    results = []
+    n_chunks = max(1, min(len(radii), -(-2 * len(radii) * nt * nt // _GRID_CELLS)))  # one, empty, for no radii
+    for chunk in np.array_split(np.arange(len(radii)), n_chunks):
+        r = np.array([radii[i] for i in chunk], dtype=np.float64)[:, None, None]
+        layers = np.stack(_match_matrices(_point_matches(x.values, r), m))
+        # unordered counts: the matrices are symmetric with a true diagonal
+        b_un, a_un = ([(np.count_nonzero(layer) - nt) // 2 for layer in half] for half in layers)
+        defined = [a > 0 for a in a_un]  # A <= B, so A > 0 means a defined, nonzero CP
+        if any(defined):
+            kept = layers if all(defined) else layers[:, defined]
+            overlaps = zip(*_pair_counts(kept.reshape(-1, nt, nt), m).reshape(2, -1).tolist())
+        for i, b, a in zip(chunk, b_un, a_un):
+            if a:
+                kb, ka = next(overlaps)
+                cp = a / b
+                var_cp = cp * (1.0 - cp) / b + (ka - kb * cp * cp) / (b * b)
+                results.append((cp, math.sqrt(max(var_cp, 0.0))))
+            else:
+                why = "no template matches" if b == 0 else "CP = 0"
+                results.append(UndefinedEntropy(f"signal {x.id!r}: {why} at (m={m}, r={radii[i]})"
+                                                + ("; entropy infinite" if b else "")))
+    return results
 
 
 def cp_sigma(x: Signal, p: SampEnParams) -> tuple[float, float]:
@@ -435,29 +439,17 @@ def cp_sigma(x: Signal, p: SampEnParams) -> tuple[float, float]:
     where K_B counts ordered distinct overlapping pairs of matching
     m-pairs and K_A the same among pairs that also match at length m+1
     (E[X_p X_q] for overlapping pairs is estimated by K_A/K_B). Negative
-    corrected variance is clamped to zero. B and A are counted on the
-    match matrices, so an undefined or zero CP raises before any overlap
-    is counted. K_B and K_A are exact integer counts read from one int32
-    prefix sum by _pair_counts, at O(N^2) cost whatever the number of
-    matches, so neither a pair of pairs nor a matching pair is enumerated.
+    corrected variance is clamped to zero. This is the one-radius case of
+    _cp_sigma_grid: an undefined or zero CP raises before any overlap is
+    counted, and K_B and K_A are exact counts from the window sums of
+    _pair_counts, at O(m N^2) cost whatever the number of matches.
 
-    Raises UndefinedEntropy when CP is undefined (B = 0) or zero (A = 0),
-    and MemoryError when (N + 1)^2 >= 2^31, past the int32 prefix sums.
+    Raises UndefinedEntropy when CP is undefined (B = 0) or zero (A = 0).
     """
-    _require_length(x, p.m)
-    if x.n > _INT32_PREFIX_MAX_N:
-        raise MemoryError(f"signal {x.id!r}: cp_sigma needs N <= {_INT32_PREFIX_MAX_N}, got N = {x.n}")
-    match_m, match_m1 = _match_matrices(_point_matches(x.values, p.r), p.m)
-    # unordered counts: both matrices are symmetric, so each match is counted twice
-    b_un, a_un = (count // 2 for count in _matrix_counts(match_m, match_m1))
-    if b_un == 0:
-        raise UndefinedEntropy(f"signal {x.id!r}: no template matches at (m={p.m}, r={p.r})")
-    cp = a_un / b_un
-    if a_un == 0:
-        raise UndefinedEntropy(f"signal {x.id!r}: CP = 0 at (m={p.m}, r={p.r}); entropy infinite")
-    kb, ka = _pair_counts(match_m, match_m1, p.m)
-    var_cp = cp * (1.0 - cp) / b_un + (ka - kb * cp * cp) / (b_un * b_un)
-    return cp, math.sqrt(max(var_cp, 0.0))
+    result = _cp_sigma_grid(x, p.m, (p.r,))[0]
+    if isinstance(result, UndefinedEntropy):
+        raise result
+    return result
 
 
 def counting_se(x: Signal, p: SampEnParams) -> float:

@@ -18,7 +18,7 @@ from sampenopt.baselines import (
     _per_signal_outputs,
 )
 from sampenopt.entropy import SampEnParams, counting_se, cp_sigma, sampen
-from sampenopt.errors import NoKnee, TooShort, UndefinedEntropy
+from sampenopt.errors import NoFeasibleRadius, NoKnee, SignalTooShort, TooShort, UndefinedEntropy
 from sampenopt.signal import Signal, SignalSet
 
 from conftest import make_ar_set, make_noise_set
@@ -253,6 +253,19 @@ class TestSelectors:
             p = SampEnParams(3, r)
             defined = all(sampen(x, p).finite for x in s)
             assert (r in kept) == defined
+
+    @pytest.mark.parametrize("select", [sampeneff_select, convergence_select])
+    def test_lengths_are_checked_before_any_radius(self, select):
+        # the spike alone leaves no radius defined at m = 2; the 3-point signal is
+        # reported as too short whether it comes before the spike or after it
+        spike, tiny = Signal("spike", [0.0, 0.0, 100.0, 0.0, 0.0]), Signal("tiny", [0.0, 1.0, 0.5])
+        wave = Signal("wave", np.sin(np.arange(40.0)))
+        for order in ((spike,), (spike, wave), (wave, spike)):
+            with pytest.raises(NoFeasibleRadius, match="only 0 usable grid points"):
+                select(SignalSet(order), 2)
+        for order in ((spike, tiny), (tiny, spike)):
+            with pytest.raises(SignalTooShort, match="signal 'tiny': need N >= m \\+ 2 = 4, got N = 3"):
+                select(SignalSet(order), 2)
 
     def test_per_signal_outputs_aligned(self, noise_set, conv_result):
         assert len(conv_result.entropies) == noise_set.n == len(conv_result.ses)

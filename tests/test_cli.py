@@ -75,6 +75,33 @@ def test_synth_and_estimate_leave_scipy_special_unloaded(tmp_path):
     assert proc.stdout.strip() == "False"
 
 
+def test_propose_s_leaves_out_the_scipy_special_import(tmp_path):
+    # a fresh interpreter whose scipy.special import takes 0.5 s more: a run that proposes
+    # imports it before its timed loop, and a run of random draws only never imports it
+    script = (
+        "import sys, time\n"
+        "class Slow:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy.special':\n"
+        "            time.sleep(0.5)\n"
+        "sys.meta_path.insert(0, Slow())\n"
+        "from sampenopt.optimizer import OptimizerConfig, optimize_single\n"
+        "from sampenopt.signal import gen_white_noise, normalize\n"
+        "x = normalize(gen_white_noise(60, 1.0, seed=1))\n"
+        "optimize_single(x, OptimizerConfig(lam=0.1, b=5, t_tilde=4, t_init=4, seed=1))\n"
+        "print('scipy.special' in sys.modules)\n"
+        "res = optimize_single(x, OptimizerConfig(lam=0.1, b=5, t_tilde=8, t_init=4, seed=1))\n"
+        "print(res.timings['propose_s'])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded, propose_s = proc.stdout.split()
+    assert loaded == "False"
+    assert float(propose_s) < 0.25
+
+
 class TestSynth:
     def test_writes_reproducible_csv(self, tmp_path):
         csv_a = tmp_path / "a.csv"
@@ -387,6 +414,16 @@ class TestBaseline:
         code, env = run(["baseline", "--input", noise_csv, "--method", "fuzzen"], tmp_path)
         assert code == 0
         assert env["payload"]["method"] == "fuzzen"
+
+    @pytest.mark.parametrize("method", ["sampeneff", "convergence"])
+    @pytest.mark.parametrize("order", [("spike", "tiny"), ("tiny", "spike")])
+    def test_short_signal_exits_3_whatever_its_place(self, tmp_path, capsys, method, order):
+        # the spike leaves no radius of the grid defined at m = 2, yet the 3-point signal is reported
+        signals = {"spike": [0.0, 0.0, 100.0, 0.0, 0.0], "tiny": [0.0, 1.0, 0.5]}
+        src = _csv(tmp_path, {sid: signals[sid] for sid in order})
+        code, env = run(["baseline", "--input", src, "--method", method, "--m", "2"], tmp_path)
+        assert code == 3 and env is None
+        assert "signal 'tiny': need N >= m + 2 = 4, got N = 3" in capsys.readouterr().err
 
     def test_infinite_sampen_has_the_state_estimate_gives(self, tmp_path):
         # at (2, 0.2) this signal has template matches (bm > 0) but no extended ones (am = 0)

@@ -7,10 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sampenopt.entropy import (
-    _INT32_PREFIX_MAX_N,
+    _GRID_CELLS,
     _RANK_TIERS,
     MatchCounts,
     SampEnParams,
+    _cp_sigma_grid,
     _match_matrices,
     _ordered_counts,
     _pair_counts,
@@ -140,14 +141,27 @@ def replicate_counts_oracle(x, idx, m, r):
 
 
 def overlap_counts_both(x, m, r):
-    """(K_B, K_A) from the prefix-sum counter and from the O(K^2) oracle on the same matches."""
+    """(K_B, K_A) from the window-sum counter and from the O(K^2) oracle on the same matches."""
     match_m, match_m1 = _match_matrices(_point_matches(np.asarray(x, dtype=np.float64), r), m)
     match_b = np.triu(match_m, 1)
     match_a = match_b & match_m1
     i, j = np.nonzero(match_b)
-    got = _pair_counts(match_m, match_m1, m)
+    got = tuple(_pair_counts(np.stack((match_m, match_m1)), m).tolist())
     want = _overlap_counts_oracle(np.column_stack((i, j)), match_a[i, j], m)
     return got, want, j
+
+
+def layer_overlaps_oracle(match, m):
+    """K of one symmetric match matrix by the O(K^2) oracle."""
+    i, j = np.nonzero(np.triu(match, 1))
+    return _overlap_counts_oracle(np.column_stack((i, j)), np.zeros(i.size, dtype=bool), m)[0]
+
+
+def mixed_layers(x, m, radii):
+    """The m- and (m+1)-match matrices of x at each radius, interleaved, then an all-true and an identity layer."""
+    layers = [match for r in radii for match in _match_matrices(_point_matches(x, r), m)]
+    nt = layers[0].shape[0]
+    return np.stack(layers + [np.ones((nt, nt), dtype=bool), np.eye(nt, dtype=bool)])
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +491,59 @@ class TestCountingSe:
         got, want, _ = overlap_counts_both(x, m, r)
         assert got == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.integers(-2, 2).map(float), st.floats(-2.0, 2.0)), min_size=44, max_size=44),
+        m=st.integers(1, 4),
+        extra=st.integers(0, 36),
+        radii=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=4),
+    )
+    @example(values=[0.0, 1.0] * 22, m=4, extra=0, radii=[0.5, 1.5])
+    def test_stacked_counts_equal_oracle_per_layer(self, values, m, extra, radii):
+        # mixed radii in one stack, nt = m + 2 + extra down to m + 2, where every window clips
+        stack = mixed_layers(np.asarray(values[:2 * m + 2 + extra]), m, radii)
+        assert _pair_counts(stack, m).tolist() == [layer_overlaps_oracle(layer, m) for layer in stack]
+
+    @pytest.mark.parametrize("m, nt", [(7, 9), (7, 16), (7, 24), (8, 10), (8, 18), (8, 26)])
+    def test_stacked_counts_at_wide_windows(self, m, nt):
+        # (2m+1)^2 box sums reach 225 at m = 7, the most uint8 holds, and 289 at m = 8, in uint16
+        x = np.round(np.random.default_rng(nt).standard_normal(nt + m), 1)
+        stack = mixed_layers(x, m, (0.3, 1.0, 3.0))
+        assert _pair_counts(stack, m).tolist() == [layer_overlaps_oracle(layer, m) for layer in stack]
+
+    @pytest.mark.parametrize("m, nt", [(1, 40), (3, 9), (7, 30), (128, 258)])
+    def test_all_true_layer_closed_form(self, m, nt):
+        # every pair matches, so a pair overlaps every pair with an end in U but itself:
+        # P - C(nt - |U|, 2) - 1 of the P pairs; at m = 128 box sums pass 65535, past uint16
+        i, j = np.triu_indices(nt, 1)
+        width = np.minimum(np.arange(nt) + m, nt - 1) - np.maximum(np.arange(nt) - m, 0) + 1
+        outside = nt - (width[i] + width[j] - np.maximum(0, np.minimum(i + m, nt - 1) - np.maximum(j - m, 0) + 1))
+        want = int((i.size - outside * (outside - 1) // 2 - 1).sum())
+        layer = np.ones((nt, nt), dtype=bool)
+        assert _pair_counts(layer[None], m).tolist() == [want]
+        if nt <= 40:
+            assert layer_overlaps_oracle(layer, m) == want
+
+    @pytest.mark.parametrize("cells", [_GRID_CELLS, 1])
+    def test_grid_pass_equals_cp_sigma_per_radius(self, cells, monkeypatch):
+        # chunked or one radius at a time, the pass gives each radius's cp_sigma
+        # bit for bit, and the UndefinedEntropy it raises, message and all
+        monkeypatch.setattr("sampenopt.entropy._GRID_CELLS", cells)
+        radii = np.round(np.arange(0.10, 1.0001, 0.05), 10).tolist() + [5.0]
+        signals = [(Signal("flat", [0.0, 0.0, 10.0, 20.0, 30.0]), 1), (Signal("walk", np.cumsum(np.sin(np.arange(40)))), 2),
+                   (normalize(gen_white_noise(30, 1.0, seed=5)), 3), (normalize(gen_white_noise(90, 1.0, seed=6)), 1)]
+        messages = set()
+        for x, m in signals:
+            for r, got in zip(radii, _cp_sigma_grid(x, m, radii)):
+                try:
+                    want = cp_sigma(x, SampEnParams(m, r))
+                except UndefinedEntropy as exc:
+                    assert isinstance(got, UndefinedEntropy) and str(got) == str(exc)
+                    messages.add(str(exc).split(": ")[1].split(" at ")[0])
+                else:
+                    assert got == want
+        assert messages == {"no template matches", "CP = 0"}
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_exhaustive_oracle_exactly(self, m):
         # the counts are exact integers and the variance formula is the
@@ -501,20 +568,34 @@ class TestCountingSe:
         nt, m = 300, 2
         peaks = []
         for match in (np.eye(nt, dtype=bool), np.ones((nt, nt), dtype=bool)):
+            stack = np.stack((match, match))
             tracemalloc.start()
             try:
-                _pair_counts(match, match, m)
+                _pair_counts(stack, m)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert abs(peaks[0] - peaks[1]) < 4096
 
-    def test_int32_prefix_bound(self, white100, monkeypatch):
-        # int32 prefix sums are exact while (N + 1)^2 < 2^31; longer signals are refused
-        assert (_INT32_PREFIX_MAX_N + 1) ** 2 < 2**31 <= (_INT32_PREFIX_MAX_N + 2) ** 2
-        monkeypatch.setattr("sampenopt.entropy._INT32_PREFIX_MAX_N", white100.n - 1)
-        with pytest.raises(MemoryError):
-            cp_sigma(white100, SampEnParams(1, 0.5))
+    def test_grid_memory_within_chunk_budget(self):
+        # at nt = 599 one radius fills a chunk, so a 19-radius grid peaks at
+        # one radius's cost, not 19 times it: the point gaps (8 bytes a cell)
+        # plus a few bytes per cell of one chunk's layers
+        x = normalize(gen_white_noise(600, 1.0, seed=3))
+        nt = x.n - 1
+        radii = np.round(np.arange(0.10, 1.0001, 0.05), 10).tolist()
+        peaks = []
+        for grid in (radii[:1], radii):
+            tracemalloc.start()
+            try:
+                _cp_sigma_grid(x, 1, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one, whole = peaks
+        assert 2 * nt * nt > _GRID_CELLS
+        assert whole < 2 * one
+        assert whole < 8 * x.n**2 + 8 * 2 * nt * nt
 
     @pytest.mark.parametrize(
         "values, message", [([0.0, 10.0, 20.0, 30.0, 40.0], "no template matches"), ([0.0, 0.0, 10.0, 20.0, 30.0], "CP = 0")]

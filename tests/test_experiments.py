@@ -183,9 +183,10 @@ class TestMethodComparison:
 class TestMethodComparisonScoresEachSelectionOnce:
     def test_cp_sigma_calls_are_those_of_the_selections(self, monkeypatch):
         # both counting rows read one (cp, sigma) grid, and each baseline is scored
-        # from the SEs its selection already computed, so the comparison makes one
-        # grid's worth of cp_sigma calls fewer than the three selectors run apart;
-        # the TPE search makes none
+        # from the SEs its selection already computed, so the comparison evaluates one
+        # grid's worth of (signal, m, r) fewer than the three selectors run apart;
+        # the TPE search evaluates none. Every evaluation, cp_sigma's one radius
+        # included, is a radius of a _cp_sigma_grid pass.
         from collections import Counter
 
         import sampenopt.baselines
@@ -195,14 +196,14 @@ class TestMethodComparisonScoresEachSelectionOnce:
         from sampenopt.signal import gen_signal_set
 
         calls = []
-        original = sampenopt.entropy.cp_sigma
+        original = sampenopt.entropy._cp_sigma_grid
 
-        def spy(x, p):
-            calls.append((x.id, p.m, p.r))
-            return original(x, p)
+        def spy(x, m, radii):
+            calls.extend((x.id, m, r) for r in radii)
+            return original(x, m, radii)
 
-        monkeypatch.setattr(sampenopt.entropy, "cp_sigma", spy)
-        monkeypatch.setattr(sampenopt.baselines, "cp_sigma", spy)
+        monkeypatch.setattr(sampenopt.entropy, "_cp_sigma_grid", spy)
+        monkeypatch.setattr(sampenopt.baselines, "_cp_sigma_grid", spy)
         cfg = MethodComparisonConfig(n_signals=4, n=80, b=10, t_tilde=6, t_init=3, seed=5)
         s = gen_signal_set(cfg.signal_type, cfg.n_signals, cfg.n, seed=child_seed(cfg.seed, 0))
         sampeneff_select(s, _BASELINE_M)
@@ -212,7 +213,7 @@ class TestMethodComparisonScoresEachSelectionOnce:
         calls.clear()
         method_comparison(cfg)
         assert sum(apart.values()) - len(calls) == len(RadiusGrid.coarse) * cfg.n_signals
-        # the calls left out are exactly one grid's: every (signal, m, r) at the coarse radii
+        # the evaluations left out are exactly one grid's: every (signal, m, r) at the coarse radii
         assert apart - Counter(calls) == Counter((x.id, _BASELINE_M, r) for r in RadiusGrid.coarse for x in s)
 
 

@@ -96,6 +96,8 @@ def _inputs() -> None:
     _write_long("inter.csv", {f"s{i}": ("xy"[i % 2], _z(rng.standard_normal(70) if i % 2 else _ar1(rng, 70)))
                               for i in range(8)})
     Path("dup.cfg").write_text("m = 1\nr = 0.25\nm = 3\n")
+    # the spike leaves no radius defined at m = 2, and the 3-point signal after it is too short
+    _write_long("spike.csv", {"spike": ("", np.array([0.0, 0.0, 100.0, 0.0, 0.0])), "tiny": ("", np.array([0.0, 1.0, 0.5]))})
 
 
 OPT = ["--T", "8", "--T-init", "4", "--B", "15", "--seed", "9"]
@@ -191,6 +193,8 @@ RUNS = {
     "estimate-tiny-q": ["estimate", "--input", "in.csv", "--m", "1", "--r", "0.3", "--q", "1e-300", "--B", "20",
                         "--seed", "9"],
     "optimize-tiny-fixed-q": ["optimize", "--input", "in.csv", "--no-preprocess", "--fixed-q", "1e-300", *OPT],
+    # a too-short signal is reported whatever its place in the file
+    "reject-3-short-signal-after-spike": ["baseline", "--input", "spike.csv", "--method", "sampeneff", "--m", "2"],
 }
 
 
