@@ -254,8 +254,8 @@ _STANDARD_M, _STANDARD_R = 2, 0.20  # the standard parameters (m = 2, r = 0.20)
 def standard_params_eval(s: SignalSet, fuzzy: bool = False, eta: float = 2.0) -> BaselineResult:
     """Per-signal entropy at the standard parameters (m = 2, r = 0.20).
 
-    With fuzzy=True, fuzzy entropy at (2, 0.20, eta) is reported instead;
-    fuzzy entropy is always finite, and no counting SE is attached to it.
+    With fuzzy=True, fuzzy entropy at (2, 0.20, eta) is reported instead,
+    finite where defined (fuzzen raises otherwise), with no counting SE.
     """
     m, r = _STANDARD_M, _STANDARD_R
     if fuzzy:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SignalTooShort, UndefinedEntropy
+from .errors import SignalTooShort, UndefinedEntropy, VarianceOverflow
 from .signal import Signal
 
 __all__ = [
@@ -90,7 +90,8 @@ class SampEnResult:
 
 def _point_matches(x: np.ndarray, r) -> np.ndarray:
     """Point gaps within the radius, |x_i - x_j| <= r, as a boolean (N, N) matrix; (k, N, N) for k radii (k, 1, 1)."""
-    d = x[:, None] - x[None, :]
+    with np.errstate(over="ignore"):  # an infinite gap is not within r
+        d = x[:, None] - x[None, :]
     # in place: one float (N, N) temporary, not two
     return np.abs(d, out=d) <= r
 
@@ -289,22 +290,37 @@ def sampen(x: Signal, p: SampEnParams) -> SampEnResult:
     return _sampen_from_counts(count_matches(x, p))
 
 
-def _fuzzy_log_phi(x: np.ndarray, k: int, nt: int, r: float, eta: float) -> float:
+_EXPONENT_FLOOR = -1e300  # where an overflowed membership exponent is clamped
+
+
+def _fuzzy_log_phi(x: Signal, k: int, nt: int, r: float, eta: float) -> float:
     """log of the mean fuzzy membership over ordered baseline-removed k-template pairs.
 
     Works in the log domain so tiny memberships (large (d/r)^eta) never
-    underflow the average to zero; self-pairs are excluded by masking.
+    underflow the average to zero; self-pairs are excluded by masking. The
+    Chebyshev distances are a running maximum over the template columns,
+    and the membership chain runs in place on them: two float (nt, nt)
+    buffers, no (nt, nt, k) tensor, and, a maximum being exact, the tensor
+    form's result to the last bit. An overflowed gap or exponent is a zero
+    membership, clamped at _EXPONENT_FLOOR, which is the result exactly when
+    every off-diagonal exponent is clamped. Raises VarianceOverflow when a
+    baseline-removed template is not finite.
     """
-    t = np.lib.stride_tricks.sliding_window_view(x, k)[:nt].astype(np.float64)
-    t = t - t.mean(axis=1, keepdims=True)
-    d = np.abs(t[:, None, :] - t[None, :, :]).max(axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned
+        t = np.lib.stride_tricks.sliding_window_view(x.values, k)[:nt].astype(np.float64)
+        t = t - t.mean(axis=1, keepdims=True)
+    if not np.isfinite(t).all():
+        raise VarianceOverflow(f"signal {x.id!r}: a baseline-removed {k}-point template overflows float64")
+    u, gap = np.zeros((nt, nt)), np.empty((nt, nt))
     with np.errstate(over="ignore"):
-        u = -np.power(d / r, eta)
+        for col in np.ascontiguousarray(t.T):
+            np.maximum(u, np.abs(np.subtract(col[:, None], col, out=gap), out=gap), out=u)
+        np.power(np.divide(u, r, out=u), eta, out=u)
     # clamp so an overflowed exponent cannot poison the max-shift with -inf
-    u = np.maximum(u, -1e300)
+    np.maximum(np.negative(u, out=u), _EXPONENT_FLOOR, out=u)
     np.fill_diagonal(u, -np.inf)
     top = u.max()
-    return float(top + np.log(np.exp(u - top).sum()) - math.log(nt * (nt - 1)))
+    return float(top + np.log(np.exp(np.subtract(u, top, out=u), out=u).sum()) - math.log(nt * (nt - 1)))
 
 
 def _fuzzen_params(m: int, r: float, eta: float) -> SampEnParams:
@@ -320,12 +336,25 @@ def fuzzen(x: Signal, m: int, r: float, eta: float = 2.0) -> float:
 
     Templates are baseline-removed (each minus its own mean) following
     Chen et al.'s fuzzy entropy convention, and both phi terms average over
-    the same ordered index range as sampen. Always finite for finite input.
+    the same ordered index range as sampen. Finite where defined: raises
+    VarianceOverflow when a baseline-removed template overflows float64, and
+    UndefinedEntropy when every membership of a phi term is below exp(-1e300).
     """
     _fuzzen_params(m, r, eta)
     _require_length(x, m)
     nt = x.n - m
-    return _fuzzy_log_phi(x.values, m, nt, r, eta) - _fuzzy_log_phi(x.values, m + 1, nt, r, eta)
+    log_phi = _fuzzy_log_phi(x, m, nt, r, eta), _fuzzy_log_phi(x, m + 1, nt, r, eta)
+    if _EXPONENT_FLOOR in log_phi:
+        raise UndefinedEntropy(f"signal {x.id!r}: every fuzzy membership underflows at (m={m}, r={r}, eta={eta})")
+    return log_phi[0] - log_phi[1]
+
+
+def _band_sum(band: np.ndarray, width: int) -> np.ndarray:
+    """The sum of band[..., e] over e < width, as int64, by width - 1 slice adds (no reduction over a short axis)."""
+    total = band[..., 0].astype(np.int64)
+    for e in range(1, width):
+        total += band[..., e]
+    return total
 
 
 def _pair_counts(stack: np.ndarray, m: int) -> np.ndarray:
@@ -353,8 +382,8 @@ def _pair_counts(stack: np.ndarray, m: int) -> np.ndarray:
     The layers sit in one flat buffer, each with m zero rows and columns
     before it and 3m after, so a (2m+1)-wide window sum is 2m shifted adds
     of the flat buffer, in the narrowest unsigned type that holds (2m+1)^2
-    (uint8 up to m = 7), and a band is a strided view. The cost is
-    O(L m (nt + 4m)^2) whatever the number of matches; the counts are exact.
+    (uint8 up to m = 7), and a band is a strided view summed by _band_sum.
+    The counts are exact, at O(L m (nt + 4m)^2) whatever the number of matches.
     """
     n_layers, nt = stack.shape[:2]
     w, side = 2 * m + 1, nt + 4 * m
@@ -374,7 +403,8 @@ def _pair_counts(stack: np.ndarray, m: int) -> np.ndarray:
     box *= flat[m * side + m:m * side + m + cells]  # G at (i, j) lies m rows and columns after Y; zero elsewhere
     # a layer sums to less than side^2 w^2, and uint32 sums uint8 twice as fast as int64
     gy = box.reshape(n_layers, -1).sum(axis=1, dtype=np.uint32 if side * w < 2**16 else np.int64).astype(np.int64)
-    deg_pad = np.pad(deg.astype(np.int64), ((0, 0), (m, 3 * m)))
+    deg_pad = np.zeros((n_layers, nt + 4 * m), dtype=np.int64)
+    deg_pad[:, m:m + nt] = deg
     width = np.minimum(np.arange(nt) + m, nt - 1) - np.maximum(np.arange(nt) - m, 0) + 1  # |W(c)|
     s_win = sum(deg_pad[:, t:t + nt] for t in range(w))
     k2 = np.einsum("lc,lc->l", deg, 2 * s_win - y_diag + width - 1) - gy + y_diag.sum(axis=1)
@@ -384,8 +414,8 @@ def _pair_counts(stack: np.ndarray, m: int) -> np.ndarray:
                       for a in (flat, cols))
     own = np.zeros((n_layers, nt), dtype=np.int64)  # G(I x W(i)) - sum(deg over I) - (G(I x I) + |I|) / 2
     for d in range(2 * m, 0, -1):
-        own += c_band[:, :nt, d] - deg_pad[:, d:d + nt] - g_band[:, d:d + nt, :w - d].sum(axis=2, dtype=np.int64)
-        near = own + c_band[:, d:d + nt, :w - d].sum(axis=2, dtype=np.int64)  # + G(I x W(i + d))
+        own += c_band[:, :nt, d] - deg_pad[:, d:d + nt] - _band_sum(g_band[:, d:d + nt], w - d)
+        near = own + _band_sum(c_band[:, d:d + nt], w - d)  # + G(I x W(i + d))
         k2 += 2 * np.einsum("li,li->l", g_band[:, m:m + nt, d], near)  # G at (i, i + d), zero past nt
     return k2 // 2
 

@@ -26,7 +26,11 @@ class ZeroVariance(DataError):
 
 
 class VarianceOverflow(DataError):
-    """Signal's spread overflows float64: its sample standard deviation or a first difference is not finite."""
+    """Signal's spread overflows float64.
+
+    Its sample standard deviation, a first difference, or a baseline-removed
+    fuzzy-entropy template (a template minus its own mean) is not finite.
+    """
 
 
 class TooShort(DataError):

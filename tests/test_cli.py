@@ -415,6 +415,14 @@ class TestBaseline:
         assert code == 0
         assert env["payload"]["method"] == "fuzzen"
 
+    def test_fuzzen_with_every_membership_underflowing_exits_4(self, tmp_path, capsys):
+        # the two templates of each length lie past 1.7 apart, so (d / 0.2)^1000 overflows for both phi terms
+        code, env = run(["baseline", "--input", _csv(tmp_path, {"s": [0.0, 1.0, 0.0, 1.0]}), "--method", "fuzzen",
+                         "--eta", "1000"], tmp_path)
+        assert code == 4 and env is None
+        assert capsys.readouterr().err == ("sampenopt: computation error: signal 's': every fuzzy membership"
+                                           " underflows at (m=2, r=0.2, eta=1000.0)\n")
+
     @pytest.mark.parametrize("method", ["sampeneff", "convergence"])
     @pytest.mark.parametrize("order", [("spike", "tiny"), ("tiny", "spike")])
     def test_short_signal_exits_3_whatever_its_place(self, tmp_path, capsys, method, order):
@@ -672,6 +680,31 @@ class TestErrorsAndExitCodes:
         assert code == 3 and env is None
         err = capsys.readouterr().err
         assert err.startswith("sampenopt: data error: signal 'big': ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["estimate", "--input", "signals.csv", "--fuzzen", "--no-normalize", "--m", "2", "--r", "0.2"], 3,
+             "sampenopt: data error: signal 'a': a baseline-removed 2-point template overflows float64\n"),
+            (["estimate", "--input", "signals.csv", "--no-normalize", "--m", "1", "--r", "0.2", "--q", "0.5", "--B",
+              "20"], 0, ""),
+            (["estimate", "--input", "wn.csv", "--fuzzen", "--m", "2", "--r", "0.000001", "--eta", "1000"], 4,
+             "sampenopt: computation error: signal 'white_noise_00000': every fuzzy membership underflows"
+             " at (m=2, r=1e-06, eta=1000.0)\n"),
+        ],
+        ids=["fuzzen-template-overflows", "point-gap-overflows", "fuzzen-memberships-underflow"],
+    )
+    def test_overflows_exit_with_one_line_and_no_warning(self, tmp_path, argv, code, err):
+        # a fresh interpreter, so numpy's RuntimeWarnings print as a user sees them: once, on stderr
+        _csv(tmp_path, {"a": [1e308, 1e308, -1e308, 1e308, 1e308, 0, -1e308, -1e308, 3e307, 1e308, 2e307, 1e308]})
+        assert main(["synth", "white-noise", "--n", "1", "--len", "100", "--seed", "3", "--out", str(tmp_path / "wn.csv"),
+                     "--output", str(tmp_path / "synth.json")]) == 0
+        script = "from sampenopt.cli import main; raise SystemExit(main())"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--output", "out.json"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (code, err)
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestUnwritableOutput:

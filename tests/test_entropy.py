@@ -12,6 +12,7 @@ from sampenopt.entropy import (
     MatchCounts,
     SampEnParams,
     _cp_sigma_grid,
+    _fuzzy_log_phi,
     _match_matrices,
     _ordered_counts,
     _pair_counts,
@@ -23,7 +24,7 @@ from sampenopt.entropy import (
     fuzzen,
     sampen,
 )
-from sampenopt.errors import SignalTooShort, UndefinedEntropy
+from sampenopt.errors import SignalTooShort, UndefinedEntropy, VarianceOverflow
 from sampenopt.signal import Signal, gen_white_noise, normalize
 
 # ---------------------------------------------------------------------------
@@ -69,6 +70,19 @@ def naive_fuzzen(x, m, r, eta):
         return top + math.log(math.fsum(math.exp(u - top) for u in exponents)) - math.log(len(exponents))
 
     return log_phi(m) - log_phi(m + 1)
+
+
+def fuzzy_log_phi_tensor(x, k, nt, r, eta):
+    """_fuzzy_log_phi's tensor form: the (nt, nt, k) template gaps reduced over their last axis."""
+    t = np.lib.stride_tricks.sliding_window_view(x, k)[:nt].astype(np.float64)
+    t = t - t.mean(axis=1, keepdims=True)
+    d = np.abs(t[:, None, :] - t[None, :, :]).max(axis=2)
+    with np.errstate(over="ignore"):
+        u = -np.power(d / r, eta)
+    u = np.maximum(u, -1e300)
+    np.fill_diagonal(u, -np.inf)
+    top = u.max()
+    return float(top + np.log(np.exp(u - top).sum()) - math.log(nt * (nt - 1)))
 
 
 def naive_cp_sigma(x, m, r):
@@ -425,6 +439,55 @@ class TestFuzzen:
     def test_radius_and_eta_must_be_finite(self, white100, r, eta):
         with pytest.raises(ValueError):
             fuzzen(white100, 2, r, eta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3).map(lambda v: round(v, 1))),
+                        min_size=60, max_size=60),
+        m=st.integers(1, 5),
+        extend=st.booleans(),
+        extra=st.integers(0, 53),
+        r=st.floats(-3.0, 6.0).map(lambda e: 10.0**e),
+        eta=st.sampled_from([0.5, 1.0, 2.0, 3.5, 50.0]),
+    )
+    # every off-diagonal 2-template gap is past 5e3, so (d / r)^50 overflows and every exponent is clamped
+    @example(values=[0.0, 1e4, 3e4, 7e4, 1.5e5] + [0.0] * 55, m=1, extend=True, extra=0, r=1e-3, eta=50.0)
+    def test_log_phi_equals_tensor_form_bit_for_bit(self, values, m, extend, extra, r, eta):
+        # k = 1..6 over N = m + 2..60, ties from the small integers, clamped exponents at small r and large eta
+        x = np.asarray(values[:m + 2 + extra])
+        k, nt = m + extend, x.size - m
+        assert _fuzzy_log_phi(Signal("t", x), k, nt, r, eta) == fuzzy_log_phi_tensor(x, k, nt, r, eta)
+
+    def test_memory_is_two_distance_buffers(self):
+        # the distances and one column's gaps, (nt, nt) floats each: no (nt, nt, k) tensor
+        x = normalize(gen_white_noise(1000, 1.0, seed=8))
+        nt = x.n - 2
+        tracemalloc.start()
+        try:
+            fuzzen(x, 2, 0.2, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * nt * nt + 2**20
+
+    def test_overflowing_template_raises_variance_overflow(self):
+        # two 1e308 values in one template: its mean overflows, so it has no baseline-removed form
+        x = Signal("a", [1e308, 1e308, -1e308, 1e308, 1e308, 0.0, -1e308, -1e308, 3e307, 1e308, 2e307, 1e308])
+        with pytest.raises(VarianceOverflow, match="signal 'a': a baseline-removed 2-point template overflows"):
+            fuzzen(x, 2, 0.2, 2.0)
+
+    def test_overflowing_gap_is_a_zero_membership(self):
+        # opposite-parity 2-templates lie 3e308 apart, past float64: of the 72 ordered pairs only the 32
+        # same-parity ones are members, while every 1-point baseline-removed template is 0
+        x = Signal("alt", [1.5e308, -1.5e308] * 5)
+        assert abs(fuzzen(x, 1, 0.2, 2.0) - math.log(72 / 32)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_every_membership_underflowing_is_undefined(self, white100, m):
+        # every off-diagonal exponent of phi_{m+1} overflows to the clamp; at m = 1 phi_1 is 0
+        # (1-point baseline-removed templates are all 0), at m = 2 both terms are clamped
+        with pytest.raises(UndefinedEntropy, match=rf"signal 'wn': .* at \(m={m}, r=1e-06, eta=1000.0\)$"):
+            fuzzen(white100, m, 1e-6, 1000.0)
 
 
 class TestCountingSe:

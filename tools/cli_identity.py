@@ -98,6 +98,9 @@ def _inputs() -> None:
     Path("dup.cfg").write_text("m = 1\nr = 0.25\nm = 3\n")
     # the spike leaves no radius defined at m = 2, and the 3-point signal after it is too short
     _write_long("spike.csv", {"spike": ("", np.array([0.0, 0.0, 100.0, 0.0, 0.0])), "tiny": ("", np.array([0.0, 1.0, 0.5]))})
+    # raw values at the float limit: the mean of a template holding two 1e308 values overflows
+    _write_long("big2.csv", {"a": ("", np.array([1e308, 1e308, -1e308, 1e308, 1e308, 0, -1e308, -1e308, 3e307, 1e308,
+                                                 2e307, 1e308]))})
 
 
 OPT = ["--T", "8", "--T-init", "4", "--B", "15", "--seed", "9"]
@@ -195,6 +198,15 @@ RUNS = {
     "optimize-tiny-fixed-q": ["optimize", "--input", "in.csv", "--no-preprocess", "--fixed-q", "1e-300", *OPT],
     # a too-short signal is reported whatever its place in the file
     "reject-3-short-signal-after-spike": ["baseline", "--input", "spike.csv", "--method", "sampeneff", "--m", "2"],
+    # unnormalized values at the float limit: fuzzy entropy's templates overflow, and the point gaps
+    # that overflow are simply not within r
+    "reject-3-fuzzen-template-overflow": ["estimate", "--input", "big2.csv", "--fuzzen", "--no-normalize", "--m", "2",
+                                          "--r", "0.2"],
+    "estimate-point-gap-overflow": ["estimate", "--input", "big2.csv", "--no-normalize", "--m", "1", "--r", "0.2",
+                                    "--q", "0.5", "--B", "20"],
+    # every fuzzy membership exponent overflows to the clamp: the entropy is not representable
+    "reject-4-fuzzen-memberships-underflow": ["estimate", "--input", "in.csv", "--fuzzen", "--m", "2", "--r",
+                                              "0.000001", "--eta", "1000"],
 }
 
 
