@@ -12,11 +12,11 @@ and a larger q never lengthens a block. An optimizer search draws each
 signal's table once and every trial reuses it (common random numbers).
 
 bootstrap_sampen is the one bootstrap path: estimate, compare, varbench,
-the CLI's per-signal records and every optimizer trial call it. It
-thresholds the signal's point gaps once, scores the original from that
-matrix as sampen does, takes all B replicates' blocks from one table
-(drawn from generator(cfg.seed), or passed in) and scores them from the
-same matrix in one batched pass (entropy._replicate_values).
+the CLI's per-signal records and every optimizer trial call it. It takes
+all B replicates' blocks from one table (drawn from generator(cfg.seed),
+or passed in), and scores the original, as the identity row 0, and the B
+replicates in one batched pass over the signal's rank plan, built once per
+search or per call, with no (N, N) match matrix (entropy._replicate_values).
 BootstrapEstimates holds the replicate values as a float array and
 computes their finite-replicate summary (mean, variance, MSE and bias) once
 per estimate set; mse, variance and bias read it.
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import SampEnParams, SampEnResult, _counts_and_matches, _replicate_values, _sampen_from_counts
+from .entropy import SampEnParams, SampEnResult, _RankPlan, _rank_plan, _replicate_values, _require_length
 from .errors import Infeasible
 from .rng import generator
 from .signal import Signal
@@ -113,9 +113,10 @@ class BootstrapEstimates:
         if not self.feasible:
             raise Infeasible("bootstrap estimate set is infeasible (too many non-finite values)")
         vals, theta = self._sorted_finite, self.original.value
-        mean = vals.mean()
-        return Summary(float(mean), float(np.mean((vals - mean) ** 2)), float(np.mean((theta - vals) ** 2)),
-                       float(mean - theta))
+        # sum() / size is np.mean's arithmetic, without its dispatch
+        mean = vals.sum() / vals.size
+        return Summary(float(mean), float(((vals - mean) ** 2).sum() / vals.size),
+                       float(((theta - vals) ** 2).sum() / vals.size), float(mean - theta))
 
     def finite_values(self) -> np.ndarray:
         return self.replicates[np.isfinite(self.replicates)]
@@ -148,6 +149,14 @@ class BlockDraws(NamedTuple):
 
     starts: np.ndarray
     exponentials: np.ndarray
+
+
+class PlannedBlocks(NamedTuple):
+    """A signal's BlockDraws table with its rank plan (entropy._rank_plan), built together once per search."""
+
+    starts: np.ndarray
+    exponentials: np.ndarray
+    plan: _RankPlan
 
 
 def _draw_blocks(n: int, b: int, rng: np.random.Generator) -> BlockDraws:
@@ -191,7 +200,7 @@ def stationary_bootstrap(x: Signal, q: float, rng: np.random.Generator) -> Signa
 
 
 def bootstrap_sampen(
-    x: Signal, p: SampEnParams, cfg: BootstrapConfig, blocks: BlockDraws | None = None
+    x: Signal, p: SampEnParams, cfg: BootstrapConfig, blocks: BlockDraws | PlannedBlocks | None = None
 ) -> BootstrapEstimates:
     """The original sampen of x and the sampen values of its B stationary-bootstrap replicates.
 
@@ -200,31 +209,26 @@ def bootstrap_sampen(
     become Geom(cfg.q) lengths by inversion, row b being replicate b. The
     draws depend only on (x.n, cfg.b, cfg.seed), not on (m, r, q) or on
     execution order. blocks, when given, must be that table, drawn earlier:
-    an optimizer search draws it once per signal and passes it to every
-    trial, which then makes no draw. The estimates are the same either way.
+    an optimizer search draws it once per signal and passes it, with x's
+    rank plan, as PlannedBlocks to every trial, which then makes no draw
+    and builds no plan. The estimates are the same either way.
 
-    A replicate's point gaps are gaps of x, so the original and all B
-    replicates are counted from x's point-match matrix, thresholded once:
-    the original as sampen counts it, the replicates in one batched pass
-    (entropy._replicate_counts). That matrix, read in x's sorted order,
-    gives each point the rank interval of the points within r of it, so a
-    point pair of a replicate matches when the partner's rank falls in the
-    interval. Only half of the ordered pairs are tested: the partners at
-    circular offsets d = 1..n//2, each unordered template pair once, and
-    every count is doubled. The point tests are packed into 64-bit words,
-    and the m- and (m+1)-template matches come from shifting and ANDing
-    those words. Each replicate value equals sampen's on that replicate
-    exactly.
+    A replicate's point gaps are gaps of x, so x and all B replicates are
+    counted in one batched pass over x's rank plan (entropy._rank_plan), x
+    as its identity row 0 (entropy._replicate_counts), and a call without a
+    plan builds one; no call thresholds an (N, N) match matrix. The original
+    equals sampen(x, p), and each replicate value sampen's on that
+    replicate, exactly.
     """
-    counts, g = _counts_and_matches(x, p)
+    _require_length(x, p.m)
     n = x.n
     if blocks is None:
         blocks = _draw_blocks(n, cfg.b, generator(cfg.seed))
     elif blocks.starts.shape != (cfg.b, n):
         raise ValueError(f"block draws have shape {blocks.starts.shape}, need (B, n) = {(cfg.b, n)}")
+    plan = blocks.plan if isinstance(blocks, PlannedBlocks) else _rank_plan(x.values)
     lengths = _block_lengths(blocks.exponentials, cfg.q, n)
-    replicates = _replicate_values(x.values, g, _block_indices(blocks.starts, lengths, n), p.m)
-    return BootstrapEstimates(_sampen_from_counts(counts), replicates)
+    return BootstrapEstimates(*_replicate_values(plan, p, _block_indices(blocks.starts, lengths, n)))
 
 
 def variance(est: BootstrapEstimates) -> float:

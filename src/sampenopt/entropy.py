@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,64 +159,104 @@ def _shifted(words: np.ndarray, j: int) -> np.ndarray:
     return out
 
 
-def _replicate_counts(x: np.ndarray, g: np.ndarray, idx: np.ndarray, m: int) -> np.ndarray:
-    """Ordered (B, A) match counts of every resampled signal x[idx[b]], as a (B, 2) array.
+class _RankPlan(NamedTuple):
+    """A signal x's rank plan (_rank_plan), read by _replicate_counts at any (m, r).
 
-    g is x's point-match matrix _point_matches(x, r). Row b equals
-    _ordered_counts(g[i][:, i], m) for i = idx[b], without gathering any
-    (N, N) block. The float gap test rounds monotonically, so the points
-    within r of x_i form one contiguous run of x's stable sort order:
-    ranks lo_i .. lo_i + width_i, the first and last true entries of g's
-    row i in sorted order (ties included). A point pair (s, t) of a
-    resample then matches iff rank[t] - lo[s] <= width[s] in unsigned
-    arithmetic. Ranks take the first unsigned dtype of _RANK_TIERS that
-    holds N (uint8 up to N = 256, then uint16, then uint32), 2**w values
-    wide: a partner below the run, rank[t] < lo[s], wraps to
-    2**w - (lo[s] - rank[t]) >= 2**w - lo[s] > N - 1 - lo[s] >= width[s],
-    so one compare tests the run.
-
-    Pairs (s, (s + d) mod N) for d = 1..N//2 cover every unordered pair
-    once, and the partner ranks of row d are a window of the doubled rank
-    row. Each chunk of replicates tests its (k, N//2, N) point pairs in one
-    subtract and one compare, into bool rows padded to whole 64-bit words,
-    and packs them once, flat and little-endian: bit s of row (b, d) is
-    the test of (s, (s + d) mod N), read as '<u8' words on any host. The
-    template at start s matches its partner at length m iff bits s..s+m-1
-    of its row are set, so the m-matches are the row ANDed with itself
-    shifted right by 1..m-1 bits (_shifted), and the (m+1)-matches one
-    shift by m more. A shift runs over the chunk's flat word stream: a
-    shift by j >= 64 skips whole words, and bits that cross into the row
-    before land at s >= 64 * row_words - j >= nt. Those and every other pair
-    outside the comparisons are cleared by the packed validity mask
-    _valid_words(N, m), ANDed in before the first shift; the set bits are
-    counted with bitwise_count on the words, each unordered match once,
-    and doubled.
+    rank: x's stable-sort ranks, in the first _RANK_TIERS dtype that holds N.
+    gaps: the (N, N + 1) float64 matrix x_i - xs_j against x's sorted points xs, its last column -inf.
+    words: _valid_words(N, m), flat, for each m asked for.
     """
-    n, b = x.size, idx.shape[0]
-    half, row_words = n // 2, -(-n // 64)
+
+    rank: np.ndarray
+    gaps: np.ndarray
+    words: dict[int, np.ndarray]
+
+    def runs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per point i, the sorted positions first_i .. first_i + width_i of the points within r of x_i.
+
+        |d| <= r iff -r <= d <= r (abs and negation are exact), and rounding is
+        monotone, so a row of gaps is non-increasing and its points within r
+        run from its first gap <= r to before its first gap < -r.
+        """
+        first = np.argmax(self.gaps <= r, axis=1)
+        return first, np.argmax(self.gaps < -r, axis=1) - 1 - first
+
+    def valid_words(self, m: int) -> np.ndarray:
+        if m not in self.words:
+            self.words[m] = _valid_words(self.rank.size, m).reshape(-1)
+        return self.words[m]
+
+
+def _rank_plan(x: np.ndarray) -> _RankPlan:
+    """x's rank plan: its ranks, and its gaps against its sorted points in 8 N (N + 1) bytes."""
+    n = x.size
     rank_t = next(rank_t for most, rank_t in _RANK_TIERS if n <= most)
     order = np.argsort(x, kind="stable")
     rank = np.empty(n, dtype=rank_t)
     rank[order] = np.arange(n, dtype=rank_t)
-    g = g[:, order]
-    first = np.argmax(g, axis=1)
-    last = n - 1 - np.argmax(g[:, ::-1], axis=1)
-    lo = np.take(first.astype(rank_t), idx)[:, None, :]
-    width = np.take((last - first).astype(rank_t), idx)[:, None, :]
-    ranks = np.take(rank, idx)
-    partners = np.lib.stride_tricks.sliding_window_view(np.concatenate((ranks, ranks), axis=1), n, axis=1)
-    valid = _valid_words(n, m).reshape(-1)
+    gaps = np.empty((n, n + 1))
+    with np.errstate(over="ignore"):  # an infinite gap lies outside every run
+        np.subtract(x[:, None], x[order], out=gaps[:, :n])
+    gaps[:, n] = -np.inf
+    return _RankPlan(rank, gaps, {})
+
+
+def _replicate_counts(plan: _RankPlan, r: float, idx: np.ndarray, m: int) -> np.ndarray:
+    """Ordered (B, A) match counts of x and of every resampled signal x[idx[b]], as a (B + 1, 2) array.
+
+    plan is _rank_plan(x). With g = _point_matches(x, r), row 0, the
+    identity resample, equals _ordered_counts(g, m), and row b + 1
+    _ordered_counts(g[i][:, i], m) for i = idx[b], without building g: the
+    points within r of x_i are ranks lo_i .. lo_i + width_i of x's stable
+    sort order (plan.runs(r)). A point pair (s, t) of a resample then matches
+    iff rank[t] - lo[s] <= width[s] in unsigned arithmetic. Ranks take the
+    first unsigned dtype of _RANK_TIERS that holds N (uint8 up to N = 256,
+    then uint16, then uint32), 2**w values wide: a partner below the run,
+    rank[t] < lo[s], wraps to 2**w - (lo[s] - rank[t]) >= 2**w - lo[s] >
+    N - 1 - lo[s] >= width[s], so one compare tests the run.
+
+    Pairs (s, (s + d) mod N) for d = 1..N//2 cover every unordered pair
+    once, and the partner ranks of row d are a window of the doubled rank
+    row, read through one strided view. Each chunk of resamples tests its
+    (k, N//2, N) point pairs in one subtract and one compare, into bool rows
+    padded to whole 64-bit words, and packs them once, flat and
+    little-endian: bit s of row (b, d) is the test of (s, (s + d) mod N),
+    read as '<u8' words on any host. The template at start s matches its
+    partner at length m iff bits s..s+m-1 of its row are set, so the
+    m-matches are the row ANDed with itself shifted right by 1..m-1 bits
+    (_shifted), and the (m+1)-matches one shift by m more. A shift runs over
+    the chunk's flat word stream: a shift by j >= 64 skips whole words, and
+    bits that cross into the row before land at s >= 64 * row_words - j >=
+    nt. Those and every other pair outside the comparisons are cleared by
+    the packed validity mask _valid_words(N, m), kept by the plan, ANDed
+    in before the first shift; the set bits are counted with
+    bitwise_count on the words, each unordered match once, and doubled.
+    """
+    rank = plan.rank
+    n, b = rank.size, idx.shape[0] + 1
+    half, row_words = n // 2, -(-n // 64)
+    lo, width = np.empty((2, b, 1, n), dtype=rank.dtype)
+    lo[0, 0], width[0, 0] = plan.runs(r)
+    ranks = np.empty((b, 2 * n), dtype=rank.dtype)
+    ranks[0, :n] = rank
+    # a fancy-index assignment beats np.take into these buffers
+    lo[1:, 0], width[1:, 0], ranks[1:, :n] = lo[0, 0][idx], width[0, 0][idx], rank[idx]
+    ranks[:, n:] = ranks[:, :n]
+    # partners[b, d - 1, s] = ranks[b, s + d], the rank of point (s + d) mod N of resample b
+    size = ranks.itemsize
+    partners = np.ndarray((b, half, n), ranks.dtype, ranks, size, (2 * n * size, size, size))
+    valid = plan.valid_words(m)
     step = max(1, _CHUNK_PAIRS // (half * n))
-    gaps = np.empty((min(step, b), half, n), dtype=rank_t)
-    point = np.zeros((gaps.shape[0], half, 64 * row_words), dtype=bool)  # bits past N are never counted
+    offsets = np.empty((min(step, b), half, n), dtype=rank.dtype)
+    point = np.zeros((offsets.shape[0], half, 64 * row_words), dtype=bool)  # bits past N are never counted
     # the m- and (m+1)-template matches of a chunk, word for word
-    both = np.empty((2, gaps.shape[0] * valid.size), dtype="<u8")
+    both = np.empty((2, offsets.shape[0] * valid.size), dtype="<u8")
     counts = np.empty((b, 2), dtype=np.int64)
     for c in range(0, b, step):
         k = min(step, b - c)
         rows = slice(c, c + k)
-        np.subtract(partners[rows, 1:half + 1], lo[rows], out=gaps[:k])
-        np.less_equal(gaps[:k], width[rows], out=point[:k, :, :n])
+        np.subtract(partners[rows], lo[rows], out=offsets[:k])
+        np.less_equal(offsets[:k], width[rows], out=point[:k, :, :n])
         packed = np.packbits(point[:k], bitorder="little").view("<u8")
         tm, tm1 = both[:, :packed.size]
         np.bitwise_and(packed.reshape(k, -1), valid, out=tm.reshape(k, -1))
@@ -235,18 +276,12 @@ def _require_length(x: Signal, m: int) -> None:
         raise SignalTooShort(f"signal {x.id!r}: need N >= m + 2 = {m + 2}, got N = {x.n}")
 
 
-def _counts_and_matches(x: Signal, p: SampEnParams) -> tuple[MatchCounts, np.ndarray]:
-    """count_matches(x, p) and the point-match matrix it counted on, for a caller that reuses it."""
-    _require_length(x, p.m)
-    g = _point_matches(x.values, p.r)
-    nt = x.n - p.m
-    b_count, a_count = _ordered_counts(g, p.m)
-    return MatchCounts(b_count=b_count, a_count=a_count, z=nt * (nt - 1)), g
-
-
 def count_matches(x: Signal, p: SampEnParams) -> MatchCounts:
     """Count ordered template-pair matches at lengths m and m+1 (needs N >= m + 2)."""
-    return _counts_and_matches(x, p)[0]
+    _require_length(x, p.m)
+    nt = x.n - p.m
+    b_count, a_count = _ordered_counts(_point_matches(x.values, p.r), p.m)
+    return MatchCounts(b_count=b_count, a_count=a_count, z=nt * (nt - 1))
 
 
 def _sampen_value(b_count: int, a_count: int) -> float:
@@ -271,18 +306,20 @@ def _sampen_from_counts(c: MatchCounts) -> SampEnResult:
     return SampEnResult(bm=bm, am=am, cp=c.a_count / c.b_count, value=_sampen_value(c.b_count, c.a_count))
 
 
-def _replicate_values(x: np.ndarray, g: np.ndarray, idx: np.ndarray, m: int) -> np.ndarray:
-    """SampEn of every resampled signal x[idx[b]], as a read-only float64 (B,) array.
+def _replicate_values(plan: _RankPlan, p: SampEnParams, idx: np.ndarray) -> tuple[SampEnResult, np.ndarray]:
+    """sampen of x, and of every resampled signal x[idx[b]] as a read-only float64 (B,) array.
 
-    Entry b is sampen's value on x[idx[b]] bit for bit, with nan where it is
-    undefined: the counts of _replicate_counts go through _sampen_value as
+    plan is _rank_plan(x), and x is counted as the identity row 0 of
+    _replicate_counts. Entry b is sampen's value on x[idx[b]] bit for bit,
+    with nan where it is undefined: the counts go through _sampen_value as
     Python ints, so each value takes math.log, not np.log, whose vector loop
     can differ from libm in the last bit.
     """
-    b_counts, a_counts = _replicate_counts(x, g, idx, m).T.tolist()
-    vals = np.array(list(map(_sampen_value, b_counts, a_counts)), dtype=np.float64)
+    b_counts, a_counts = _replicate_counts(plan, p.r, idx, p.m).T.tolist()
+    nt = plan.rank.size - p.m
+    vals = np.array(list(map(_sampen_value, b_counts[1:], a_counts[1:])), dtype=np.float64)
     vals.setflags(write=False)
-    return vals
+    return _sampen_from_counts(MatchCounts(b_counts[0], a_counts[0], nt * (nt - 1))), vals
 
 
 def sampen(x: Signal, p: SampEnParams) -> SampEnResult:
@@ -343,7 +380,8 @@ def fuzzen(x: Signal, m: int, r: float, eta: float = 2.0) -> float:
     _fuzzen_params(m, r, eta)
     _require_length(x, m)
     nt = x.n - m
-    log_phi = _fuzzy_log_phi(x, m, nt, r, eta), _fuzzy_log_phi(x, m + 1, nt, r, eta)
+    # a one-point template minus its mean is 0, every membership 1: log phi_1 is +0.0 without the (nt, nt) pass
+    log_phi = (0.0 if m == 1 else _fuzzy_log_phi(x, m, nt, r, eta)), _fuzzy_log_phi(x, m + 1, nt, r, eta)
     if _EXPONENT_FLOOR in log_phi:
         raise UndefinedEntropy(f"signal {x.id!r}: every fuzzy membership underflows at (m={m}, r={r}, eta={eta})")
     return log_phi[0] - log_phi[1]

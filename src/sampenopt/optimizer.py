@@ -19,7 +19,8 @@ each; OptResult.records keeps the Trial objects.
 RNG streams: before the first trial, signal i's bootstrap table ((B, n)
 block starts and (B, n) exponentials) is drawn once from
 generator(child_seed(seed, 0, i)), the stream estimate and compare use for
-signal i. Every trial resamples signal i from that table, turning the
+signal i, with its rank plan (8 N (N + 1) bytes; evaluate_s includes
+both). Every trial resamples signal i from that table, turning the
 exponentials into Geom(q) lengths at its own q, so two trials differ only
 through psi: common random numbers, which make their y a paired
 comparison. The TPE proposal (and random-init draw) for trial t uses
@@ -37,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import BlockDraws, BootstrapConfig, BootstrapEstimates, _draw_blocks, bootstrap_sampen
-from .entropy import SampEnParams
+from .bootstrap import BootstrapConfig, BootstrapEstimates, PlannedBlocks, _draw_blocks, bootstrap_sampen
+from .entropy import SampEnParams, _rank_plan
 from .errors import AllTrialsInfeasible, Infeasible, SignalTooShort
 from .rng import child_seed, generator
 from .signal import Signal, SignalSet
@@ -82,7 +83,7 @@ class OptResult:
     sets that scored best_y, those of the first trial with the lowest y.
     timings holds the seconds spent choosing points (propose_s: random draws
     and TPE proposals) and scoring them (evaluate_s, which includes drawing
-    the signals' bootstrap tables), summed over trials.
+    the signals' bootstrap tables and plans), summed over trials.
     """
 
     best_psi: ParamVector
@@ -100,10 +101,11 @@ class OptResult:
         return out
 
 
-def _signal_blocks(signals: tuple[Signal, ...], b: int, seed: int) -> tuple[tuple[int, BlockDraws], ...]:
-    """Per signal i: its bootstrap seed child_seed(seed, 0, i) and the (B, n) table that seed's stream gives."""
+def _signal_blocks(signals: tuple[Signal, ...], b: int, seed: int) -> tuple[tuple[int, PlannedBlocks], ...]:
+    """Per signal i: its bootstrap seed child_seed(seed, 0, i), and the (B, n) table that seed's stream gives, planned."""
     seeds = [child_seed(seed, 0, i) for i in range(len(signals))]
-    return tuple((s, _draw_blocks(x.n, b, generator(s))) for s, x in zip(seeds, signals))
+    return tuple((s, PlannedBlocks(*_draw_blocks(x.n, b, generator(s)), _rank_plan(x.values)))
+                 for s, x in zip(seeds, signals))
 
 
 def _objective(
@@ -111,11 +113,11 @@ def _objective(
     psi: ParamVector,
     lam: float,
     b: int,
-    blocks: tuple[tuple[int, BlockDraws], ...],
+    blocks: tuple[tuple[int, PlannedBlocks], ...],
 ) -> tuple[Trial, tuple[BootstrapEstimates, ...]]:
     """Mean bootstrap MSE + lambda*sqrt(r) and the per-signal estimates; (+inf, ()) at the first infeasible signal.
 
-    blocks[i] is signal i's (seed, table) from _signal_blocks.
+    blocks[i] is signal i's (seed, table and rank plan) from _signal_blocks.
     """
     params = SampEnParams(m=psi.m, r=psi.r)
     estimates, scored = [], []

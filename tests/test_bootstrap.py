@@ -18,10 +18,11 @@ from sampenopt.bootstrap import (
     stationary_bootstrap,
     variance,
 )
-from sampenopt.entropy import SampEnParams, SampEnResult, _point_matches, sampen
+from sampenopt.entropy import SampEnParams, SampEnResult, _point_matches, _rank_plan, sampen
 from sampenopt.errors import Infeasible, SignalTooShort
+from sampenopt.optimizer import OptimizerConfig, optimize_set
 from sampenopt.rng import generator
-from sampenopt.signal import Signal, gen_white_noise
+from sampenopt.signal import Signal, SignalSet, gen_white_noise
 
 
 def _result(value) -> SampEnResult:
@@ -257,19 +258,32 @@ class TestBootstrapSampen:
         with pytest.raises(ValueError, match=r"need \(B, n\) = \(7, 50\)"):
             bootstrap_sampen(x, SampEnParams(1, 0.3), cfg, _draw_blocks(49, 7, generator(4)))
 
-    def test_one_point_match_matrix_per_call(self, monkeypatch):
-        # the original and all B replicates are counted from one thresholded matrix
-        built = []
+    def test_one_plan_per_signal_per_search(self, monkeypatch):
+        # a plan-less call builds one rank plan; a T-trial search on k signals builds k, one beside each
+        # signal's table, and no trial builds another; nothing thresholds an (N, N) match matrix
+        built, thresholded = [], []
 
-        def counting(x, r):
-            built.append(r)
+        def planning(x):
+            built.append(x.size)
+            return _rank_plan(x)
+
+        def matching(x, r):
+            thresholded.append(r)
             return _point_matches(x, r)
 
-        monkeypatch.setattr("sampenopt.entropy._point_matches", counting)
+        monkeypatch.setattr("sampenopt.bootstrap._rank_plan", planning)
+        monkeypatch.setattr("sampenopt.optimizer._rank_plan", planning)
+        monkeypatch.setattr("sampenopt.entropy._point_matches", matching)
         x = gen_white_noise(50, 1.0, seed=11)
         est = bootstrap_sampen(x, SampEnParams(2, 0.3), BootstrapConfig(q=0.5, b=20, seed=5))
         assert len(est.replicates) == 20
-        assert built == [0.3]
+        assert built == [50]
+        built.clear()
+        signals = SignalSet(tuple(gen_white_noise(n, 1.0, seed=n, id=f"s{n}") for n in (40, 50, 60)))
+        res = optimize_set(signals, OptimizerConfig(b=10, t_tilde=12, t_init=4, seed=6))
+        assert len(res.records) == 12 and any(rec.feasible for rec in res.records)
+        assert built == [40, 50, 60]
+        assert thresholded == []
 
 
 class TestBootstrapOracle:

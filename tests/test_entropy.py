@@ -17,6 +17,7 @@ from sampenopt.entropy import (
     _ordered_counts,
     _pair_counts,
     _point_matches,
+    _rank_plan,
     _replicate_counts,
     count_matches,
     counting_se,
@@ -343,9 +344,68 @@ class TestReplicateCounts:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("sampenopt.entropy._CHUNK_PAIRS", chunk_pairs)
             mp.setattr("sampenopt.entropy._RANK_TIERS", _RANK_TIERS[tier:])
-            got = _replicate_counts(x, _point_matches(x, r), idx, m)
-        assert got.shape == (b, 2)
-        assert np.array_equal(got, replicate_counts_oracle(x, idx, m, r))
+            got = _replicate_counts(_rank_plan(x), r, idx, m)
+        # row 0 is x itself, rows 1..B the resamples
+        assert got.shape == (b + 1, 2)
+        assert np.array_equal(got, replicate_counts_oracle(x, np.vstack((np.arange(n), idx)), m, r))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3).map(lambda v: round(v, 1)),
+                                  st.sampled_from([1.7e308, -1.7e308, 1e308, -1e308])),
+                        min_size=3, max_size=70),
+        m=st.integers(1, 4),
+        r=st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_identity_row_equals_count_matches(self, values, m, r, seed):
+        # the original, counted as the batched kernel's identity row 0, is count_matches' count
+        x = np.asarray(values)
+        if x.size < m + 2:
+            return
+        idx = np.random.default_rng(seed).integers(0, x.size, (3, x.size))
+        c = count_matches(Signal("t", x), SampEnParams(m, r))
+        assert _replicate_counts(_rank_plan(x), r, idx, m)[0].tolist() == [c.b_count, c.a_count]
+
+
+class TestRankPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3),
+                                  st.sampled_from([1.7e308, -1.7e308, 1e308, -1e308, 5e307])),
+                        min_size=1, max_size=70),
+        tier=st.integers(0, len(_RANK_TIERS) - 1),
+        r_pick=st.integers(0, 2**16),
+    )
+    # tied values; gaps past float64 at +-1.7e308
+    @example(values=[0.0, 1.0, 1.0, -2.0, 0.0, 1.0], tier=0, r_pick=0)
+    @example(values=[1.7e308, -1.7e308, 0.0, 1e308, -1e308, 1.7e308], tier=1, r_pick=3)
+    def test_runs_equal_the_thresholded_sorted_matrix(self, values, tier, r_pick):
+        # (first, width) from two compares on the plan's gaps is the argmax form on the point-match
+        # matrix with its columns in x's stable order, whose true entries form that one run in every row;
+        # r at half the smallest gap, past the spread, and at exact gaps; ranks in every tier's dtype
+        x = np.asarray(values)
+        n = x.size
+        with np.errstate(over="ignore"):
+            gaps = np.unique(np.abs(x[:, None] - x[None, :]))
+            spread = min(float(np.ptp(x)) + 1.0, 1.7e308)
+        gaps = gaps[(gaps > 0) & np.isfinite(gaps)]
+        radii = [gaps[0] / 2 if gaps.size else 0.01, spread, *gaps[:: max(1, gaps.size // 8)].tolist()]
+        r = radii[r_pick % len(radii)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("sampenopt.entropy._RANK_TIERS", _RANK_TIERS[tier:])
+            plan = _rank_plan(x)
+        order = np.argsort(x, kind="stable")
+        assert plan.rank.dtype == _RANK_TIERS[tier][1]
+        assert np.array_equal(plan.rank, np.argsort(order))
+        assert plan.gaps.shape == (n, n + 1) and (plan.gaps[:, n] == -np.inf).all()
+        sorted_g = _point_matches(x, r)[:, order]
+        first = np.argmax(sorted_g, axis=1)
+        last = n - 1 - np.argmax(sorted_g[:, ::-1], axis=1)
+        got_first, got_width = plan.runs(r)
+        assert np.array_equal(got_first, first) and np.array_equal(got_width, last - first)
+        pos = np.arange(n)
+        assert np.array_equal(sorted_g, (pos >= first[:, None]) & (pos <= last[:, None]))
 
 
 class TestLengthRule:
@@ -481,6 +541,22 @@ class TestFuzzen:
         # same-parity ones are members, while every 1-point baseline-removed template is 0
         x = Signal("alt", [1.5e308, -1.5e308] * 5)
         assert abs(fuzzen(x, 1, 0.2, 2.0) - math.log(72 / 32)) <= 1e-12
+
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(30).standard_normal(3),
+        np.random.default_rng(31).standard_normal(100),
+        np.round(np.random.default_rng(32).standard_normal(40), 1),
+        np.full(20, 1.5),
+        [1.5e308, -1.5e308] * 5,
+        [1e308, -1e308, 0.0, 0.1, 0.05, 1.7e308, -1.7e308, 0.0, 0.25, 1e-300, 0.2],
+    ])
+    def test_m1_skips_phi_1_bit_for_bit(self, values):
+        # fuzzen at m = 1 takes log phi_1 as +0.0 without its (nt, nt) pass, as the full pass gives it
+        x = Signal("t", values)
+        nt = x.n - 1
+        full = _fuzzy_log_phi(x, 1, nt, 0.3, 2.0)
+        assert full.hex() == (0.0).hex()
+        assert fuzzen(x, 1, 0.3, 2.0).hex() == (full - _fuzzy_log_phi(x, 2, nt, 0.3, 2.0)).hex()
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_every_membership_underflowing_is_undefined(self, white100, m):

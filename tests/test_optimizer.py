@@ -8,7 +8,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from sampenopt.bootstrap import BootstrapConfig, _draw_blocks, bias, bootstrap_sampen, mse, variance
-from sampenopt.entropy import SampEnParams
+from sampenopt.entropy import SampEnParams, _valid_words
 from sampenopt.errors import AllTrialsInfeasible, SignalTooShort
 from sampenopt.optimizer import (
     OptimizerConfig,
@@ -205,6 +205,14 @@ class TestOneBootstrapPath:
             assert all(blocks is first for blocks in rest)
             drawn = _draw_blocks(x.n, cfg.b, generator(child_seed(cfg.seed, 0, i)))
             assert all(np.array_equal(a, b) for a, b in zip(first, drawn))
+
+    def test_word_masks_built_once_per_length_and_m(self):
+        # 20 lengths overflow _valid_words' 16-entry cache when every trial looks its mask up; each
+        # signal's plan keeps its masks, so a search misses at most once per distinct (N, m)
+        signals = SignalSet(tuple(gen_white_noise(n, 1.0, seed=n, id=f"s{n}") for n in range(90, 110)))
+        _valid_words.cache_clear()
+        res = optimize_set(signals, small_cfg(b=10, t_tilde=20, seed=3))
+        assert _valid_words.cache_info().misses <= len({(x.n, rec.psi.m) for rec in res.records for x in signals})
 
 
 class TestConfig:
