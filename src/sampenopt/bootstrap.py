@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import SampEnParams, SampEnResult, _RankPlan, _rank_plan, _replicate_values, _require_length
+from .entropy import SampEnParams, SampEnResult, _RankPlan, _replicate_values, _require_length
 from .errors import Infeasible
 from .rng import generator
 from .signal import Signal
@@ -152,7 +152,7 @@ class BlockDraws(NamedTuple):
 
 
 class PlannedBlocks(NamedTuple):
-    """A signal's BlockDraws table with its rank plan (entropy._rank_plan), built together once per search."""
+    """A signal's BlockDraws table with its rank plan (entropy._RankPlan), built together once per search."""
 
     starts: np.ndarray
     exponentials: np.ndarray
@@ -214,7 +214,7 @@ def bootstrap_sampen(
     and builds no plan. The estimates are the same either way.
 
     A replicate's point gaps are gaps of x, so x and all B replicates are
-    counted in one batched pass over x's rank plan (entropy._rank_plan), x
+    counted in one batched pass over x's rank plan (entropy._RankPlan), x
     as its identity row 0 (entropy._replicate_counts), and a call without a
     plan builds one; no call thresholds an (N, N) match matrix. The original
     equals sampen(x, p), and each replicate value sampen's on that
@@ -226,7 +226,7 @@ def bootstrap_sampen(
         blocks = _draw_blocks(n, cfg.b, generator(cfg.seed))
     elif blocks.starts.shape != (cfg.b, n):
         raise ValueError(f"block draws have shape {blocks.starts.shape}, need (B, n) = {(cfg.b, n)}")
-    plan = blocks.plan if isinstance(blocks, PlannedBlocks) else _rank_plan(x.values)
+    plan = blocks.plan if isinstance(blocks, PlannedBlocks) else _RankPlan(x.values)
     lengths = _block_lengths(blocks.exponentials, cfg.q, n)
     return BootstrapEstimates(*_replicate_values(plan, p, _block_indices(blocks.starts, lengths, n)))
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -159,17 +158,25 @@ def _shifted(words: np.ndarray, j: int) -> np.ndarray:
     return out
 
 
-class _RankPlan(NamedTuple):
-    """A signal x's rank plan (_rank_plan), read by _replicate_counts at any (m, r).
+class _RankPlan:
+    """A signal x's rank plan, built once and read by _replicate_counts at any (m, r); its gaps take 8 N (N + 1) bytes.
 
     rank: x's stable-sort ranks, in the first _RANK_TIERS dtype that holds N.
     gaps: the (N, N + 1) float64 matrix x_i - xs_j against x's sorted points xs, its last column -inf.
     words: _valid_words(N, m), flat, for each m asked for.
     """
 
-    rank: np.ndarray
-    gaps: np.ndarray
-    words: dict[int, np.ndarray]
+    def __init__(self, x: np.ndarray):
+        n = x.size
+        rank_t = next(rank_t for most, rank_t in _RANK_TIERS if n <= most)
+        order = np.argsort(x, kind="stable")
+        self.rank = np.empty(n, dtype=rank_t)
+        self.rank[order] = np.arange(n, dtype=rank_t)
+        self.gaps = np.empty((n, n + 1))
+        with np.errstate(over="ignore"):  # an infinite gap lies outside every run
+            np.subtract(x[:, None], x[order], out=self.gaps[:, :n])
+        self.gaps[:, n] = -np.inf
+        self.words: dict[int, np.ndarray] = {}
 
     def runs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         """Per point i, the sorted positions first_i .. first_i + width_i of the points within r of x_i.
@@ -187,24 +194,10 @@ class _RankPlan(NamedTuple):
         return self.words[m]
 
 
-def _rank_plan(x: np.ndarray) -> _RankPlan:
-    """x's rank plan: its ranks, and its gaps against its sorted points in 8 N (N + 1) bytes."""
-    n = x.size
-    rank_t = next(rank_t for most, rank_t in _RANK_TIERS if n <= most)
-    order = np.argsort(x, kind="stable")
-    rank = np.empty(n, dtype=rank_t)
-    rank[order] = np.arange(n, dtype=rank_t)
-    gaps = np.empty((n, n + 1))
-    with np.errstate(over="ignore"):  # an infinite gap lies outside every run
-        np.subtract(x[:, None], x[order], out=gaps[:, :n])
-    gaps[:, n] = -np.inf
-    return _RankPlan(rank, gaps, {})
-
-
 def _replicate_counts(plan: _RankPlan, r: float, idx: np.ndarray, m: int) -> np.ndarray:
     """Ordered (B, A) match counts of x and of every resampled signal x[idx[b]], as a (B + 1, 2) array.
 
-    plan is _rank_plan(x). With g = _point_matches(x, r), row 0, the
+    plan is _RankPlan(x). With g = _point_matches(x, r), row 0, the
     identity resample, equals _ordered_counts(g, m), and row b + 1
     _ordered_counts(g[i][:, i], m) for i = idx[b], without building g: the
     points within r of x_i are ranks lo_i .. lo_i + width_i of x's stable
@@ -309,7 +302,7 @@ def _sampen_from_counts(c: MatchCounts) -> SampEnResult:
 def _replicate_values(plan: _RankPlan, p: SampEnParams, idx: np.ndarray) -> tuple[SampEnResult, np.ndarray]:
     """sampen of x, and of every resampled signal x[idx[b]] as a read-only float64 (B,) array.
 
-    plan is _rank_plan(x), and x is counted as the identity row 0 of
+    plan is _RankPlan(x), and x is counted as the identity row 0 of
     _replicate_counts. Entry b is sampen's value on x[idx[b]] bit for bit,
     with nan where it is undefined: the counts go through _sampen_value as
     Python ints, so each value takes math.log, not np.log, whose vector loop

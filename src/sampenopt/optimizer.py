@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bootstrap import BootstrapConfig, BootstrapEstimates, PlannedBlocks, _draw_blocks, bootstrap_sampen
-from .entropy import SampEnParams, _rank_plan
+from .entropy import SampEnParams, _RankPlan
 from .errors import AllTrialsInfeasible, Infeasible, SignalTooShort
 from .rng import child_seed, generator
 from .signal import Signal, SignalSet
@@ -102,9 +102,9 @@ class OptResult:
 
 
 def _signal_blocks(signals: tuple[Signal, ...], b: int, seed: int) -> tuple[tuple[int, PlannedBlocks], ...]:
-    """Per signal i: its bootstrap seed child_seed(seed, 0, i), and the (B, n) table that seed's stream gives, planned."""
+    """Per signal i: its bootstrap seed child_seed(seed, 0, i), and that seed's (B, n) table with x's rank plan."""
     seeds = [child_seed(seed, 0, i) for i in range(len(signals))]
-    return tuple((s, PlannedBlocks(*_draw_blocks(x.n, b, generator(s)), _rank_plan(x.values)))
+    return tuple((s, PlannedBlocks(*_draw_blocks(x.n, b, generator(s)), _RankPlan(x.values)))
                  for s, x in zip(seeds, signals))
 
 

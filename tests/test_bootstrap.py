@@ -18,7 +18,7 @@ from sampenopt.bootstrap import (
     stationary_bootstrap,
     variance,
 )
-from sampenopt.entropy import SampEnParams, SampEnResult, _point_matches, _rank_plan, sampen
+from sampenopt.entropy import SampEnParams, SampEnResult, _RankPlan, _point_matches, sampen
 from sampenopt.errors import Infeasible, SignalTooShort
 from sampenopt.optimizer import OptimizerConfig, optimize_set
 from sampenopt.rng import generator
@@ -265,14 +265,14 @@ class TestBootstrapSampen:
 
         def planning(x):
             built.append(x.size)
-            return _rank_plan(x)
+            return _RankPlan(x)
 
         def matching(x, r):
             thresholded.append(r)
             return _point_matches(x, r)
 
-        monkeypatch.setattr("sampenopt.bootstrap._rank_plan", planning)
-        monkeypatch.setattr("sampenopt.optimizer._rank_plan", planning)
+        monkeypatch.setattr("sampenopt.bootstrap._RankPlan", planning)
+        monkeypatch.setattr("sampenopt.optimizer._RankPlan", planning)
         monkeypatch.setattr("sampenopt.entropy._point_matches", matching)
         x = gen_white_noise(50, 1.0, seed=11)
         est = bootstrap_sampen(x, SampEnParams(2, 0.3), BootstrapConfig(q=0.5, b=20, seed=5))

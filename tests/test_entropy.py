@@ -11,13 +11,13 @@ from sampenopt.entropy import (
     _RANK_TIERS,
     MatchCounts,
     SampEnParams,
+    _RankPlan,
     _cp_sigma_grid,
     _fuzzy_log_phi,
     _match_matrices,
     _ordered_counts,
     _pair_counts,
     _point_matches,
-    _rank_plan,
     _replicate_counts,
     count_matches,
     counting_se,
@@ -344,7 +344,7 @@ class TestReplicateCounts:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("sampenopt.entropy._CHUNK_PAIRS", chunk_pairs)
             mp.setattr("sampenopt.entropy._RANK_TIERS", _RANK_TIERS[tier:])
-            got = _replicate_counts(_rank_plan(x), r, idx, m)
+            got = _replicate_counts(_RankPlan(x), r, idx, m)
         # row 0 is x itself, rows 1..B the resamples
         assert got.shape == (b + 1, 2)
         assert np.array_equal(got, replicate_counts_oracle(x, np.vstack((np.arange(n), idx)), m, r))
@@ -365,7 +365,7 @@ class TestReplicateCounts:
             return
         idx = np.random.default_rng(seed).integers(0, x.size, (3, x.size))
         c = count_matches(Signal("t", x), SampEnParams(m, r))
-        assert _replicate_counts(_rank_plan(x), r, idx, m)[0].tolist() == [c.b_count, c.a_count]
+        assert _replicate_counts(_RankPlan(x), r, idx, m)[0].tolist() == [c.b_count, c.a_count]
 
 
 class TestRankPlan:
@@ -394,7 +394,7 @@ class TestRankPlan:
         r = radii[r_pick % len(radii)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("sampenopt.entropy._RANK_TIERS", _RANK_TIERS[tier:])
-            plan = _rank_plan(x)
+            plan = _RankPlan(x)
         order = np.argsort(x, kind="stable")
         assert plan.rank.dtype == _RANK_TIERS[tier][1]
         assert np.array_equal(plan.rank, np.argsort(order))
