@@ -14,20 +14,10 @@ from .baselines import (
     convergence_select,
     gaussian_mse_approx,
     knee_point,
-    sampeneff,
     sampeneff_select,
     standard_params_eval,
 )
-from .bootstrap import (
-    BootstrapConfig,
-    BootstrapEstimates,
-    bias,
-    bootstrap_sampen,
-    bootstrap_se,
-    mse,
-    stationary_bootstrap,
-    variance,
-)
+from .bootstrap import BootstrapConfig, BootstrapEstimates, bootstrap_sampen, stationary_bootstrap
 from .entropy import (
     MatchCounts,
     SampEnParams,

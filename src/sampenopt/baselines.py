@@ -23,7 +23,6 @@ from .signal import SignalSet
 __all__ = [
     "RadiusGrid",
     "BaselineResult",
-    "sampeneff",
     "sampeneff_select",
     "convergence_select",
     "knee_point",
@@ -76,11 +75,6 @@ def efficiency_criterion(cp: float, sigma: float) -> float:
     return max(sigma / cp, sigma / (-math.log(cp) * cp))
 
 
-def sampeneff(x, m: int, r: float) -> float:
-    """Efficiency criterion of x at (m, r); undefined when CP is undefined, zero, or one (-log(CP) = 0)."""
-    return efficiency_criterion(*cp_sigma(x, SampEnParams(m=m, r=r)))
-
-
 def _interp_fine(grid: RadiusGrid, radii: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linear interpolation of (radii, values) onto the fine grid between them."""
     fine_r = grid.fine(float(radii[0]), float(radii[-1]))
@@ -124,9 +118,11 @@ def knee_point(xs, ys) -> int:
 def _counting_grid(s: SignalSet, m: int) -> list[tuple[float, list[tuple[float, float]]]]:
     """(r, each signal's cp_sigma at (m, r)) at every RadiusGrid.coarse radius: the counting selectors' table.
 
-    Every length is checked first, so a too-short signal raises SignalTooShort wherever it stands. Then each
-    signal takes one _cp_sigma_grid pass over the radii left; a radius leaves at its first undefined or zero CP.
+    m is checked first by SampEnParams' rule (ValueError below 1), then every length, so a too-short signal
+    raises SignalTooShort wherever it stands. Then each signal takes one _cp_sigma_grid pass over the radii left;
+    a radius leaves at its first undefined or zero CP.
     """
+    SampEnParams(m=m, r=RadiusGrid.coarse[0])
     for x in s:
         _require_length(x, m)
     table = {r: [] for r in RadiusGrid.coarse}

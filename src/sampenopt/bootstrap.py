@@ -19,7 +19,7 @@ replicates in one batched pass over the signal's rank plan, built once per
 search or per call, with no (N, N) match matrix (entropy._replicate_values).
 BootstrapEstimates holds the replicate values as a float array and
 computes their finite-replicate summary (mean, variance, MSE and bias) once
-per estimate set; mse, variance and bias read it.
+per estimate set; callers read the moments from it.
 
 As q -> 0 the inverted lengths grow without bound; E is clipped at n*c
 before the division, so a length is at most n, and each replicate becomes
@@ -45,10 +45,6 @@ __all__ = [
     "BootstrapEstimates",
     "stationary_bootstrap",
     "bootstrap_sampen",
-    "variance",
-    "bias",
-    "mse",
-    "bootstrap_se",
 ]
 
 
@@ -73,7 +69,13 @@ class BootstrapConfig:
 
 
 class Summary(NamedTuple):
-    """Moments of an estimate set's finite replicate values (see variance, bias and mse)."""
+    """Moments of an estimate set's finite replicate values v around the original estimate theta.
+
+    variance is mean((v - mean)**2), mse is mean((theta - v)**2) and bias is
+    mean - theta, each over the same finite subset and divisor, so
+    mse = bias**2 + variance in exact arithmetic. The bootstrap SE is
+    sqrt(variance).
+    """
 
     mean: float
     variance: float
@@ -144,25 +146,20 @@ def _block_indices(starts: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarra
 class BlockDraws(NamedTuple):
     """One bootstrap's draws, row b being replicate b: (B, n) int64 starts in [0, n), then (B, n) Exp(1) draws.
 
-    Both arrays are read-only, so one table can serve many bootstrap_sampen calls.
+    Both arrays are read-only, so one table can serve many bootstrap_sampen
+    calls. plan, when set, is the signal's rank plan (entropy._RankPlan),
+    built with the table once per search.
     """
 
     starts: np.ndarray
     exponentials: np.ndarray
-
-
-class PlannedBlocks(NamedTuple):
-    """A signal's BlockDraws table with its rank plan (entropy._RankPlan), built together once per search."""
-
-    starts: np.ndarray
-    exponentials: np.ndarray
-    plan: _RankPlan
+    plan: _RankPlan | None = None
 
 
 def _draw_blocks(n: int, b: int, rng: np.random.Generator) -> BlockDraws:
     """(b, n) start indices in [0, n), then (b, n) standard-exponential draws, from rng in that order."""
     draws = BlockDraws(rng.integers(0, n, size=(b, n)), rng.standard_exponential((b, n)))
-    for a in draws:
+    for a in (draws.starts, draws.exponentials):
         a.setflags(write=False)
     return draws
 
@@ -195,12 +192,12 @@ def stationary_bootstrap(x: Signal, q: float, rng: np.random.Generator) -> Signa
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0, 1)")
     n = x.n
-    starts, exponentials = _draw_blocks(n, 1, rng)
-    return x.with_values(x.values[_block_indices(starts, _block_lengths(exponentials, q, n), n)[0]])
+    draws = _draw_blocks(n, 1, rng)
+    return x.with_values(x.values[_block_indices(draws.starts, _block_lengths(draws.exponentials, q, n), n)[0]])
 
 
 def bootstrap_sampen(
-    x: Signal, p: SampEnParams, cfg: BootstrapConfig, blocks: BlockDraws | PlannedBlocks | None = None
+    x: Signal, p: SampEnParams, cfg: BootstrapConfig, blocks: BlockDraws | None = None
 ) -> BootstrapEstimates:
     """The original sampen of x and the sampen values of its B stationary-bootstrap replicates.
 
@@ -210,8 +207,8 @@ def bootstrap_sampen(
     draws depend only on (x.n, cfg.b, cfg.seed), not on (m, r, q) or on
     execution order. blocks, when given, must be that table, drawn earlier:
     an optimizer search draws it once per signal and passes it, with x's
-    rank plan, as PlannedBlocks to every trial, which then makes no draw
-    and builds no plan. The estimates are the same either way.
+    rank plan as its plan, to every trial, which then makes no draw and
+    builds no plan. The estimates are the same either way.
 
     A replicate's point gaps are gaps of x, so x and all B replicates are
     counted in one batched pass over x's rank plan (entropy._RankPlan), x
@@ -226,30 +223,7 @@ def bootstrap_sampen(
         blocks = _draw_blocks(n, cfg.b, generator(cfg.seed))
     elif blocks.starts.shape != (cfg.b, n):
         raise ValueError(f"block draws have shape {blocks.starts.shape}, need (B, n) = {(cfg.b, n)}")
-    plan = blocks.plan if isinstance(blocks, PlannedBlocks) else _RankPlan(x.values)
+    plan = _RankPlan(x.values) if blocks.plan is None else blocks.plan
     lengths = _block_lengths(blocks.exponentials, cfg.q, n)
     return BootstrapEstimates(*_replicate_values(plan, p, _block_indices(blocks.starts, lengths, n)))
 
-
-def variance(est: BootstrapEstimates) -> float:
-    """Mean squared deviation of finite replicate values around their mean."""
-    return est.summary.variance
-
-
-def bias(est: BootstrapEstimates) -> float:
-    """Mean of finite replicate values minus the original estimate."""
-    return est.summary.bias
-
-
-def mse(est: BootstrapEstimates) -> float:
-    """Mean squared deviation of finite replicates from the original estimate.
-
-    Equals bias(est)**2 + variance(est) exactly (same finite subset and
-    divisor on both sides of the identity).
-    """
-    return est.summary.mse
-
-
-def bootstrap_se(est: BootstrapEstimates) -> float:
-    """Bootstrap standard error: sqrt of the replicate variance."""
-    return math.sqrt(variance(est))

@@ -39,7 +39,7 @@ from .baselines import (
     sampeneff_select,
     standard_params_eval,
 )
-from .bootstrap import BootstrapConfig, bootstrap_sampen, bootstrap_se, mse as bootstrap_mse
+from .bootstrap import BootstrapConfig, bootstrap_sampen
 from .entropy import SampEnParams, _fuzzen_params, fuzzen, sampen
 from .errors import ComputationError, DataError, UndefinedEntropy
 from .experiments import MethodComparisonConfig, VarBenchConfig, estimator_error, method_comparison
@@ -150,7 +150,7 @@ def _record(x, value: float | None, **fields) -> dict:
 
 def _bootstrap_record(x, est) -> dict:
     """x's record with the bootstrap SE and MSE of its estimate set est; None for both where est is infeasible."""
-    se, mse = (bootstrap_se(est), bootstrap_mse(est)) if est.feasible else (None, None)
+    se, mse = (math.sqrt(est.summary.variance), est.summary.mse) if est.feasible else (None, None)
     return _record(x, est.original.value, bootstrap_se=se, bootstrap_mse=mse)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import _counting_grid, _counting_select, _gaussian_mse, standard_params_eval
-from .bootstrap import BootstrapConfig, bootstrap_sampen, variance
+from .bootstrap import BootstrapConfig, bootstrap_sampen
 from .entropy import SampEnParams, counting_se, sampen
 from .errors import Infeasible, InsufficientDefined, UndefinedEntropy
 from .optimizer import OptimizerConfig, _require_searchable, optimize_set
@@ -116,7 +116,7 @@ def estimator_error(cfg: VarBenchConfig, counting=None, bootstrap=None) -> VarBe
     sigma2 = true_variance(pop, cfg.m, cfg.r)
     counting = counting or (lambda x, seed: counting_se(x, p) ** 2)
     bootstrap = bootstrap or (
-        lambda x, seed: variance(bootstrap_sampen(x, p, BootstrapConfig(q=cfg.q_value, b=cfg.b, seed=seed)))
+        lambda x, seed: bootstrap_sampen(x, p, BootstrapConfig(q=cfg.q_value, b=cfg.b, seed=seed)).summary.variance
     )
     eps_c, eps_b, reductions = [], [], []
     for rep in range(cfg.repeats):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, BootstrapEstimates, PlannedBlocks, _draw_blocks, bootstrap_sampen
+from .bootstrap import BlockDraws, BootstrapConfig, BootstrapEstimates, _draw_blocks, bootstrap_sampen
 from .entropy import SampEnParams, _RankPlan
 from .errors import AllTrialsInfeasible, Infeasible, SignalTooShort
 from .rng import child_seed, generator
@@ -101,10 +101,10 @@ class OptResult:
         return out
 
 
-def _signal_blocks(signals: tuple[Signal, ...], b: int, seed: int) -> tuple[tuple[int, PlannedBlocks], ...]:
+def _signal_blocks(signals: tuple[Signal, ...], b: int, seed: int) -> tuple[tuple[int, BlockDraws], ...]:
     """Per signal i: its bootstrap seed child_seed(seed, 0, i), and that seed's (B, n) table with x's rank plan."""
     seeds = [child_seed(seed, 0, i) for i in range(len(signals))]
-    return tuple((s, PlannedBlocks(*_draw_blocks(x.n, b, generator(s)), _RankPlan(x.values)))
+    return tuple((s, _draw_blocks(x.n, b, generator(s))._replace(plan=_RankPlan(x.values)))
                  for s, x in zip(seeds, signals))
 
 
@@ -113,7 +113,7 @@ def _objective(
     psi: ParamVector,
     lam: float,
     b: int,
-    blocks: tuple[tuple[int, PlannedBlocks], ...],
+    blocks: tuple[tuple[int, BlockDraws], ...],
 ) -> tuple[Trial, tuple[BootstrapEstimates, ...]]:
     """Mean bootstrap MSE + lambda*sqrt(r) and the per-signal estimates; (+inf, ()) at the first infeasible signal.
 

@@ -78,18 +78,20 @@ def _mackinnon_p(stat: float) -> float:
     return float(ndtr(poly))
 
 
+def _fit(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares coefficients and RSS; raises on rank loss."""
+    coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+    if rank < x.shape[1]:
+        raise SingularDesign("regression design matrix is rank deficient")
+    resid = y - x @ coef
+    return coef, float(resid @ resid)
+
+
 def _ols(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """Coefficients, RSS and coefficient standard errors; raises on rank loss."""
     n, k = x.shape
-    coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    if rank < k:
-        raise SingularDesign("regression design matrix is rank deficient")
-    resid = y - x @ coef
-    rss = float(resid @ resid)
-    dof = n - k
-    sigma2 = rss / dof
-    xtx_inv = np.linalg.inv(x.T @ x)
-    return coef, rss, np.sqrt(sigma2 * np.diag(xtx_inv))
+    coef, rss = _fit(y, x)
+    return coef, rss, np.sqrt(rss / (n - k) * np.diag(np.linalg.inv(x.T @ x)))
 
 
 def adf_test(x: Signal) -> AdfResult:
@@ -120,7 +122,7 @@ def adf_test(x: Signal) -> AdfResult:
     best_k, best_aic = 0, math.inf
     for k in range(0, maxlag + 1):
         y, xk = design(k, maxlag)
-        _, rss, _ = _ols(y, xk)
+        _, rss = _fit(y, xk)
         nobs = y.size
         aic = nobs * math.log(max(rss, 1e-300) / nobs) + 2 * (k + 2)
         if aic < best_aic:

@@ -14,14 +14,7 @@ import pytest
 from scipy.integrate import quad
 
 from sampenopt.baselines import gaussian_mse_approx, knee_point
-from sampenopt.bootstrap import (
-    BootstrapEstimates,
-    _block_lengths,
-    bias,
-    mse,
-    stationary_bootstrap,
-    variance,
-)
+from sampenopt.bootstrap import BootstrapEstimates, _block_lengths, stationary_bootstrap
 from sampenopt.cli import main
 from sampenopt.entropy import SampEnParams, SampEnResult, count_matches, fuzzen, sampen
 from sampenopt.errors import NoKnee
@@ -154,7 +147,8 @@ def test_criterion_4_mse_decomposition():
         theta = float(rng.standard_normal() * rng.uniform(0.5, 3.0))
         vals = rng.standard_normal(int(rng.integers(2, 120))) * rng.uniform(0.1, 5.0)
         est = BootstrapEstimates(original=_fake_result(theta), replicates=vals)
-        worst = max(worst, abs(mse(est) - (bias(est) ** 2 + variance(est))))
+        s = est.summary
+        worst = max(worst, abs(s.mse - (s.bias**2 + s.variance)))
     report(4, worst <= 1e-12, f"1000 sets, max |mse - (bias^2 + var)| = {worst:.2e} <= 1e-12")
 
 

@@ -10,7 +10,6 @@ from sampenopt.baselines import (
     efficiency_criterion,
     gaussian_mse_approx,
     knee_point,
-    sampeneff,
     sampeneff_select,
     standard_params_eval,
     _counting_grid,
@@ -35,7 +34,7 @@ class TestSampeneff:
 
     def test_equal_ratio_point(self, white100):
         cp, sigma = cp_sigma(white100, SampEnParams(1, 0.25))
-        crit = sampeneff(white100, 1, 0.25)
+        crit = efficiency_criterion(*cp_sigma(white100, SampEnParams(1, 0.25)))
         expected = max(sigma / cp, sigma / (-math.log(cp) * cp))
         assert crit == expected
         assert crit >= sigma / cp  # the max always dominates the SE term
@@ -43,12 +42,12 @@ class TestSampeneff:
     def test_cp_one_is_singular(self, constant):
         # constant signal has CP exactly 1: the -log term vanishes
         with pytest.raises(UndefinedEntropy):
-            sampeneff(constant, 1, 0.2)
+            efficiency_criterion(*cp_sigma(constant, SampEnParams(1, 0.2)))
 
     def test_undefined_cp(self):
         x = Signal("g", [0.0, 10.0, 20.0, 30.0, 40.0])
         with pytest.raises(UndefinedEntropy):
-            sampeneff(x, 1, 0.5)
+            efficiency_criterion(*cp_sigma(x, SampEnParams(1, 0.5)))
 
     @pytest.mark.parametrize("sigma", [0.1, 0.0])
     def test_criterion_at_cp_one_is_undefined(self, sigma):
@@ -266,6 +265,13 @@ class TestSelectors:
         for order in ((spike, tiny), (tiny, spike)):
             with pytest.raises(SignalTooShort, match="signal 'tiny': need N >= m \\+ 2 = 4, got N = 3"):
                 select(SignalSet(order), 2)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    @pytest.mark.parametrize("select", [sampeneff_select, convergence_select])
+    def test_invalid_m_is_refused_before_any_work(self, select, m):
+        # SampEnParams' rule on m, not a numpy broadcast or reshape error from the grid
+        with pytest.raises(ValueError, match="^embedding dimension m must be >= 1$"):
+            select(make_noise_set(3, 60, seed=1), m)
 
     def test_per_signal_outputs_aligned(self, noise_set, conv_result):
         assert len(conv_result.entropies) == noise_set.n == len(conv_result.ses)

@@ -12,11 +12,8 @@ from sampenopt.bootstrap import (
     _block_indices,
     _block_lengths,
     _draw_blocks,
-    bias,
     bootstrap_sampen,
-    mse,
     stationary_bootstrap,
-    variance,
 )
 from sampenopt.entropy import SampEnParams, SampEnResult, _RankPlan, _point_matches, sampen
 from sampenopt.errors import Infeasible, SignalTooShort
@@ -150,7 +147,7 @@ class TestStationaryBootstrap:
 
     def test_block_lengths_non_increasing_in_q(self):
         # one table serves every q, and a larger q never lengthens a block
-        _, exponentials = _draw_blocks(50, 40, generator(2))
+        exponentials = _draw_blocks(50, 40, generator(2)).exponentials
         by_q = [_block_lengths(exponentials, q, 50) for q in (0.05, 0.3, 0.9)]
         assert all((a >= b).all() for a, b in zip(by_q, by_q[1:]))
         assert all(lens.min() >= 1 and lens.max() <= 50 for lens in by_q)
@@ -189,7 +186,7 @@ class TestBootstrapSampen:
         # every replicate is x itself: value -log(1), as sampen scores it
         assert _hex(est.replicates) == [_value_hex(sampen(x, SampEnParams(1, 0.2)))] * 20
         assert (est.replicates == 0.0).all()
-        assert variance(est) == 0.0 and mse(est) == 0.0
+        assert est.summary.variance == 0.0 and est.summary.mse == 0.0
 
     def test_tiny_radius_infeasible(self):
         # radius below every pairwise template gap: nothing matches anywhere
@@ -329,15 +326,15 @@ class TestBootstrapOracle:
 class TestMoments:
     def test_variance_divisor(self):
         est = _estimates(2.0, [1.0, 2.0, 3.0])
-        assert abs(variance(est) - 2.0 / 3.0) <= 1e-15
+        assert abs(est.summary.variance - 2.0 / 3.0) <= 1e-15
 
     def test_mse_hand_value(self):
         est = _estimates(1.0, [1.0, 3.0])
-        assert abs(mse(est) - 2.0) <= 1e-15
+        assert abs(est.summary.mse - 2.0) <= 1e-15
 
     def test_zero_spread(self):
         est = _estimates(1.5, [1.5, 1.5, 1.5])
-        assert variance(est) == 0.0 and mse(est) == 0.0 and bias(est) == 0.0
+        assert est.summary.variance == 0.0 and est.summary.mse == 0.0 and est.summary.bias == 0.0
 
     def test_variance_matches_two_pass_reference(self):
         rng = np.random.default_rng(0)
@@ -345,15 +342,15 @@ class TestMoments:
         est = _estimates(0.3, vals)
         mean = sum(vals) / len(vals)
         ref = sum((v - mean) ** 2 for v in vals) / len(vals)
-        assert abs(variance(est) - ref) <= 1e-14
+        assert abs(est.summary.variance - ref) <= 1e-14
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             theta = float(rng.standard_normal())
             vals = rng.standard_normal(int(rng.integers(2, 40))).tolist()
-            est = _estimates(theta, vals)
-            assert abs(mse(est) - (bias(est) ** 2 + variance(est))) <= 1e-12
+            s = _estimates(theta, vals).summary
+            assert abs(s.mse - (s.bias**2 + s.variance)) <= 1e-12
 
     def test_identity_with_censored_replicates(self):
         # one non-finite replicate out of 20 stays under the 10% cut; the
@@ -362,23 +359,24 @@ class TestMoments:
         vals = rng.standard_normal(19).tolist() + [math.inf]
         est = _estimates(0.5, vals)
         assert est.feasible
-        assert abs(mse(est) - (bias(est) ** 2 + variance(est))) <= 1e-12
+        s = est.summary
+        assert abs(s.mse - (s.bias**2 + s.variance)) <= 1e-12
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         vals = rng.standard_normal(30).tolist()
         est1 = _estimates(0.2, vals)
         est2 = _estimates(0.2, list(reversed(vals)))
-        assert variance(est1) == variance(est2)
-        assert mse(est1) == mse(est2)
+        assert est1.summary.variance == est2.summary.variance
+        assert est1.summary.mse == est2.summary.mse
 
     def test_infeasible_raises(self):
         est = _estimates(1.0, [None] * 10)
         assert not est.feasible
         with pytest.raises(Infeasible):
-            variance(est)
+            est.summary.variance
         with pytest.raises(Infeasible):
-            mse(est)
+            est.summary.mse
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -395,16 +393,15 @@ class TestMoments:
         order.shuffle(replicates)
         est = _estimates(original, replicates or [None])
         if not est.feasible:
-            for moment in (variance, bias, mse):
+            for moment in ("variance", "bias", "mse"):
                 with pytest.raises(Infeasible):
-                    moment(est)
+                    getattr(est.summary, moment)
             return
         vals = np.sort(est.replicates[np.isfinite(est.replicates)])
         theta = est.original.value
         want = [float(vals.mean()), float(np.mean((vals - vals.mean()) ** 2)), float(np.mean((theta - vals) ** 2)),
                 float(vals.mean() - theta)]
         assert [v.hex() for v in est.summary] == [v.hex() for v in want]
-        assert [v.hex() for v in (variance(est), mse(est), bias(est))] == [v.hex() for v in want[1:]]
 
     def test_feasibility_boundary(self):
         # exactly 90% finite is feasible; below it is not

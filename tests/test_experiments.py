@@ -55,7 +55,7 @@ class TestBootstrapVarianceSanity:
     def test_mean_bootstrap_variance_tracks_truth(self):
         # white noise at (m=1, r=0.2, q=0.9): the bootstrap variance
         # averaged over signals approximates the cross-signal variance
-        from sampenopt.bootstrap import BootstrapConfig, bootstrap_sampen, variance
+        from sampenopt.bootstrap import BootstrapConfig, bootstrap_sampen
         from sampenopt.entropy import SampEnParams
         from sampenopt.rng import child_seed
 
@@ -66,7 +66,7 @@ class TestBootstrapVarianceSanity:
         for i, x in enumerate(pop.signals[:80]):
             est = bootstrap_sampen(x, p, BootstrapConfig(q=0.9, b=100, seed=child_seed(45, i)))
             if est.feasible:
-                ests.append(variance(est))
+                ests.append(est.summary.variance)
         mean_est = float(np.mean(ests))
         assert 0.4 * truth <= mean_est <= 2.5 * truth
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from sampenopt.bootstrap import BootstrapConfig, _draw_blocks, bias, bootstrap_sampen, mse, variance
+from sampenopt.bootstrap import BootstrapConfig, _draw_blocks, bootstrap_sampen
 from sampenopt.entropy import SampEnParams, _valid_words
 from sampenopt.errors import AllTrialsInfeasible, SignalTooShort
 from sampenopt.optimizer import (
@@ -94,13 +94,13 @@ def objective_oracle(signals, psi, lam, b, seed):
         if not est.feasible:
             return Trial(psi=psi, y=math.inf), "replicates_nonfinite"
         ests.append(est)
-    y = float(np.mean([mse(e) for e in ests])) + lam * math.sqrt(psi.r)
+    y = float(np.mean([e.summary.mse for e in ests])) + lam * math.sqrt(psi.r)
     trial = Trial(
         psi=psi,
         y=y,
         entropy=float(np.mean([e.original.value for e in ests])),
-        variance=float(np.mean([variance(e) for e in ests])),
-        bias=float(np.mean([bias(e) for e in ests])),
+        variance=float(np.mean([e.summary.variance for e in ests])),
+        bias=float(np.mean([e.summary.bias for e in ests])),
     )
     return trial, "feasible"
 
@@ -204,7 +204,7 @@ class TestOneBootstrapPath:
             first, *rest = tables[x.id]
             assert all(blocks is first for blocks in rest)
             drawn = _draw_blocks(x.n, cfg.b, generator(child_seed(cfg.seed, 0, i)))
-            assert all(np.array_equal(a, b) for a, b in zip(first, drawn))
+            assert np.array_equal(first.starts, drawn.starts) and np.array_equal(first.exponentials, drawn.exponentials)
 
     def test_word_masks_built_once_per_length_and_m(self):
         # 20 lengths overflow _valid_words' 16-entry cache when every trial looks its mask up; each
@@ -378,7 +378,7 @@ class TestKeptEstimates:
             return _estimate_bits([bootstrap_sampen(x, SampEnParams(m=1, r=0.5), c) for x, c in zip(s, cfgs)])
 
         assert _estimate_bits(res.estimates) == kept(0.18) != kept(0.12)
-        assert float(np.mean([mse(est) for est in res.estimates])) + 0.1 * math.sqrt(0.5) == res.best_y
+        assert float(np.mean([est.summary.mse for est in res.estimates])) + 0.1 * math.sqrt(0.5) == res.best_y
         # a result, not part of the search's identity: out of repr and ==
         assert "estimates" not in repr(res) and dataclasses.replace(res, estimates=()) == res
 
