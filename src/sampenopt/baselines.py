@@ -54,7 +54,9 @@ class BaselineResult:
     curve holds the (radius, aggregated criterion) pairs actually used for
     the selection (fine grid for the search-based methods). entropies and
     ses are per-signal at (m*, r*); an entropy is None where it is not
-    finite, a counting SE where it is undefined.
+    finite, a counting SE where it is undefined. The counting selectors
+    read them from their radius-grid table's (CP, sigma) at r*, and count
+    again only for an r* that is not a table radius.
     """
 
     method: str
@@ -115,12 +117,13 @@ def knee_point(xs, ys) -> int:
     raise NoKnee("no local maximum cleared the sensitivity threshold")
 
 
-def _counting_grid(s: SignalSet, m: int) -> list[tuple[float, list[tuple[float, float]]]]:
-    """(r, each signal's cp_sigma at (m, r)) at every RadiusGrid.coarse radius: the counting selectors' table.
+def _counting_grid(s: SignalSet, m: int) -> dict[float, list[tuple[float, float]]]:
+    """{r: each signal's cp_sigma at (m, r)} at every RadiusGrid.coarse radius: the counting selectors' table.
 
     m is checked first by SampEnParams' rule (ValueError below 1), then every length, so a too-short signal
     raises SignalTooShort wherever it stands. Then each signal takes one _cp_sigma_grid pass over the radii left;
-    a radius leaves at its first undefined or zero CP.
+    a radius leaves at its first undefined or zero CP. The dict is returned as built, so a selector reads r*'s
+    (CP, sigma) from it by key.
     """
     SampEnParams(m=m, r=RadiusGrid.coarse[0])
     for x in s:
@@ -132,7 +135,7 @@ def _counting_grid(s: SignalSet, m: int) -> list[tuple[float, list[tuple[float, 
                 del table[r]
             else:
                 table[r].append(result)
-    return list(table.items())
+    return table
 
 
 # method: (per-signal criterion of (cp, sigma), pick(fine radii, fine values) -> index)
@@ -142,41 +145,52 @@ _COUNTING_METHODS = {
 }
 
 
+def _outputs(pairs) -> tuple[tuple, tuple]:
+    """Each signal's SampEn -log(CP) and counting SE sigma/CP from its (CP, sigma); both None where that is None."""
+    return tuple(zip(*[(None, None) if pair is None else (-math.log(pair[0]), pair[1] / pair[0]) for pair in pairs]))
+
+
 def _per_signal_outputs(s: SignalSet, m: int, r: float) -> tuple[tuple, tuple]:
     """Each signal's SampEn -log(CP) and counting SE sigma/CP from one cp_sigma at (m, r).
 
     Both are None where cp_sigma raises, i.e. where the entropy is undefined
     or infinite. They equal sampen(...).value and counting_se bit for bit:
     CP = A/B of the unordered counts rounds as the doubled ordered ones do.
+    The counting selectors call it only when r* is not a radius of their
+    _counting_grid table; at a table radius they read the same (CP, sigma).
     """
     p = SampEnParams(m=m, r=r)
-    outputs = []
+    pairs = []
     for x in s:
         try:
-            cp, sigma = cp_sigma(x, p)
+            pairs.append(cp_sigma(x, p))
         except UndefinedEntropy:
-            outputs.append((None, None))
-        else:
-            outputs.append((-math.log(cp), sigma / cp))
-    return tuple(zip(*outputs))
+            pairs.append(None)
+    return _outputs(pairs)
 
 
-def _counting_select(method: str, s: SignalSet, m: int, grid) -> BaselineResult:
+def _counting_select(method: str, s: SignalSet, m: int, grid: dict) -> BaselineResult:
     """Radius picked on the fine-grid median curve of method's criterion over a _counting_grid table.
 
     A radius is also dropped where the criterion raises UndefinedEntropy; fewer than 3 left is NoFeasibleRadius.
+    The medians over the signals are taken in one pass over the (radii x signals) criterion array. The per-signal
+    outputs at r* come from the table's (CP, sigma) at r*, which are cp_sigma's own, bit for bit; interpolation
+    puts both picks on a coarse knot. Only an r* between knots, which rounding can leave where two adjacent
+    criteria are a few ulp apart, is counted again by _per_signal_outputs.
     """
     criterion, pick = _COUNTING_METHODS[method]
-    curve = []
-    for r, pairs in grid:
+    radii, rows = [], []
+    for r, pairs in grid.items():
         with contextlib.suppress(UndefinedEntropy):
-            curve.append((r, float(np.median([criterion(cp, sigma) for cp, sigma in pairs]))))
-    if len(curve) < 3:
-        raise NoFeasibleRadius(f"only {len(curve)} usable grid points at m={m}")
-    fine_r, fine_v = _interp_fine(RadiusGrid(), *np.asarray(curve).T)
+            rows.append([criterion(cp, sigma) for cp, sigma in pairs])
+            radii.append(r)
+    if len(radii) < 3:
+        raise NoFeasibleRadius(f"only {len(radii)} usable grid points at m={m}")
+    fine_r, fine_v = _interp_fine(RadiusGrid(), np.array(radii), np.median(rows, axis=1))
     idx = int(pick(fine_r, fine_v))
     r_star = float(fine_r[idx])
-    entropies, ses = _per_signal_outputs(s, m, r_star)
+    pairs = grid.get(r_star)
+    entropies, ses = _per_signal_outputs(s, m, r_star) if pairs is None else _outputs(pairs)
     return BaselineResult(method=method, m_star=m, r_star=r_star, criterion=float(fine_v[idx]), entropies=entropies,
                           ses=ses, curve=tuple(zip(fine_r.tolist(), fine_v.tolist())))
 

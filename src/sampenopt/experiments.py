@@ -219,8 +219,10 @@ def method_comparison(cfg: MethodComparisonConfig) -> list[MethodRow]:
     the baselines by the Gaussian-approximation regularized MSE in closed
     form, mean(s_i^2) + lambda*sqrt(r*), from the counting SEs s_i each
     selection already holds at its (m*, r*). Both counting baselines run
-    at m = _BASELINE_M = 1 and read one (CP, sigma) radius-grid table, and
-    each of their rows' seconds includes its build time. The baselines
+    at m = _BASELINE_M = 1 and read one {r: [(CP, sigma), ...]} radius-grid
+    table, passed to both as built. Each of their rows' seconds covers the
+    table's build and its own selection, which reads r*'s per-signal
+    outputs from the table with no per-signal recount. The baselines
     draw no random numbers and are scored first, so one that cannot be
     scored fails before the first trial. Wall-clock per method is
     reported, not asserted.

@@ -12,7 +12,9 @@ from sampenopt.baselines import (
     knee_point,
     sampeneff_select,
     standard_params_eval,
+    _COUNTING_METHODS,
     _counting_grid,
+    _counting_select,
     _interp_fine,
     _per_signal_outputs,
 )
@@ -246,7 +248,7 @@ class TestSelectors:
         # at m = 3 a 30-point signal has no template match at the smallest radii
         s = make_noise_set(3, 30, seed=5)
         grid = _counting_grid(s, 3)
-        kept = [r for r, _ in grid]
+        kept = list(grid)
         assert 0 < len(kept) < len(RadiusGrid.coarse)
         for r in RadiusGrid.coarse:
             p = SampEnParams(3, r)
@@ -294,3 +296,63 @@ class TestSelectors:
         assert res.method == "fuzzen"
         assert all(v is not None and math.isfinite(v) for v in res.entropies)
         assert all(se is None for se in res.ses)
+
+
+class TestOutputsFromTheTable:
+    @pytest.mark.parametrize("make", [make_noise_set, make_ar_set])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("select", [sampeneff_select, convergence_select])
+    def test_equal_a_recount_at_r_star(self, select, m, make):
+        s = make(4, 100, seed=11)
+        res = select(s, m)
+        assert res.r_star in _counting_grid(s, m)
+        assert repr((res.entropies, res.ses)) == repr(_per_signal_outputs(s, m, res.r_star))
+
+    def test_no_cp_sigma_call_at_a_table_radius(self, monkeypatch):
+        import sampenopt.baselines
+        import sampenopt.entropy
+
+        def forbidden(*args):
+            raise AssertionError("called")
+
+        for module in (sampenopt.entropy, sampenopt.baselines):
+            monkeypatch.setattr(module, "cp_sigma", forbidden)
+        s = make_noise_set(4, 80, seed=2)
+        for select in (sampeneff_select, convergence_select):
+            res = select(s, 1)
+            assert len(res.entropies) == len(res.ses) == 4
+
+    def test_r_star_between_knots_is_counted_again(self, monkeypatch):
+        import sampenopt.baselines
+
+        calls = []
+
+        def spy(x, p):
+            calls.append(p.r)
+            return cp_sigma(x, p)
+
+        monkeypatch.setattr(sampenopt.baselines, "cp_sigma", spy)
+        monkeypatch.setitem(_COUNTING_METHODS, "sampeneff", (efficiency_criterion, lambda radii, values: 2))
+        s = make_noise_set(4, 80, seed=2)
+        grid = _counting_grid(s, 1)
+        res = _counting_select("sampeneff", s, 1, grid)
+        assert res.r_star == 0.12 and res.r_star not in grid
+        assert calls == [0.12] * 4
+        monkeypatch.undo()
+        assert repr((res.entropies, res.ses)) == repr(_per_signal_outputs(s, 1, 0.12))
+
+    @pytest.mark.parametrize("n_signals", [4, 5])
+    @pytest.mark.parametrize("method", ["sampeneff", "convergence"])
+    def test_one_pass_medians_equal_per_radius_medians(self, method, n_signals):
+        s = make_noise_set(n_signals, 80, seed=4)
+        grid = _counting_grid(s, 1)
+        criterion, _ = _COUNTING_METHODS[method]
+        curve = []
+        for r, pairs in grid.items():
+            try:
+                curve.append((r, float(np.median([criterion(cp, sigma) for cp, sigma in pairs]))))
+            except UndefinedEntropy:
+                pass
+        fine_r, fine_v = _interp_fine(RadiusGrid(), *np.asarray(curve).T)
+        res = _counting_select(method, s, 1, grid)
+        assert repr(res.curve) == repr(tuple(zip(fine_r.tolist(), fine_v.tolist())))
