@@ -126,20 +126,22 @@ _CHUNK_PAIRS = 2**17  # point pairs tested per chunk of replicates, a few hundre
 _RANK_TIERS = ((2**8, np.uint8), (2**16, np.uint16), (2**32, np.uint32))
 
 
-@functools.lru_cache(maxsize=16)
+@functools.cache
 def _valid_words(n: int, m: int) -> np.ndarray:
-    """The template pairs _replicate_counts compares, packed as (n // 2, words) little-endian 64-bit rows.
+    """The template pairs _replicate_counts compares, packed flat as n // 2 rows of little-endian 64-bit words.
 
     Bit s of row d - 1 is set when the templates at s and (s + d) mod n
     both start in 0..nt-1 (nt = n - m): forward s <= nt-1-d, or wrapped
     n-d <= s <= nt-1, the wrapped half of d = n/2 at even n excluded
-    (it repeats the forward half). Read-only, as it is shared.
+    (it repeats the forward half). Cached per (n, m) without a bound, at
+    about n^2 / 16 bytes a mask, 1/128 of a rank plan's gaps; read-only,
+    as it is shared.
     """
     nt, half, words = n - m, n // 2, -(-n // 64)
     d = np.arange(1, half + 1)[:, None]
     s = np.arange(64 * words)
     valid = (s <= nt - 1 - d) | ((s >= n - d) & (s < nt) & (2 * d < n))
-    packed = np.packbits(valid, bitorder="little").view("<u8").reshape(half, words)
+    packed = np.packbits(valid, bitorder="little").view("<u8")
     packed.setflags(write=False)
     return packed
 
@@ -163,7 +165,6 @@ class _RankPlan:
 
     rank: x's stable-sort ranks, in the first _RANK_TIERS dtype that holds N.
     gaps: the (N, N + 1) float64 matrix x_i - xs_j against x's sorted points xs, its last column -inf.
-    words: _valid_words(N, m), flat, for each m asked for.
     """
 
     def __init__(self, x: np.ndarray):
@@ -176,7 +177,6 @@ class _RankPlan:
         with np.errstate(over="ignore"):  # an infinite gap lies outside every run
             np.subtract(x[:, None], x[order], out=self.gaps[:, :n])
         self.gaps[:, n] = -np.inf
-        self.words: dict[int, np.ndarray] = {}
 
     def runs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         """Per point i, the sorted positions first_i .. first_i + width_i of the points within r of x_i.
@@ -187,11 +187,6 @@ class _RankPlan:
         """
         first = np.argmax(self.gaps <= r, axis=1)
         return first, np.argmax(self.gaps < -r, axis=1) - 1 - first
-
-    def valid_words(self, m: int) -> np.ndarray:
-        if m not in self.words:
-            self.words[m] = _valid_words(self.rank.size, m).reshape(-1)
-        return self.words[m]
 
 
 def _replicate_counts(plan: _RankPlan, r: float, idx: np.ndarray, m: int) -> np.ndarray:
@@ -221,7 +216,7 @@ def _replicate_counts(plan: _RankPlan, r: float, idx: np.ndarray, m: int) -> np.
     the chunk's flat word stream: a shift by j >= 64 skips whole words, and
     bits that cross into the row before land at s >= 64 * row_words - j >=
     nt. Those and every other pair outside the comparisons are cleared by
-    the packed validity mask _valid_words(N, m), kept by the plan, ANDed
+    the packed validity mask _valid_words(N, m), cached per (N, m), ANDed
     in before the first shift; the set bits are counted with
     bitwise_count on the words, each unordered match once, and doubled.
     """
@@ -238,7 +233,7 @@ def _replicate_counts(plan: _RankPlan, r: float, idx: np.ndarray, m: int) -> np.
     # partners[b, d - 1, s] = ranks[b, s + d], the rank of point (s + d) mod N of resample b
     size = ranks.itemsize
     partners = np.ndarray((b, half, n), ranks.dtype, ranks, size, (2 * n * size, size, size))
-    valid = plan.valid_words(m)
+    valid = _valid_words(n, m)
     step = max(1, _CHUNK_PAIRS // (half * n))
     offsets = np.empty((min(step, b), half, n), dtype=rank.dtype)
     point = np.zeros((offsets.shape[0], half, 64 * row_words), dtype=bool)  # bits past N are never counted
@@ -460,7 +455,10 @@ def _cp_sigma_grid(x: Signal, m: int, radii) -> list[tuple[float, float] | Undef
     Raises SignalTooShort unless N >= m + 2. Each chunk of radii, as many
     as fill _GRID_CELLS cells, thresholds the point gaps once for all its
     radii, stacks their m- and (m+1)-match matrices and counts B and A on
-    them; the radii with a defined, nonzero CP then share one _pair_counts.
+    them, as Python ints. When any radius of the chunk has a defined,
+    nonzero CP, one _pair_counts counts every layer, read by position: the
+    counts grow with r, so only the chunk that holds an ascending grid's
+    undefined prefix counts layers it does not read.
     """
     _require_length(x, m)
     nt = x.n - m
@@ -470,14 +468,12 @@ def _cp_sigma_grid(x: Signal, m: int, radii) -> list[tuple[float, float] | Undef
         r = np.array([radii[i] for i in chunk], dtype=np.float64)[:, None, None]
         layers = np.stack(_match_matrices(_point_matches(x.values, r), m))
         # unordered counts: the matrices are symmetric with a true diagonal
-        b_un, a_un = ([(np.count_nonzero(layer) - nt) // 2 for layer in half] for half in layers)
-        defined = [a > 0 for a in a_un]  # A <= B, so A > 0 means a defined, nonzero CP
-        if any(defined):
-            kept = layers if all(defined) else layers[:, defined]
-            overlaps = zip(*_pair_counts(kept.reshape(-1, nt, nt), m).reshape(2, -1).tolist())
-        for i, b, a in zip(chunk, b_un, a_un):
+        b_un, a_un = ([(int(np.count_nonzero(layer)) - nt) // 2 for layer in half] for half in layers)
+        if any(a_un):  # A <= B, so A > 0 means a defined, nonzero CP
+            k_b, k_a = _pair_counts(layers.reshape(-1, nt, nt), m).reshape(2, -1).tolist()
+        for j, (i, b, a) in enumerate(zip(chunk, b_un, a_un)):
             if a:
-                kb, ka = next(overlaps)
+                kb, ka = k_b[j], k_a[j]
                 cp = a / b
                 var_cp = cp * (1.0 - cp) / b + (ka - kb * cp * cp) / (b * b)
                 results.append((cp, math.sqrt(max(var_cp, 0.0))))

@@ -82,8 +82,6 @@ def _read_wide(rows: list[list[str]], path: str) -> SignalSet:
             signals.append(Signal(id=sid, values=vals))
         except ValueError as exc:
             raise IngestionError(f"{path}:{lineno}: {exc}") from exc
-    if not signals:
-        raise IngestionError(f"{path}: no data rows")
     try:
         return SignalSet(tuple(signals))
     except ValueError as exc:

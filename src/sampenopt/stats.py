@@ -140,8 +140,6 @@ def holm_sidak(pvals) -> list[float]:
     clipped to 1.
     """
     p = np.asarray(list(pvals), dtype=np.float64)
-    if p.size == 0:
-        return []
     if np.any((p < 0) | (p > 1)) or not np.all(np.isfinite(p)):
         raise InvalidP("p-values must lie in [0, 1]")
     n = p.size

@@ -298,6 +298,14 @@ class TestSelectors:
         assert all(se is None for se in res.ses)
 
 
+class TestPlainFloats:
+    def test_counting_variance_is_python_floats(self, noise_set):
+        x, p = noise_set[0], SampEnParams(2, 0.2)
+        assert [type(v) for v in (*cp_sigma(x, p), counting_se(x, p))] == [float] * 3
+        for res in (sampeneff_select(noise_set, 2), convergence_select(noise_set, 2), standard_params_eval(noise_set)):
+            assert [type(v) for v in res.ses] == [float] * noise_set.n, res.method
+
+
 class TestOutputsFromTheTable:
     @pytest.mark.parametrize("make", [make_noise_set, make_ar_set])
     @pytest.mark.parametrize("m", [1, 2])

@@ -19,12 +19,14 @@ from sampenopt.entropy import (
     _pair_counts,
     _point_matches,
     _replicate_counts,
+    _valid_words,
     count_matches,
     counting_se,
     cp_sigma,
     fuzzen,
     sampen,
 )
+from sampenopt.bootstrap import BootstrapConfig, bootstrap_sampen
 from sampenopt.errors import SignalTooShort, UndefinedEntropy, VarianceOverflow
 from sampenopt.signal import Signal, gen_white_noise, normalize
 
@@ -406,6 +408,24 @@ class TestRankPlan:
         assert np.array_equal(got_first, first) and np.array_equal(got_width, last - first)
         pos = np.arange(n)
         assert np.array_equal(sorted_g, (pos >= first[:, None]) & (pos <= last[:, None]))
+
+
+class TestMaskCache:
+    def test_one_read_only_mask_per_length_and_m(self):
+        first = _valid_words(101, 2)
+        assert _valid_words(101, 2) is first
+        assert first.ndim == 1 and first.dtype == np.dtype("<u8") and not first.flags.writeable
+        assert first.size == 50 * 2  # N // 2 rows of two words
+        assert _valid_words(101, 3) is not first and _valid_words(100, 2) is not first
+
+    def test_plan_less_calls_on_one_length_build_one_mask(self):
+        # bootstrap_sampen without a plan builds a rank plan and drops it; the mask outlives it
+        p, cfg = SampEnParams(2, 0.3), BootstrapConfig(q=0.5, b=10, seed=1)
+        _valid_words.cache_clear()
+        for seed in (1, 2):
+            bootstrap_sampen(gen_white_noise(97, 1.0, seed=seed), p, cfg)
+        info = _valid_words.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestLengthRule:

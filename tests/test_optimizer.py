@@ -207,8 +207,8 @@ class TestOneBootstrapPath:
             assert np.array_equal(first.starts, drawn.starts) and np.array_equal(first.exponentials, drawn.exponentials)
 
     def test_word_masks_built_once_per_length_and_m(self):
-        # 20 lengths overflow _valid_words' 16-entry cache when every trial looks its mask up; each
-        # signal's plan keeps its masks, so a search misses at most once per distinct (N, m)
+        # 20 lengths, each looked up by every trial; _valid_words caches one mask per (N, m) without
+        # a bound, so a search misses at most once per distinct (N, m)
         signals = SignalSet(tuple(gen_white_noise(n, 1.0, seed=n, id=f"s{n}") for n in range(90, 110)))
         _valid_words.cache_clear()
         res = optimize_set(signals, small_cfg(b=10, t_tilde=20, seed=3))

@@ -98,6 +98,9 @@ class TestHolmSidak:
     def test_all_zeros(self):
         assert holm_sidak([0.0, 0.0, 0.0]) == [0.0, 0.0, 0.0]
 
+    def test_empty_input(self):
+        assert holm_sidak([]) == []
+
     def test_monotone_and_dominating(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
