@@ -205,17 +205,16 @@ def convergence_select(s: SignalSet, m: int) -> BaselineResult:
     return _counting_select("convergence", s, m, _counting_grid(s, m))
 
 
-def ar_order_m(s: SignalSet, p_max: int = 5) -> int:
+def ar_order_m(s: SignalSet) -> int:
     """Median best AR order across the set, as a proxy embedding dimension.
 
-    Each signal is fit by least squares for orders p = 1..p_max on the
-    common sample conditioned on p_max (so BIC values are comparable), with
-    BIC = n log(RSS/n) + p log(n). Signals are assumed normalized, so the
-    lagged design carries no intercept. The median is rounded half-up and
-    floored at 1.
+    Each signal is fit by least squares for orders p = 1..5 on the common
+    sample conditioned on the largest order (so BIC values are comparable),
+    with BIC = n log(RSS/n) + p log(n). Signals are assumed normalized, so
+    the lagged design carries no intercept. The median is rounded half-up
+    and floored at 1. Every signal needs N > 7 (TooShort otherwise).
     """
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
+    p_max = 5  # the largest order fitted
     orders = []
     for x in s:
         v = x.values

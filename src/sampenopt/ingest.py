@@ -33,8 +33,8 @@ def _parse_value(raw: str, where: str) -> float:
     return v
 
 
-def _read_long(rows: list[list[str]], path: str) -> SignalSet:
-    order: list[str] = []
+def _read_long(rows: list[list[str]], path: str) -> tuple[Signal, ...]:
+    """The signals of a long file's data rows, in order of first appearance."""
     values: dict[str, list[float]] = {}
     labels: dict[str, str | None] = {}
     last_t: dict[str, int] = {}
@@ -50,7 +50,6 @@ def _read_long(rows: list[list[str]], path: str) -> SignalSet:
             raise IngestionError(f"{path}:{lineno}: t must be an integer, got {t_raw!r}") from exc
         v = _parse_value(v_raw, f"{path}:{lineno}")
         if sid not in values:
-            order.append(sid)
             values[sid] = []
             labels[sid] = label or None
         else:
@@ -60,16 +59,13 @@ def _read_long(rows: list[list[str]], path: str) -> SignalSet:
                 raise IngestionError(f"{path}:{lineno}: conflicting label for signal {sid!r}")
         last_t[sid] = t
         values[sid].append(v)
-    if not order:
+    if not values:
         raise IngestionError(f"{path}: no data rows")
-    signals = tuple(Signal(id=sid, values=values[sid], label=labels[sid]) for sid in order)
-    try:
-        return SignalSet(signals)
-    except ValueError as exc:
-        raise IngestionError(f"{path}: {exc}") from exc
+    return tuple(Signal(id=sid, values=vals, label=labels[sid]) for sid, vals in values.items())
 
 
-def _read_wide(rows: list[list[str]], path: str) -> SignalSet:
+def _read_wide(rows: list[list[str]], path: str) -> tuple[Signal, ...]:
+    """The signals of a wide file, one per row."""
     signals = []
     for lineno, row in enumerate(rows, start=1):
         if len(row) < 2:
@@ -82,14 +78,11 @@ def _read_wide(rows: list[list[str]], path: str) -> SignalSet:
             signals.append(Signal(id=sid, values=vals))
         except ValueError as exc:
             raise IngestionError(f"{path}:{lineno}: {exc}") from exc
-    try:
-        return SignalSet(tuple(signals))
-    except ValueError as exc:
-        raise IngestionError(f"{path}: {exc}") from exc
+    return tuple(signals)
 
 
 def read_signals(path: str | Path) -> tuple[SignalSet, str]:
-    """Read a signal set; returns (set, detected format 'long' or 'wide')."""
+    """Read a signal set as (set, detected format 'long' or 'wide'); IngestionError names the path of any fault."""
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
@@ -103,9 +96,12 @@ def read_signals(path: str | Path) -> tuple[SignalSet, str]:
         raise IngestionError(f"{path}: unreadable CSV: {exc}") from exc
     if not rows:
         raise IngestionError(f"{path}: empty file")
-    if [c.strip() for c in rows[0]] == LONG_HEADER:
-        return _read_long(rows[1:], str(path)), "long"
-    return _read_wide(rows, str(path)), "wide"
+    is_long = [c.strip() for c in rows[0]] == LONG_HEADER
+    signals = _read_long(rows[1:], str(path)) if is_long else _read_wide(rows, str(path))
+    try:
+        return SignalSet(signals), "long" if is_long else "wide"
+    except ValueError as exc:  # a repeated signal id
+        raise IngestionError(f"{path}: {exc}") from exc
 
 
 def write_signals(path: str | Path, s: SignalSet, fmt: str = "long") -> None:

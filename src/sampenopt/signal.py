@@ -157,9 +157,11 @@ def gen_signal_set(
 ) -> SignalSet:
     """Generate a set of white-noise or AR(1) signals with indexed child seeds.
 
-    Signal i uses the child stream (seed, i), so any subset is reproducible
-    independently of set size. Every setting is range-checked for both
-    kinds, phi and burn_in included, before any signal is drawn.
+    Signal i draws its noise from the child stream (seed, i), so any subset
+    is reproducible independently of set size; white-noise rows equal
+    gen_white_noise at that seed, and AR(1) rows equal gen_ar1. Every
+    setting is range-checked for both kinds, phi and burn_in included,
+    before any signal is drawn; white noise has no burn-in.
     """
     if kind not in ("white_noise", "ar1"):
         raise ValueError(f"unknown signal kind {kind!r}")
@@ -167,14 +169,11 @@ def gen_signal_set(
     cfg = Ar1Config(phi=phi, sigma=sigma, n=n, seed=seed, burn_in=burn_in)
     if normalize_signals and n < 2:
         raise ValueError("normalized signals need n >= 2")
-    sids = [f"{kind}_{i:05d}" for i in range(n_signals)]
-    if kind == "white_noise":
-        raw = [gen_white_noise(n, sigma, child_seed(seed, i), id=sid, label=label) for i, sid in enumerate(sids)]
-    else:
-        # each signal draws eps from its own stream; the recurrence runs across all of them at once
-        eps = np.empty((n_signals, cfg.burn_in + cfg.n))
-        for i in range(n_signals):
-            eps[i] = cfg.sigma * generator(child_seed(seed, i)).standard_normal(eps.shape[1])
-        paths = np.ascontiguousarray(_ar1_paths(cfg.phi, eps)[:, cfg.burn_in:])
-        raw = [Signal(id=sid, values=path, label=label) for sid, path in zip(sids, paths)]
+    burn = cfg.burn_in if kind == "ar1" else 0  # white noise has no recurrence to warm up
+    # each signal draws eps from its own stream; the AR(1) recurrence runs across all of them at once
+    eps = np.empty((n_signals, burn + cfg.n))
+    for i in range(n_signals):
+        eps[i] = cfg.sigma * generator(child_seed(seed, i)).standard_normal(eps.shape[1])
+    paths = np.ascontiguousarray(_ar1_paths(cfg.phi, eps)[:, burn:]) if kind == "ar1" else eps
+    raw = [Signal(id=f"{kind}_{i:05d}", values=path, label=label) for i, path in enumerate(paths)]
     return SignalSet(tuple(normalize(s) if normalize_signals else s for s in raw))

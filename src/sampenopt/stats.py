@@ -87,13 +87,6 @@ def _fit(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
     return coef, float(resid @ resid)
 
 
-def _ols(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Coefficients, RSS and coefficient standard errors; raises on rank loss."""
-    n, k = x.shape
-    coef, rss = _fit(y, x)
-    return coef, rss, np.sqrt(rss / (n - k) * np.diag(np.linalg.inv(x.T @ x)))
-
-
 def adf_test(x: Signal) -> AdfResult:
     """Augmented Dickey-Fuller unit-root test, constant-only regression.
 
@@ -128,8 +121,10 @@ def adf_test(x: Signal) -> AdfResult:
         if aic < best_aic:
             best_k, best_aic = k, aic
     y, xk = design(best_k, best_k)
-    coef, _, se = _ols(y, xk)
-    stat = float(coef[1] / se[1])
+    coef, rss = _fit(y, xk)
+    rows, cols = xk.shape
+    # t-statistic of the x_{t-1} coefficient: its OLS standard error from (X'X)^-1
+    stat = float(coef[1] / math.sqrt(rss / (rows - cols) * np.linalg.inv(xk.T @ xk)[1, 1]))
     return AdfResult(statistic=stat, p_value=_mackinnon_p(stat), lags=best_k)
 
 
@@ -157,12 +152,11 @@ def _exact_u_pvalues(u_obs: float, n_a: int, n_b: int) -> tuple[float, float]:
     """P(U <= u_obs) and P(U >= u_obs) by enumerating rank arrangements."""
     n = n_a + n_b
     base = n_a * (n_a - 1) // 2
-    total = 0
+    total = math.comb(n, n_a)
     le = 0
     ge = 0
     for positions in itertools.combinations(range(n), n_a):
         u = sum(positions) - base
-        total += 1
         if u <= u_obs:
             le += 1
         if u >= u_obs:
@@ -172,6 +166,8 @@ def _exact_u_pvalues(u_obs: float, n_a: int, n_b: int) -> tuple[float, float]:
 
 def mann_whitney_u(a, b, alternative: str = "two-sided") -> ComparisonResult:
     """Mann-Whitney U test; exact when n_a + n_b <= 16 and tie-free.
+
+    NaN in either group raises ValueError; +-inf ranks past every finite value.
 
     The U statistic counts (with half-credit for ties) pairs where an
     a-value exceeds a b-value; 'less' tests a stochastically smaller than
@@ -184,11 +180,13 @@ def mann_whitney_u(a, b, alternative: str = "two-sided") -> ComparisonResult:
         raise EmptyGroup("both groups must be non-empty")
     if alternative not in ("two-sided", "less", "greater"):
         raise ValueError(f"unknown alternative {alternative!r}")
+    for name, g in (("a", a), ("b", b)):
+        if np.isnan(g).any():  # NaN compares false with everything, so it would rank as a loss
+            raise ValueError(f"group {name} holds NaN, which has no rank")
     n_a, n_b = a.size, b.size
-    combined = np.concatenate([a, b])
     u_a = float(np.sum(a[:, None] > b[None, :]) + 0.5 * np.sum(a[:, None] == b[None, :]))
-    no_ties = np.unique(combined).size == combined.size
-    if n_a + n_b <= 16 and no_ties:
+    _, counts = np.unique(np.concatenate([a, b]), return_counts=True)
+    if n_a + n_b <= 16 and counts.size == n_a + n_b:
         p_le, p_ge = _exact_u_pvalues(u_a, n_a, n_b)
         if alternative == "less":
             p = p_le
@@ -199,7 +197,6 @@ def mann_whitney_u(a, b, alternative: str = "two-sided") -> ComparisonResult:
     else:
         mu = n_a * n_b / 2.0
         n = n_a + n_b
-        _, counts = np.unique(combined, return_counts=True)
         tie_term = float(np.sum(counts**3 - counts)) / (n * (n - 1))
         sigma2 = n_a * n_b / 12.0 * ((n + 1) - tie_term)
         if sigma2 <= 0:

@@ -91,6 +91,20 @@ def test_empty_file(tmp_path):
         read_signals(path)
 
 
+def test_header_only_long_file(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("signal_id,label,t,value\n")
+    with pytest.raises(IngestionError, match=f"^{re.escape(str(path))}: no data rows$"):
+        read_signals(path)
+
+
+def test_repeated_wide_id(tmp_path):
+    path = tmp_path / "twice.csv"
+    path.write_text("a,1.0,2.0\nb,3.0\na,4.0\n")
+    with pytest.raises(IngestionError, match=f"^{re.escape(str(path))}: signal ids must be unique within a set$"):
+        read_signals(path)
+
+
 def test_conflicting_label(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("signal_id,label,t,value\na,x,0,1.0\na,y,1,2.0\n")

@@ -231,6 +231,19 @@ class TestAr1AgainstLfilter:
             for x, cfg in zip(normed, cfgs):
                 assert np.array_equal(x.values, normalize(gen_ar1(cfg)).values)
 
+    @pytest.mark.parametrize("sigma,n,burn_in", [(1.0, 60, 500), (0.1, 1, 0), (2.5, 40, 0), (0.7, 25, 3)])
+    def test_white_noise_set_rows(self, sigma, n, burn_in):
+        # white-noise rows are gen_white_noise at the child seed, whatever burn_in says
+        for normalize_signals in (False, True) if n >= 2 else (False,):
+            s = gen_signal_set(
+                "white_noise", 4, n, seed=33, sigma=sigma, burn_in=burn_in, normalize_signals=normalize_signals, label="g"
+            )
+            for i, x in enumerate(s):
+                want = gen_white_noise(n, sigma, child_seed(33, i), id=f"white_noise_{i:05d}", label="g")
+                assert (x.id, x.label) == (want.id, want.label)
+                assert np.array_equal(x.values, normalize(want).values if normalize_signals else want.values)
+                assert not x.values.flags.writeable
+
     def test_bad_settings_still_rejected(self):
         with pytest.raises(NonStationaryConfig):
             gen_signal_set("ar1", 2, 10, seed=0, phi=1.0)
@@ -244,6 +257,6 @@ class TestAr1AgainstLfilter:
     )
     def test_white_noise_checks_every_setting(self, monkeypatch, n, settings):
         # rejected as config before any signal is drawn, as ar1 rejects them
-        monkeypatch.setattr("sampenopt.signal.gen_white_noise", lambda *a, **k: pytest.fail("signal drawn"))
+        monkeypatch.setattr("sampenopt.signal.generator", lambda *a, **k: pytest.fail("signal drawn"))
         with pytest.raises(ValueError):
             gen_signal_set("white_noise", 2, n, seed=0, **settings)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -67,6 +68,28 @@ class TestAdf:
             assert mine.lags == lags
             if 0.001 < p < 0.999:
                 assert mine.p_value == pytest.approx(p, rel=1e-9)
+
+    def test_statistic_is_the_full_covariance_t_ratio(self):
+        # reference: coef[1] / se[1], every standard error from sqrt(rss / (rows - cols) * diag((X'X)^-1))
+        rng = np.random.default_rng(41)
+        for i in range(60):
+            n = int(rng.integers(15, 400))
+            x = rng.standard_normal(n)
+            if i % 3:
+                x = np.cumsum(x)
+            if i % 3 == 2:
+                x = np.round(x * 2.0) / 2.0
+            res = adf_test(Signal("x", x))
+            k, dv = res.lags, np.diff(x)
+            y = dv[k:]
+            design = np.column_stack(
+                [np.ones(y.size), x[k : n - 1], *(dv[k - j : dv.size - j] for j in range(1, k + 1))]
+            )
+            coef = np.linalg.lstsq(design, y, rcond=None)[0]
+            resid = y - design @ coef
+            rows, cols = design.shape
+            se = np.sqrt(float(resid @ resid) / (rows - cols) * np.diag(np.linalg.inv(design.T @ design)))
+            assert res.statistic.hex() == float(coef[1] / se[1]).hex()
 
     def test_too_short(self):
         with pytest.raises(TooShort):
@@ -183,6 +206,23 @@ class TestMannWhitney:
     def test_empty_group(self):
         with pytest.raises(EmptyGroup):
             mann_whitney_u([], [1.0])
+
+    @pytest.mark.parametrize(
+        "a, b, group",
+        [
+            ([math.nan] * 10, [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0], "a"),
+            ([math.nan, 1.0, 2.0], [3.0, 4.0, 5.0], "a"),
+            ([1.0, 2.0], [3.0, math.nan], "b"),
+        ],
+    )
+    def test_nan_has_no_rank(self, a, b, group):
+        with pytest.raises(ValueError, match=f"group {group} holds NaN"):
+            mann_whitney_u(a, b)
+
+    def test_infinity_ranks_past_every_finite_value(self):
+        res = mann_whitney_u([math.inf, 5.0], [1.0, 2.0, 3.0], "greater")
+        assert res.u_statistic == 6.0
+        assert res.p_value == mann_whitney_u([9.0, 5.0], [1.0, 2.0, 3.0], "greater").p_value
 
 
 class TestPipeline:
